@@ -1,14 +1,15 @@
-"""Basis pairs on [0, 1): construction, dilation, validity checks, schedules.
+"""Basis pairs on [0, 1): construction, the synthesis operator, validity checks, schedules.
 
 A basis pair holds two zero-mean periodic members S and R as truncated Fourier
 coefficient sequences (depth Q). Dilating a member by k moves coefficient q to
-harmonic q*k, so every check and inner product below is exact index arithmetic
-over coefficients; nothing here goes back to sample-domain quadrature.
+harmonic q*k. ``synthesis_operator`` writes that index arithmetic down once, as
+the sparse matrix Phi of the dilated family; the inner products behind the
+checks below are linear algebra on Phi, with no sample-domain quadrature.
 
 Two conditions make a pair usable for analysis:
 
-* independence: the first-harmonic 2x2 systems are solvable,
-  ||s1*r'1| - |s'1*r1|| above a relative tolerance;
+* independence: the first-harmonic 2x2 system is solvable, its determinant
+  |s1*r'1 - s'1*r1| above a relative tolerance;
 * the convergence requisite: any combination A*S + B*R carries more energy at
   its fundamental than at all higher harmonics combined, decided as positive
   definiteness of a 2x2 quadratic form.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigurationError
 from .signals import FourierSpectrum, analyze_fourier, sample_closed_form
@@ -44,6 +46,7 @@ __all__ = [
     "ORTHOGONALITY_TOL",
     "builtin_basis",
     "dilate",
+    "synthesis_operator",
     "check_independence",
     "check_convergence",
     "classify_orthogonality",
@@ -62,10 +65,6 @@ EPS_INDEPENDENCE = 1e-9
 EPS_CONVERGENCE = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_DEPTH = 64
-
-# guard added to the relative independence threshold so an all-zero product
-# pair still fails cleanly instead of comparing 0 > 0
-_EPS_ABSOLUTE = 1e-300
 
 _PROJECTION_SAMPLES = 4096
 _TRAPEZOID_RISE = 0.125
@@ -177,7 +176,8 @@ class IndependenceReport:
     """Verdict of the first-coefficient independence check.
 
     ``products`` holds (s1*r'1, s'1*r1); ``margin`` is how far the absolute
-    difference of the products clears the relative threshold (positive passes).
+    determinant |s1*r'1 - s'1*r1| clears the relative threshold (positive
+    passes).
     """
 
     passed: bool
@@ -398,12 +398,62 @@ def dilate(member: BasisFunction, k: int, band_cap: int) -> FourierSpectrum:
     return FourierSpectrum(0.0, a, b)
 
 
-def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
-    """Decide whether the pair's first-harmonic 2x2 systems are solvable.
+def _segments(basis) -> tuple:
+    """(start_k, pair) runs of a pair or a schedule."""
+    return basis.segments if isinstance(basis, BasisSchedule) else ((1, basis),)
 
-    Passes iff ||s1*r'1| - |s'1*r1|| exceeds eps times the magnitude scale of
-    the two products. Near-equality means ill-conditioned systems and is
-    reported as a failure rather than silently accepted.
+
+def _depth(basis) -> int:
+    """Largest member depth of a pair or schedule."""
+    return max(max(pair.S.depth, pair.R.depth) for _, pair in _segments(basis))
+
+
+def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
+    """The synthesis operator Phi of the dilated family {S(kx), R(kx)}, k = 1..order.
+
+    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
+    Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
+    the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
+    Gram matrix of the family. For a schedule, column k comes from the pair
+    active at k. Harmonics above ``cap`` are dropped, never folded back.
+    """
+    if order < 0 or cap < 0:
+        raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
+    # 32-bit indices whenever they fit, as scipy would store them anyway: this
+    # spares a converted copy of every index array at build time
+    index = np.int32 if 2 * max(cap, order) <= np.iinfo(np.int32).max else np.int64
+    segments = _segments(basis)
+    ends = [start - 1 for start, _ in segments[1:]] + [order]
+    rows, cols, vals = [], [], []
+    for (start, pair), end in zip(segments, ends):
+        k = np.arange(start, min(end, order) + 1)[:, None]
+        for first_col, member in ((0, pair.S), (order, pair.R)):
+            harmonic = k * np.arange(1, member.depth + 1)
+            keep = harmonic <= cap
+            h = (harmonic[keep] - 1).astype(index)
+            col = np.broadcast_to((first_col + k - 1).astype(index), harmonic.shape)[keep]
+            rows += [h, cap + h]
+            cols += [col, col]
+            for coeffs in (member.cos_coeffs, member.sin_coeffs):
+                vals.append(np.broadcast_to(coeffs, harmonic.shape)[keep])
+    vals, rows, cols = (np.concatenate(parts) for parts in (vals, rows, cols))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * cap, 2 * order))
+
+
+def _family_gram(pair: BasisPair, order: int) -> np.ndarray:
+    """(1/2) Phi^T Phi at a cap wide enough that no dilation is truncated."""
+    phi = synthesis_operator(pair, order, _depth(pair) * order)
+    return 0.5 * (phi.T @ phi).toarray()
+
+
+def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
+    """Decide whether the pair's first-harmonic 2x2 system is solvable.
+
+    Passes iff the determinant |s1*r'1 - s'1*r1| exceeds eps times the
+    magnitude scale |s1*r'1| + |s'1*r1| of its two products, so the verdict
+    does not change when either member is rescaled. Near-cancellation means an
+    ill-conditioned system and is reported as a failure rather than silently
+    accepted.
     """
     s1 = float(pair.S.cos_coeffs[0])
     sp1 = float(pair.S.sin_coeffs[0])
@@ -411,9 +461,9 @@ def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> Indepe
     rp1 = float(pair.R.sin_coeffs[0])
     p_main = s1 * rp1
     p_cross = sp1 * r1
-    gap = abs(abs(p_main) - abs(p_cross))
-    threshold = eps * (abs(p_main) + abs(p_cross) + _EPS_ABSOLUTE)
-    return IndependenceReport(gap > threshold, (p_main, p_cross), gap - threshold)
+    det = abs(p_main - p_cross)
+    threshold = eps * (abs(p_main) + abs(p_cross))
+    return IndependenceReport(det > threshold, (p_main, p_cross), det - threshold)
 
 
 def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> ConvergenceReport:
@@ -423,44 +473,24 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     exceed its energy at all higher harmonics combined. Quantified over all
     (A, B) != 0 this is positive definiteness of
 
-        Q = G_1 - sum_{i >= 2} G_i,
-        G_i = [[s_i^2 + s'_i^2,        s_i r_i + s'_i r'_i],
-               [s_i r_i + s'_i r'_i,   r_i^2 + r'_i^2]],
+        Q = G_1 - sum_{i >= 2} G_i = 2 M_1^T M_1 - Phi^T Phi,
 
-    decided here via Q's eigenvalues (passes iff the smallest exceeds eps).
+    with Phi the undilated pair's synthesis operator, M_1 its two fundamental
+    rows and G_i = M_i^T M_i the 2x2 block of harmonic i. Summing Phi^T Phi
+    block by block keeps a cross term that cancels within every harmonic
+    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps.
     """
-    q = max(pair.S.depth, pair.R.depth)
-    s = np.zeros(q)
-    sp = np.zeros(q)
-    r = np.zeros(q)
-    rp = np.zeros(q)
-    s[: pair.S.depth] = pair.S.cos_coeffs
-    sp[: pair.S.depth] = pair.S.sin_coeffs
-    r[: pair.R.depth] = pair.R.cos_coeffs
-    rp[: pair.R.depth] = pair.R.sin_coeffs
-    e_ss = s * s + sp * sp
-    e_sr = s * r + sp * rp
-    e_rr = r * r + rp * rp
-    q00 = float(e_ss[0] - e_ss[1:].sum())
-    q01 = float(e_sr[0] - e_sr[1:].sum())
-    q11 = float(e_rr[0] - e_rr[1:].sum())
+    depth = _depth(pair)
+    cos_sin = synthesis_operator(pair, 1, depth).toarray().reshape(2, depth, 2)
+    blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
+    form = 2.0 * blocks[0] - blocks.sum(axis=0)
+    q00, q01, q11 = float(form[0, 0]), float(form[0, 1]), float(form[1, 1])
     half_gap = 0.5 * (q00 - q11)
     radius = math.hypot(half_gap, q01)
     center = 0.5 * (q00 + q11)
     lo = center - radius
     hi = center + radius
     return ConvergenceReport(lo > eps, (lo, hi), ((q00, q01), (q01, q11)))
-
-
-def _dilation_rows(member: BasisFunction, k_max: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the sine/cosine coefficient rows of member(k x) for k = 1..k_max."""
-    a = np.zeros((k_max, cap))
-    b = np.zeros((k_max, cap))
-    for k in range(1, k_max + 1):
-        spec = dilate(member, k, cap)
-        a[k - 1, : spec.max_harmonic] = spec.a
-        b[k - 1, : spec.max_harmonic] = spec.b
-    return a, b
 
 
 def classify_orthogonality(
@@ -470,30 +500,15 @@ def classify_orthogonality(
 
     Horizontal: <S(kx), R(kx)> = 0 at every common index k <= k_max.
     Vertical: every inner product between members at distinct indices
-    k != m <= k_max vanishes. Inner products are computed from dilated
-    spectra with a cap wide enough that nothing is truncated, so the
-    verdicts are exact up to roundoff.
+    k != m <= k_max vanishes. Both are read off (1/2) Phi^T Phi with no
+    dilation truncated, so the verdicts are exact up to roundoff.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = max(pair.S.depth, pair.R.depth) * k_max
-    a_s, b_s = _dilation_rows(pair.S, k_max, cap)
-    a_r, b_r = _dilation_rows(pair.R, k_max, cap)
-    gram_sr = 0.5 * (a_s @ a_r.T + b_s @ b_r.T)
-    gram_ss = 0.5 * (a_s @ a_s.T + b_s @ b_s.T)
-    gram_rr = 0.5 * (a_r @ a_r.T + b_r @ b_r.T)
-    max_horizontal = float(np.max(np.abs(np.diag(gram_sr))))
-    off = ~np.eye(k_max, dtype=bool)
-    if k_max > 1:
-        max_vertical = float(
-            max(
-                np.max(np.abs(gram_ss[off])),
-                np.max(np.abs(gram_rr[off])),
-                np.max(np.abs(gram_sr[off])),
-            )
-        )
-    else:
-        max_vertical = 0.0
+    gram = _family_gram(pair, k_max)
+    same_k = np.tile(np.eye(k_max, dtype=bool), (2, 2))
+    max_horizontal = float(np.max(np.abs(np.diag(gram, k_max))))
+    max_vertical = float(np.max(np.abs(gram[~same_k]), initial=0.0))
     return OrthogonalityReport(
         horizontal=max_horizontal <= tol,
         vertical=max_vertical <= tol,
@@ -506,18 +521,14 @@ def classify_orthogonality(
 def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
     """Estimate frame bounds of {S(kx), R(kx)}_{k <= order} via the Gram matrix.
 
-    The 2N x 2N Gram matrix (rows ordered (S,1)..(S,N), (R,1)..(R,N)) is built
-    un-pruned from dilated spectra at full width, and its extreme eigenvalues
-    are returned. A numerically singular family reports lower = 0.
+    The 2N x 2N Gram matrix (1/2) Phi^T Phi, rows ordered (S,1)..(S,N),
+    (R,1)..(R,N), is taken un-pruned with no dilation truncated, and its
+    extreme eigenvalues are returned. A numerically singular family reports
+    lower = 0.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    cap = max(pair.S.depth, pair.R.depth) * order
-    a_s, b_s = _dilation_rows(pair.S, order, cap)
-    a_r, b_r = _dilation_rows(pair.R, order, cap)
-    rows = np.block([[a_s, b_s], [a_r, b_r]])
-    gram = 0.5 * (rows @ rows.T)
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(_family_gram(pair, order))
     return FrameBounds(max(0.0, float(eigs[0])), float(eigs[-1]), order)
 
 
@@ -548,7 +559,7 @@ def pair_from_dict(data) -> BasisPair:
                 np.asarray(entry["cos"], dtype=float),
                 np.asarray(entry["sin"], dtype=float),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed basis data: {exc}") from exc
     return BasisPair(members["S"], members["R"], label)
 
@@ -579,14 +590,14 @@ def schedule_from_dict(data) -> BasisSchedule:
             (int(item["start_k"]), _segment_pair_from_dict(item["basis"]))
             for item in data["segments"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed schedule data: {exc}") from exc
     return BasisSchedule(tuple(segments))
 
 
 def save_basis(pair: BasisPair, path) -> None:
     with open(path, "w") as fh:
-        json.dump(pair_to_dict(pair), fh, indent=2)
+        json.dump(pair_to_dict(pair), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -601,7 +612,7 @@ def load_basis(path) -> BasisPair:
 
 def save_schedule(schedule: BasisSchedule, path) -> None:
     with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2)
+        json.dump(schedule_to_dict(schedule), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

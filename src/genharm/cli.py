@@ -179,7 +179,7 @@ def _require_out(cfg: RunConfig) -> str:
 
 def _write_json(data: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
+        json.dump(data, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

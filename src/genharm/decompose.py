@@ -4,15 +4,22 @@ Both methods express a signal as
 
     f(x) ~ c0 + sum_{k=1..N} A_k S(kx) + B_k R(kx)
 
-but arrive at the coefficients differently. The direct method assembles the
-2N x 2N Gram system of the dilated family and solves it in one shot; its
-coefficients depend on N. The indirect method walks the frequencies upward,
-solving a 2x2 system per harmonic after subtracting the contributions that
-lower-frequency components have already injected there; its coefficients never
-change when N grows, and the residual after order N has no content below N+1.
+and both are linear algebra on the synthesis operator Phi of
+``basis.synthesis_operator``: rows are harmonics (cos 1..cap, then sin
+1..cap), columns are dilated members ((S,1)..(S,N), then (R,1)..(R,N)), and
+column (S,k) holds S's coefficient q at harmonic q*k, from the pair active at
+k under a schedule. Everything below reads off Phi:
 
-A schedule may swap basis pairs across frequency ranges; the correction terms
-then read each stored coefficient against the pair that produced it.
+* ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band.
+* ``build_gram_system`` / ``analyze_direct``: the 2N x 2N system
+  (1/2) Phi^T Phi x = (1/2) Phi^T [b; a], optionally pruned, solved in one
+  shot; its coefficients depend on N.
+* ``analyze_indirect`` / ``analyze_multiband``: Phi's first N harmonic rows.
+  Member (S,k) reaches harmonic n only when k divides n, so they form a
+  block-lower-triangular system with the pair's 2x2 fundamental block on the
+  diagonal. Forward substitution walks the frequencies upward; coefficients
+  never change when N grows, and the residual after order N has no content
+  below N+1.
 """
 
 from __future__ import annotations
@@ -23,21 +30,20 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.sparse.linalg import spsolve_triangular
 
 from .basis import (
-    DEFAULT_DEPTH,
-    BasisFunction,
     BasisPair,
     BasisSchedule,
     EPS_INDEPENDENCE,
     check_independence,
-    dilate,
     pair_from_dict,
     pair_to_dict,
     schedule_from_dict,
     schedule_to_dict,
-    _dilation_rows,
+    synthesis_operator,
 )
 from .errors import (
     AnalysisError,
@@ -49,7 +55,6 @@ from .signals import (
     FourierSpectrum,
     PeriodicSignal,
     analyze_fourier,
-    spectral_inner,
     synthesize_fourier,
 )
 
@@ -98,6 +103,10 @@ class Decomposition:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.basis, (BasisPair, BasisSchedule)):
             raise ConfigurationError("basis must be a BasisPair or BasisSchedule")
+        if self.pruning is not None and self.pruning not in PRUNING_RULES:
+            raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
+        if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
+            raise ConfigurationError("condition estimate must be finite")
         cleaned = tuple((int(k), float(ak), float(bk)) for k, ak, bk in self.coeffs)
         ks = [k for k, _, _ in cleaned]
         if ks != list(range(1, len(cleaned) + 1)):
@@ -149,13 +158,6 @@ class GramSystem:
         object.__setattr__(self, "pruned_mask", mask)
 
 
-def _coeff_at(member: BasisFunction, q: int) -> tuple[float, float]:
-    """(cosine, sine) coefficient of the member at harmonic q; zero past depth."""
-    if 1 <= q <= member.depth:
-        return float(member.cos_coeffs[q - 1]), float(member.sin_coeffs[q - 1])
-    return 0.0, 0.0
-
-
 def _require_solvable(pair: BasisPair, eps: float, context: str = "") -> None:
     """Raise unless the pair's first-harmonic 2x2 system is safely invertible."""
     where = f" {context}" if context else ""
@@ -165,8 +167,8 @@ def _require_solvable(pair: BasisPair, eps: float, context: str = "") -> None:
             f"basis{where} fails the independence condition: "
             f"products {report.products[0]:.6g} and {report.products[1]:.6g}"
         )
-    s1c, s1s = _coeff_at(pair.S, 1)
-    r1c, r1s = _coeff_at(pair.R, 1)
+    s1c, s1s = float(pair.S.cos_coeffs[0]), float(pair.S.sin_coeffs[0])
+    r1c, r1s = float(pair.R.cos_coeffs[0]), float(pair.R.sin_coeffs[0])
     det = s1c * r1s - s1s * r1c
     scale = s1c * s1c + s1s * s1s + r1c * r1c + r1s * r1s
     if abs(det) <= eps * scale:
@@ -184,34 +186,28 @@ def _check_band(f: PeriodicSignal, order: int) -> None:
         raise DimensionError(f"order {order} exceeds the representable band {band} at n={f.n}")
 
 
-def _indirect_coeffs(f: PeriodicSignal, pair_at, order: int, eps: float) -> np.ndarray:
-    """Shared deflation loop; returns the stacked [A_1..A_N, B_1..B_N]."""
+def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
+    """Forward substitution on Phi's first N harmonic rows; returns [A_1..A_N, B_1..B_N].
+
+    Block-row n of the system is scaled by the adjugate of its diagonal block
+    C_1 = [[s1, r1], [s'1, r'1]] of the pair active at n. With unknowns
+    interleaved as (A_1, B_1, A_2, ...) the result is lower triangular, with
+    det(C_1) twice on the diagonal: the entries above it are differences of
+    equal products.
+    """
+    phi = synthesis_operator(basis, order, order)
+    s1, rp1 = np.split(phi.diagonal(), 2)
+    r1, sp1 = phi.diagonal(order), phi.diagonal(-order)
+    n = np.arange(order)
+    entries = np.stack([rp1, -r1, -sp1, s1], axis=1).ravel()
+    columns = np.stack([n, order + n, n, order + n], axis=1).ravel()
+    adjugate = sparse.csr_matrix((entries, columns, np.arange(0, 4 * order + 1, 2)))
+    interleaved = np.arange(2 * order).reshape(2, order).T.ravel()
+    lower = (adjugate @ phi).tocsc()[:, interleaved]
     spec = analyze_fourier(f, order)
-    out = np.zeros(2 * order)
-    for n in range(1, order + 1):
-        corr_cos = 0.0
-        corr_sin = 0.0
-        # contributions already injected at harmonic n by components k < n:
-        # only divisors of n reach it, at coefficient index q = n / k of the
-        # pair that produced (A_k, B_k)
-        for k in range(1, n):
-            if n % k != 0:
-                continue
-            q = n // k
-            donor = pair_at(k)
-            s_c, s_s = _coeff_at(donor.S, q)
-            r_c, r_s = _coeff_at(donor.R, q)
-            corr_cos += out[k - 1] * s_c + out[order + k - 1] * r_c
-            corr_sin += out[k - 1] * s_s + out[order + k - 1] * r_s
-        rhs_cos = float(spec.b[n - 1]) - corr_cos
-        rhs_sin = float(spec.a[n - 1]) - corr_sin
-        pair = pair_at(n)
-        s1c, s1s = _coeff_at(pair.S, 1)
-        r1c, r1s = _coeff_at(pair.R, 1)
-        det = s1c * r1s - s1s * r1c
-        out[n - 1] = (rhs_cos * r1s - r1c * rhs_sin) / det
-        out[order + n - 1] = (s1c * rhs_sin - rhs_cos * s1s) / det
-    return out
+    rhs = adjugate @ np.concatenate([spec.b, spec.a])
+    x = spsolve_triangular(lower, rhs, lower=True, overwrite_A=True, overwrite_b=True)
+    return x.reshape(order, 2).T.ravel()
 
 
 def analyze_indirect(
@@ -229,7 +225,7 @@ def analyze_indirect(
     """
     _check_band(f, order)
     _require_solvable(basis, eps_independence)
-    x = _indirect_coeffs(f, lambda k: basis, order, eps_independence)
+    x = _indirect_coeffs(f, basis, order)
     c0 = float(np.mean(f.samples))
     coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
     return Decomposition(c0, coeffs, basis, "indirect")
@@ -250,7 +246,7 @@ def analyze_multiband(
     for start, pair in schedule.segments:
         label = pair.label or "unlabeled"
         _require_solvable(pair, eps_independence, f"(segment at k={start}, {label})")
-    x = _indirect_coeffs(f, schedule.pair_for, order, eps_independence)
+    x = _indirect_coeffs(f, schedule, order)
     c0 = float(np.mean(f.samples))
     coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
     return Decomposition(c0, coeffs, schedule, "indirect")
@@ -277,27 +273,26 @@ def _keep_mask(order: int, pruning: str) -> np.ndarray:
 def build_gram_system(
     f: PeriodicSignal, basis: BasisPair, order: int, pruning: str = "paper"
 ) -> GramSystem:
-    """Assemble the direct method's system over the dilated family of the pair.
+    """Assemble the direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T [b; a].
 
-    Entries are inner products of dilated members, computed from coefficient
-    spectra wide enough that nothing is truncated, so pruned and unpruned
-    variants differ only by the rule. Under ``paper`` pruning a cross-frequency
-    entry (k != m) survives only if k*m <= order or the smaller index divides
-    the larger; ``lcm`` keeps it only if lcm(k, m) <= order; ``none`` keeps all.
+    Phi is capped wide enough that no dilation is truncated, so pruned and
+    unpruned variants differ only by the rule; [b; a] is f's spectrum up to
+    its band. Under ``paper`` pruning a cross-frequency entry (k != m)
+    survives only if k*m <= order or the smaller index divides the larger;
+    ``lcm`` keeps it only if lcm(k, m) <= order; ``none`` keeps all.
     """
     _check_band(f, order)
-    depth = max(basis.S.depth, basis.R.depth)
-    cap = max(depth * order, f.n // 2 - 1)
-    a_s, b_s = _dilation_rows(basis.S, order, cap)
-    a_r, b_r = _dilation_rows(basis.R, order, cap)
-    rows_a = np.vstack([a_s, a_r])
-    rows_b = np.vstack([b_s, b_r])
-    gram = 0.5 * (rows_a @ rows_a.T + rows_b @ rows_b.T)
+    band = f.n // 2 - 1
+    cap = max(max(basis.S.depth, basis.R.depth) * order, band)
+    phi = synthesis_operator(basis, order, cap)
+    gram = 0.5 * (phi.T @ phi).toarray()
     keep = _keep_mask(order, pruning)
     gram[~keep] = 0.0
-    f_spec = analyze_fourier(f, f.n // 2 - 1)
-    band = f_spec.max_harmonic
-    rhs = 0.5 * (rows_a[:, :band] @ f_spec.a + rows_b[:, :band] @ f_spec.b)
+    f_spec = analyze_fourier(f, band)
+    spectrum = np.zeros(2 * cap)
+    spectrum[:band] = f_spec.b
+    spectrum[cap : cap + band] = f_spec.a
+    rhs = 0.5 * (phi.T @ spectrum)
     return GramSystem(gram, rhs, ~keep, order, pruning)
 
 
@@ -348,17 +343,10 @@ def analyze_direct(
 
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
-    """Spectrum of the full reconstruction, truncated at ``band_cap``."""
-    a = np.zeros(band_cap)
-    b = np.zeros(band_cap)
-    for k, a_k, b_k in d.coeffs:
-        pair = d.pair_at(k)
-        for member, weight in ((pair.S, a_k), (pair.R, b_k)):
-            spec = dilate(member, k, band_cap)
-            m = spec.max_harmonic
-            a[:m] += weight * spec.a
-            b[:m] += weight * spec.b
-    return FourierSpectrum(d.c0, a, b)
+    """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
+    weights = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:].T.ravel()  # [A; B]
+    cos_sin = synthesis_operator(d.basis, d.order, band_cap) @ weights
+    return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
 
 
 def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
@@ -423,13 +411,13 @@ def decomposition_from_dict(data) -> Decomposition:
             data.get("condition_estimate"),
             tuple(data.get("warnings", ())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed decomposition data: {exc}") from exc
 
 
 def save_decomposition(d: Decomposition, path) -> None:
     with open(path, "w") as fh:
-        json.dump(decomposition_to_dict(d), fh, indent=2)
+        json.dump(decomposition_to_dict(d), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _depth, synthesis_operator
 from .decompose import Decomposition
 from .errors import ConfigurationError
 from .signals import FourierSpectrum
@@ -62,29 +63,24 @@ def parseval_power(spec: FourierSpectrum) -> float:
 def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     """Energy of each component A_k S(kx) + B_k R(kx) over one period.
 
-    Evaluated exactly in coefficient space:
+    Evaluated exactly in coefficient space, as half the squared norm of the
+    component's column mix A_k Phi[:, (S,k)] + B_k Phi[:, (R,k)] of the
+    synthesis operator:
 
         energy_k = (1/2) sum_q [(A_k s_q + B_k r_q)^2 + (A_k s'_q + B_k r'_q)^2]
 
-    with no band cap, so dilation truncation never hides energy. Only with a
-    fully orthogonal pair do these energies plus c0^2 reproduce the signal
-    power; in general the cross terms between components are not counted.
+    with Phi capped past every dilated harmonic, so truncation never hides
+    energy. Only with a fully orthogonal pair do these energies plus c0^2
+    reproduce the signal power; in general the cross terms between components
+    are not counted.
     """
-    entries = []
-    for k, a_k, b_k in d.coeffs:
-        pair = d.pair_at(k)
-        cos_mix = a_k * pair.S.cos_coeffs
-        sin_mix = a_k * pair.S.sin_coeffs
-        depth = max(pair.S.depth, pair.R.depth)
-        cos_full = np.zeros(depth)
-        sin_full = np.zeros(depth)
-        cos_full[: pair.S.depth] = cos_mix
-        sin_full[: pair.S.depth] = sin_mix
-        cos_full[: pair.R.depth] += b_k * pair.R.cos_coeffs
-        sin_full[: pair.R.depth] += b_k * pair.R.sin_coeffs
-        energy = 0.5 * float(cos_full @ cos_full + sin_full @ sin_full)
-        entries.append((k, energy))
-    return GeneralizedSpectrum(tuple(entries), d.c0 ** 2)
+    order = d.order
+    weights = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:].T.ravel()  # [A; B]
+    weighted = synthesis_operator(d.basis, order, _depth(d.basis) * order).tocsc()
+    weighted.data *= np.repeat(weights, np.diff(weighted.indptr))
+    mix = weighted[:, :order] + weighted[:, order:]
+    energies = 0.5 * np.asarray(mix.multiply(mix).sum(axis=0)).ravel()
+    return GeneralizedSpectrum(tuple(zip(range(1, order + 1), energies)), d.c0 ** 2)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:

@@ -26,6 +26,7 @@ from genharm import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
+    synthesis_operator,
 )
 
 # Frozen check outputs for the shipped default pair (cosine-phase square +
@@ -211,6 +212,44 @@ def test_dilate_energy_never_grows(k, cap, depth, seed):
         assert total == pytest.approx(partial, rel=1e-15)
 
 
+# --- synthesis operator --------------------------------------------------------
+
+
+def _two_segment_schedule():
+    rng = np.random.default_rng(12)
+    short = BasisPair(
+        BasisFunction(rng.normal(size=3), rng.normal(size=3)),
+        BasisFunction(rng.normal(size=2), rng.normal(size=2)),
+        "short",
+    )
+    return BasisSchedule(((1, builtin_basis("square_saw", depth=5)), (3, short)))
+
+
+@pytest.mark.parametrize("cap", [7, 40])
+@pytest.mark.parametrize("basis_kind", ["pair", "schedule"])
+def test_synthesis_operator_columns_are_dilated_members(basis_kind, cap):
+    # order 6 at depth 5 reaches harmonic 30: cap 7 truncates, cap 40 does not
+    if basis_kind == "pair":
+        basis = builtin_basis("square_saw", depth=5)
+        pair_for = lambda k: basis
+    else:
+        basis = _two_segment_schedule()
+        pair_for = basis.pair_for
+    order = 6
+    phi = synthesis_operator(basis, order, cap)
+    assert phi.format == "csr"
+    assert phi.shape == (2 * cap, 2 * order)
+    dense = phi.toarray()
+    for k in range(1, order + 1):
+        pair = pair_for(k)
+        for column, member in ((k - 1, pair.S), (order + k - 1, pair.R)):
+            spec = dilate(member, k, cap)
+            want = np.zeros(2 * cap)
+            want[: spec.max_harmonic] = spec.b
+            want[cap : cap + spec.max_harmonic] = spec.a
+            assert np.array_equal(dense[:, column], want), (k, column)
+
+
 # --- validity checks ------------------------------------------------------------
 
 
@@ -219,6 +258,17 @@ def test_independence_passes_default_pair(builtin_pairs):
     assert report
     assert report.products[0] == pytest.approx(SQUARE_SAW_PRODUCT, rel=1e-12)
     assert abs(report.products[1]) < 1e-30
+
+
+def test_independence_passes_rotated_trig_pair():
+    # cos and sin both shifted by an eighth turn: the products are 0.5 and
+    # -0.5, equal in magnitude, yet the pair is orthonormal (determinant 1)
+    pair = builtin_basis("sine_cosine", phase_s=0.125, phase_r=0.125)
+    report = check_independence(pair)
+    assert report
+    assert report.products[0] == pytest.approx(0.5, rel=1e-15)
+    assert report.products[1] == pytest.approx(-0.5, rel=1e-15)
+    assert report.margin == pytest.approx(1.0, rel=1e-8)
 
 
 def test_independence_fails_on_two_odd_members():

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genharm
 from genharm import (
     BasisFunction,
     BasisPair,
@@ -168,6 +173,28 @@ def test_filter_band_and_errors(workdir, capsys):
     code = main(["filter", "--in", str(workdir / "dec.json"),
                  "--out", str(workdir / "bad.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [("basis", '"square_saw"'), ("pruning", '"bogus"'), ("condition_estimate", "NaN")],
+)
+def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw):
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "4", "--method", "direct", "--out", str(workdir / "dec.json")])
+    data = json.loads((workdir / "dec.json").read_text())
+    data[field] = "placeholder"
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data).replace('"placeholder"', raw))
+    env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genharm.cli", "filter", "--in", str(bad),
+         "--keep-from", "1", "--keep-to", "2", "--out", str(workdir / "out.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (workdir / "out.json").exists()
 
 
 def test_compare_columns_match_for_orthogonal_basis(workdir, capsys):

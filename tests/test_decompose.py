@@ -90,6 +90,18 @@ def test_dependent_pair_is_refused():
         analyze_indirect(hand_signal(), pair, 2)
 
 
+def test_rotated_trig_pair_reduces_to_plain_fourier():
+    # an orthonormal pair whose first-harmonic products cancel in magnitude:
+    # A_k and B_k are the rotated Fourier coefficients, and nothing is refused
+    f = random_bandlimited(np.random.default_rng(21), 8, 64)
+    d = analyze_indirect(f, builtin_basis("sine_cosine", phase_s=0.125, phase_r=0.125), 8)
+    spec = analyze_fourier(f, 8)
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    for k, A, B in d.coeffs:
+        assert A == pytest.approx(c * spec.b[k - 1] - s * spec.a[k - 1], abs=1e-12)
+        assert B == pytest.approx(s * spec.b[k - 1] + c * spec.a[k - 1], abs=1e-12)
+
+
 def test_lopsided_member_scales_raise_the_conditioning_error():
     # independence passes on relative terms, but R is so small next to S that
     # the 2x2 determinant is negligible against the fundamental magnitudes
