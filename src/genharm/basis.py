@@ -2,9 +2,13 @@
 
 A basis pair holds two zero-mean periodic members S and R as truncated Fourier
 coefficient sequences (depth Q). Dilating a member by k moves coefficient q to
-harmonic q*k. ``synthesis_operator`` writes that index arithmetic down once, as
-the sparse matrix Phi of the dilated family; the inner products behind the
-checks below are linear algebra on Phi, with no sample-domain quadrature.
+harmonic q*k. ``_synthesis_entries`` writes that index arithmetic down once, as
+the (rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
+the numpy paths (reconstruction, the indirect solve, spectra) use the entries
+as they are. ``synthesis_operator`` is their scipy CSR view, which the Gram
+checks below and the direct method use; scipy is imported on its first call.
+The inner products behind the checks are linear algebra on Phi, with no
+sample-domain quadrature.
 
 Two conditions make a pair usable for analysis:
 
@@ -23,13 +27,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError
 from .signals import FourierSpectrum, analyze_fourier, sample_closed_form
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "BasisFunction",
@@ -408,25 +414,30 @@ def _depth(basis) -> int:
     return max(max(pair.S.depth, pair.R.depth) for _, pair in _segments(basis))
 
 
-def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
-    """The synthesis operator Phi of the dilated family {S(kx), R(kx)}, k = 1..order.
+def _segment_runs(basis, order: int) -> list:
+    """(first_k, last_k, pair) runs of a pair or schedule, clipped at k = order.
 
-    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
-    Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
-    the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
-    Gram matrix of the family. For a schedule, column k comes from the pair
-    active at k. Harmonics above ``cap`` are dropped, never folded back.
+    A run starting beyond the order comes out empty (last_k < first_k).
+    """
+    segments = _segments(basis)
+    ends = [start - 1 for start, _ in segments[1:]] + [order]
+    return [(start, min(end, order), pair) for (start, pair), end in zip(segments, ends)]
+
+
+def _synthesis_entries(basis, order: int, cap: int) -> tuple:
+    """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, k, q.
+
+    Row and column layout are those of ``synthesis_operator``. No (row, col)
+    pair repeats: member (S,k) reaches each harmonic q*k once.
     """
     if order < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
     # 32-bit indices whenever they fit, as scipy would store them anyway: this
     # spares a converted copy of every index array at build time
     index = np.int32 if 2 * max(cap, order) <= np.iinfo(np.int32).max else np.int64
-    segments = _segments(basis)
-    ends = [start - 1 for start, _ in segments[1:]] + [order]
     rows, cols, vals = [], [], []
-    for (start, pair), end in zip(segments, ends):
-        k = np.arange(start, min(end, order) + 1)[:, None]
+    for start, end, pair in _segment_runs(basis, order):
+        k = np.arange(start, end + 1)[:, None]
         for first_col, member in ((0, pair.S), (order, pair.R)):
             harmonic = k * np.arange(1, member.depth + 1)
             keep = harmonic <= cap
@@ -436,8 +447,31 @@ def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
             cols += [col, col]
             for coeffs in (member.cos_coeffs, member.sin_coeffs):
                 vals.append(np.broadcast_to(coeffs, harmonic.shape)[keep])
-    vals, rows, cols = (np.concatenate(parts) for parts in (vals, rows, cols))
+    return tuple(np.concatenate(parts) for parts in (rows, cols, vals))
+
+
+def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
+    """The synthesis operator Phi of the dilated family {S(kx), R(kx)}, k = 1..order.
+
+    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
+    Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
+    the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
+    Gram matrix of the family. For a schedule, column k comes from the pair
+    active at k. Harmonics above ``cap`` are dropped, never folded back.
+    """
+    from scipy import sparse
+
+    rows, cols, vals = _synthesis_entries(basis, order, cap)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * cap, 2 * order))
+
+
+def _undilated(pair: BasisPair) -> np.ndarray:
+    """The pair's Phi at order 1 with no harmonic dropped, as a dense (2Q, 2) array."""
+    depth = _depth(pair)
+    rows, cols, vals = _synthesis_entries(pair, 1, depth)
+    phi = np.zeros((2 * depth, 2))
+    phi[rows, cols] = vals
+    return phi
 
 
 def _family_gram(pair: BasisPair, order: int) -> np.ndarray:
@@ -480,8 +514,7 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     block by block keeps a cross term that cancels within every harmonic
     exactly zero. Passes iff Q's smallest eigenvalue exceeds eps.
     """
-    depth = _depth(pair)
-    cos_sin = synthesis_operator(pair, 1, depth).toarray().reshape(2, depth, 2)
+    cos_sin = _undilated(pair).reshape(2, -1, 2)
     blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
     form = 2.0 * blocks[0] - blocks.sum(axis=0)
     q00, q01, q11 = float(form[0, 0]), float(form[0, 1]), float(form[1, 1])

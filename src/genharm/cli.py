@@ -257,7 +257,8 @@ def _run_analyze(cfg: RunConfig) -> int:
     f = _load_signal(cfg.input_path)
     basis = _load_analysis_basis(cfg)
     d = _analyze(cfg, f, basis)
-    res = residual(f, d)
+    approx = reconstruct(d, f.n)
+    res = PeriodicSignal(f.samples - approx.samples)
     res_spec = analyze_fourier(res, f.n // 2 - 1)
     start = _noise_start(res_spec, cfg.residual_tol)
     print(f"method: {d.method}")
@@ -271,7 +272,7 @@ def _run_analyze(cfg: RunConfig) -> int:
         print(f"warning: {note}")
     save_decomposition(d, _require_out(cfg))
     if cfg.recon_out is not None:
-        write_signal_csv(reconstruct(d, f.n), cfg.recon_out)
+        write_signal_csv(approx, cfg.recon_out)
     return 0
 
 

@@ -10,16 +10,21 @@ and both are linear algebra on the synthesis operator Phi of
 column (S,k) holds S's coefficient q at harmonic q*k, from the pair active at
 k under a schedule. Everything below reads off Phi:
 
-* ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band.
+* ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band,
+  summed straight from Phi's entries.
 * ``build_gram_system`` / ``analyze_direct``: the 2N x 2N system
   (1/2) Phi^T Phi x = (1/2) Phi^T [b; a], optionally pruned, solved in one
-  shot; its coefficients depend on N.
+  shot by dense LU; its coefficients depend on N.
 * ``analyze_indirect`` / ``analyze_multiband``: Phi's first N harmonic rows.
-  Member (S,k) reaches harmonic n only when k divides n, so they form a
-  block-lower-triangular system with the pair's 2x2 fundamental block on the
-  diagonal. Forward substitution walks the frequencies upward; coefficients
-  never change when N grows, and the residual after order N has no content
-  below N+1.
+  Member (S,k) reaches harmonic n = q*k only when k divides n, and a proper
+  divisor is at most n/2, so the harmonics of a level [L, 2L) depend only on
+  harmonics below L. A level-scheduled forward substitution solves the
+  levels 1, 2, 4, ... in turn: each subtracts what the lower levels put into
+  its rows, then solves every harmonic's 2x2 fundamental block at once.
+  Coefficients never change when N grows, and the residual after order N has
+  no content below N+1.
+
+Only the direct method needs scipy, imported when it first runs.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
-from scipy.sparse.linalg import spsolve_triangular
 
 from .basis import (
     BasisPair,
@@ -43,6 +45,7 @@ from .basis import (
     pair_to_dict,
     schedule_from_dict,
     schedule_to_dict,
+    _synthesis_entries,
     synthesis_operator,
 )
 from .errors import (
@@ -189,25 +192,32 @@ def _check_band(f: PeriodicSignal, order: int) -> None:
 def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     """Forward substitution on Phi's first N harmonic rows; returns [A_1..A_N, B_1..B_N].
 
-    Block-row n of the system is scaled by the adjugate of its diagonal block
-    C_1 = [[s1, r1], [s'1, r'1]] of the pair active at n. With unknowns
-    interleaved as (A_1, B_1, A_2, ...) the result is lower triangular, with
-    det(C_1) twice on the diagonal: the entries above it are differences of
-    equal products.
+    Harmonic n depends on components k | n, k < n, through Phi's entries with
+    q = n/k >= 2, and a proper divisor is at most n/2. So the harmonics of
+    the level [L, 2L) depend only on those below L: each level subtracts what
+    the levels below put into its rows, then solves every 2x2 diagonal block
+    C_1(n) = [[s1, r1], [s'1, r'1]] of the pair active at n through its
+    adjugate and determinant.
     """
-    phi = synthesis_operator(basis, order, order)
-    s1, rp1 = np.split(phi.diagonal(), 2)
-    r1, sp1 = phi.diagonal(order), phi.diagonal(-order)
-    n = np.arange(order)
-    entries = np.stack([rp1, -r1, -sp1, s1], axis=1).ravel()
-    columns = np.stack([n, order + n, n, order + n], axis=1).ravel()
-    adjugate = sparse.csr_matrix((entries, columns, np.arange(0, 4 * order + 1, 2)))
-    interleaved = np.arange(2 * order).reshape(2, order).T.ravel()
-    lower = (adjugate @ phi).tocsc()[:, interleaved]
+    rows, cols, vals = _synthesis_entries(basis, order, order)
+    harmonic = rows % order + 1
+    diagonal = harmonic == cols % order + 1
+    c1 = np.zeros((2, 2, order))
+    c1[rows[diagonal] // order, cols[diagonal] // order, harmonic[diagonal] - 1] = vals[diagonal]
+    (s1, r1), (sp1, rp1) = c1
+    det = s1 * rp1 - r1 * sp1
     spec = analyze_fourier(f, order)
-    rhs = adjugate @ np.concatenate([spec.b, spec.a])
-    x = spsolve_triangular(lower, rhs, lower=True, overwrite_A=True, overwrite_b=True)
-    return x.reshape(order, 2).T.ravel()
+    rhs = np.concatenate([spec.b, spec.a])
+    x = np.zeros(2 * order)
+    for level in range(order.bit_length()):
+        lo, hi = 1 << level, min(2 << level, order + 1)
+        into = ~diagonal & (lo <= harmonic) & (harmonic < hi)
+        rhs -= np.bincount(rows[into], vals[into] * x[cols[into]], minlength=2 * order)
+        n = slice(lo - 1, hi - 1)
+        c, s = rhs[n], rhs[order:][n]
+        x[n] = (rp1[n] * c - r1[n] * s) / det[n]
+        x[order:][n] = (s1[n] * s - sp1[n] * c) / det[n]
+    return x
 
 
 def analyze_indirect(
@@ -298,6 +308,8 @@ def build_gram_system(
 
 def _solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense LU solve with partial pivoting plus a 1-norm condition estimate."""
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(matrix)
@@ -345,7 +357,8 @@ def analyze_direct(
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
     weights = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:].T.ravel()  # [A; B]
-    cos_sin = synthesis_operator(d.basis, d.order, band_cap) @ weights
+    rows, cols, vals = _synthesis_entries(d.basis, d.order, band_cap)
+    cos_sin = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
     return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
 
 

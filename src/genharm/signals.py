@@ -177,12 +177,15 @@ def spectral_inner(s: FourierSpectrum, t: FourierSpectrum) -> float:
 
 
 def write_signal_csv(f: PeriodicSignal, path) -> None:
-    """Write the signal as ``x,value`` rows with x = j/n ascending."""
+    """Write the signal as ``x,value`` rows with x = j/n ascending.
+
+    The bytes are those of ``csv.writer`` with its default dialect: ``\\r\\n``
+    line ends, and no quoting, which a float's repr never needs.
+    """
+    xs = (np.arange(f.n) / f.n).tolist()
+    rows = "".join(f"{x!r},{v!r}\r\n" for x, v in zip(xs, f.samples.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for j, value in enumerate(f.samples):
-            writer.writerow([repr(j / f.n), repr(float(value))])
+        fh.write("x,value\r\n" + rows)
 
 
 def read_signal_csv(path) -> PeriodicSignal:

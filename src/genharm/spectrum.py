@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _depth, synthesis_operator
+from .basis import _segment_runs, _undilated
 from .decompose import Decomposition
 from .errors import ConfigurationError
 from .signals import FourierSpectrum
@@ -65,22 +65,24 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
 
     Evaluated exactly in coefficient space, as half the squared norm of the
     component's column mix A_k Phi[:, (S,k)] + B_k Phi[:, (R,k)] of the
-    synthesis operator:
+    synthesis operator. Dilation only moves coefficients to other harmonics,
+    so the mix of the undilated Phi of the pair active at k has the same
+    energy, and no harmonic is ever truncated:
 
         energy_k = (1/2) sum_q [(A_k s_q + B_k r_q)^2 + (A_k s'_q + B_k r'_q)^2]
 
-    with Phi capped past every dilated harmonic, so truncation never hides
-    energy. Only with a fully orthogonal pair do these energies plus c0^2
-    reproduce the signal power; in general the cross terms between components
-    are not counted.
+    Only with a fully orthogonal pair do these energies plus c0^2 reproduce
+    the signal power; in general the cross terms between components are not
+    counted.
     """
-    order = d.order
-    weights = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:].T.ravel()  # [A; B]
-    weighted = synthesis_operator(d.basis, order, _depth(d.basis) * order).tocsc()
-    weighted.data *= np.repeat(weights, np.diff(weighted.indptr))
-    mix = weighted[:, :order] + weighted[:, order:]
-    energies = 0.5 * np.asarray(mix.multiply(mix).sum(axis=0)).ravel()
-    return GeneralizedSpectrum(tuple(zip(range(1, order + 1), energies)), d.c0 ** 2)
+    ab = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:]
+    energies = np.empty(d.order)
+    for start, end, pair in _segment_runs(d.basis, d.order):
+        phi = _undilated(pair)
+        a, b = ab[start - 1 : end].T
+        mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
+        energies[start - 1 : end] = 0.5 * np.einsum("kq,kq->k", mix, mix)
+    return GeneralizedSpectrum(tuple(zip(range(1, d.order + 1), energies)), d.c0 ** 2)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:

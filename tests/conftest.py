@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from genharm import (
+    BasisFunction,
     BasisPair,
+    BasisSchedule,
     FourierSpectrum,
     builtin_basis,
     dilate,
@@ -38,6 +40,17 @@ def builtin_pairs():
     """All ready-made pairs at default depth, keyed by kind."""
     kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
     return {kind: builtin_basis(kind) for kind in kinds}
+
+
+def two_segment_schedule():
+    """square_saw at depth 5 for k = 1, 2, then a random pair whose S and R depths differ."""
+    rng = np.random.default_rng(12)
+    short = BasisPair(
+        BasisFunction(rng.normal(size=3), rng.normal(size=3)),
+        BasisFunction(rng.normal(size=2), rng.normal(size=2)),
+        "short",
+    )
+    return BasisSchedule(((1, builtin_basis("square_saw", depth=5)), (3, short)))
 
 
 def random_bandlimited(rng, k_max: int, n: int, decay: float = 1.0, c0: float | None = None):

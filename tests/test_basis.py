@@ -29,6 +29,8 @@ from genharm import (
     synthesis_operator,
 )
 
+from conftest import two_segment_schedule
+
 # Frozen check outputs for the shipped default pair (cosine-phase square +
 # sine-phase sawtooth at depth 64). Derived once from the coefficient
 # definitions; any drift here means the construction changed.
@@ -215,16 +217,6 @@ def test_dilate_energy_never_grows(k, cap, depth, seed):
 # --- synthesis operator --------------------------------------------------------
 
 
-def _two_segment_schedule():
-    rng = np.random.default_rng(12)
-    short = BasisPair(
-        BasisFunction(rng.normal(size=3), rng.normal(size=3)),
-        BasisFunction(rng.normal(size=2), rng.normal(size=2)),
-        "short",
-    )
-    return BasisSchedule(((1, builtin_basis("square_saw", depth=5)), (3, short)))
-
-
 @pytest.mark.parametrize("cap", [7, 40])
 @pytest.mark.parametrize("basis_kind", ["pair", "schedule"])
 def test_synthesis_operator_columns_are_dilated_members(basis_kind, cap):
@@ -233,7 +225,7 @@ def test_synthesis_operator_columns_are_dilated_members(basis_kind, cap):
         basis = builtin_basis("square_saw", depth=5)
         pair_for = lambda k: basis
     else:
-        basis = _two_segment_schedule()
+        basis = two_segment_schedule()
         pair_for = basis.pair_for
     order = 6
     phi = synthesis_operator(basis, order, cap)

@@ -197,6 +197,39 @@ def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw
     assert not (workdir / "out.json").exists()
 
 
+_NO_SCIPY_SCRIPT = """
+import sys
+from genharm.cli import main
+
+work = sys.argv[1]
+runs = [
+    ["analyze", "--in", f"{work}/signal.csv", "--basis", "square_saw", "--order", "8",
+     "--samples", "512", "--out", f"{work}/dec.json", "--recon-out", f"{work}/recon.csv"],
+    ["spectrum", "--in", f"{work}/dec.json", "--samples", "512",
+     "--out", f"{work}/spec.csv", "--json-out", f"{work}/spec.json"],
+    ["reconstruct", "--in", f"{work}/dec.json", "--samples", "512", "--out", f"{work}/r.csv"],
+    ["filter", "--in", f"{work}/dec.json", "--keep-from", "2", "--keep-to", "5",
+     "--samples", "512", "--out", f"{work}/filtered.json", "--recon-out", f"{work}/f.csv"],
+]
+codes = [main(argv) for argv in runs]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+direct = main(["analyze", "--in", f"{work}/signal.csv", "--basis", "square_saw", "--order",
+               "8", "--samples", "512", "--method", "direct", "--out", f"{work}/direct.json"])
+print(codes, loaded, direct)
+"""
+
+
+def test_only_the_direct_method_loads_scipy(workdir):
+    env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(workdir)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] 0"
+    assert (workdir / "recon.csv").read_bytes() == (workdir / "r.csv").read_bytes()
+
+
 def test_compare_columns_match_for_orthogonal_basis(workdir, capsys):
     code = main(["compare", "--in", str(workdir / "signal.csv"), "--basis",
                  "sine_cosine", "--order", "6", "--out", str(workdir / "cmp.csv"),

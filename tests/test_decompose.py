@@ -22,16 +22,18 @@ from genharm import (
     analyze_multiband,
     build_gram_system,
     builtin_basis,
+    combined_spectrum,
     load_decomposition,
     norm,
     reconstruct,
     residual,
     save_decomposition,
+    synthesis_operator,
     synthesize_fourier,
 )
 from genharm.decompose import CONDITION_WARN_LIMIT
 
-from conftest import in_span_signal, random_bandlimited
+from conftest import in_span_signal, random_bandlimited, two_segment_schedule
 
 
 def hand_pair():
@@ -411,3 +413,37 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
         Decomposition(0.0, ((1, 1.0, 0.0), (3, 0.0, 0.0)), pair, "indirect")
     with pytest.raises(ConfigurationError):
         Decomposition(0.0, ((1, 1.0, 0.0),), pair, "sideways")
+
+
+# --- kernels against the sparse operator -----------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 9, 33])
+@pytest.mark.parametrize("basis_kind", ["pair", "schedule"])
+def test_indirect_matches_a_dense_solve_on_phi(basis_kind, order):
+    # orders sit on and beside the boundaries of the substitution's levels [L, 2L)
+    f = random_bandlimited(np.random.default_rng(order), 40, 128)
+    if basis_kind == "pair":
+        basis = builtin_basis("square_saw", depth=5)
+        d = analyze_indirect(f, basis, order)
+    else:
+        basis = two_segment_schedule()
+        d = analyze_multiband(f, basis, order)
+    spec = analyze_fourier(f, order)
+    phi = synthesis_operator(basis, order, order).toarray()
+    want = np.linalg.solve(phi, np.concatenate([spec.b, spec.a]))
+    got = np.array(d.coeffs)[:, 1:].T.ravel()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cap", [7, 40])
+@pytest.mark.parametrize("basis_kind", ["pair", "schedule"])
+def test_combined_spectrum_is_phi_times_the_coefficients(basis_kind, cap):
+    # order 6 at depth 5 reaches harmonic 30: cap 7 truncates, cap 40 does not
+    basis = builtin_basis("square_saw", depth=5) if basis_kind == "pair" else two_segment_schedule()
+    weights = np.random.default_rng(cap).normal(size=(6, 2))
+    coeffs = [(k, a_k, b_k) for k, (a_k, b_k) in enumerate(weights, start=1)]
+    spec = combined_spectrum(Decomposition(0.5, coeffs, basis, "indirect"), cap)
+    want = synthesis_operator(basis, 6, cap) @ weights.T.ravel()
+    got = np.concatenate([spec.b, spec.a])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -1,5 +1,6 @@
 """Grid signals, trigonometric projection, and CSV round-trips."""
 
+import csv
 import math
 
 import numpy as np
@@ -170,6 +171,24 @@ def test_csv_round_trip_is_exact(tmp_path):
     g = read_signal_csv(path)
     assert np.array_equal(f.samples, g.samples)
     assert path.read_text().splitlines()[0] == "x,value"
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[0.25, -1.5, 3.0, 1e-3], [-0.0, 5e-324, 1e300, -1e300]],
+    ids=["plain", "extremes"],
+)
+def test_csv_bytes_match_a_csv_writer_reference(tmp_path, samples):
+    f = PeriodicSignal(samples)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "value"])
+        for j, value in enumerate(f.samples):
+            writer.writerow([repr(j / f.n), repr(float(value))])
+    path = tmp_path / "sig.csv"
+    write_signal_csv(f, path)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_csv_rejects_bad_inputs(tmp_path):

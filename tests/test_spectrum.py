@@ -7,6 +7,7 @@ from genharm import (
     BasisFunction,
     BasisPair,
     ConfigurationError,
+    Decomposition,
     FourierSpectrum,
     GeneralizedSpectrum,
     analyze_fourier,
@@ -20,11 +21,12 @@ from genharm import (
     parseval_power,
     reconstruct,
     residual,
+    synthesis_operator,
     synthesize_fourier,
     write_spectrum_csv,
 )
 
-from conftest import in_span_signal, random_bandlimited
+from conftest import in_span_signal, random_bandlimited, two_segment_schedule
 
 
 def hand_pair():
@@ -186,3 +188,18 @@ def test_spectrum_csv_format(tmp_path, builtin_pairs):
     k, energy = lines[1].split(",")
     assert int(k) == 1
     float(energy)
+
+
+@pytest.mark.parametrize("basis_kind", ["pair", "schedule"])
+def test_generalized_spectrum_is_the_column_energies_of_uncapped_phi(basis_kind):
+    # the schedule's second pair has S at depth 3 and R at depth 2
+    basis = builtin_basis("square_saw", depth=5) if basis_kind == "pair" else two_segment_schedule()
+    order = 9
+    weights = np.random.default_rng(9).normal(size=(order, 2))
+    coeffs = [(k, a_k, b_k) for k, (a_k, b_k) in enumerate(weights, start=1)]
+    d = Decomposition(0.5, coeffs, basis, "indirect")
+    phi = synthesis_operator(basis, order, 5 * order).toarray()
+    mix = phi[:, :order] * weights[:, 0] + phi[:, order:] * weights[:, 1]
+    want = 0.5 * np.sum(mix * mix, axis=0)
+    got = np.array(generalized_spectrum(d).entries)[:, 1]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
