@@ -5,8 +5,10 @@ tools. Outputs are deterministic: identical inputs and flags produce
 byte-identical files, with floats serialized by ``repr`` (shortest lossless
 form).
 
-Exit codes: 0 success; 1 unreadable or unparseable inputs; 2 domain failures
-(failed basis checks, dependent basis, empty band, invalid run shape).
+Handlers read the parsed arguments directly, once ``_validate`` has checked
+the run shape and tolerances. Exit codes: 0 success; 1 unreadable or
+unparseable inputs; 2 domain failures (failed basis checks, dependent basis,
+empty band, invalid run shape or tolerance).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from .basis import (
     BUILTIN_KINDS,
@@ -23,7 +25,6 @@ from .basis import (
     EPS_CONVERGENCE,
     EPS_INDEPENDENCE,
     BasisPair,
-    BasisSchedule,
     builtin_basis,
     check_convergence,
     check_independence,
@@ -36,7 +37,6 @@ from .decompose import (
     Decomposition,
     analyze_direct,
     analyze_indirect,
-    analyze_multiband,
     load_decomposition,
     reconstruct,
     residual,
@@ -52,7 +52,7 @@ from .signals import (
 )
 from .spectrum import band_filter, generalized_spectrum, parseval_power, write_spectrum_csv
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_ORDER = 40
@@ -63,78 +63,36 @@ class _LoadError(Exception):
     """Input could not be read or parsed; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommand handlers."""
-
-    command: str
-    order: int
-    samples: int
-    method: str
-    pruning: str
-    basis_spec: str | None
-    schedule_path: str | None
-    phase_s: float | None
-    phase_r: float | None
-    depth: int
-    input_path: str | None
-    out_path: str | None
-    json_out: str | None
-    recon_out: str | None
-    keep_from: int | None
-    keep_to: int | None
-    residual_tol: float
-    eps_ind: float
-    eps_conv: float
-
-    def __post_init__(self):
-        if self.samples < 4 or self.samples % 2 != 0:
-            raise ConfigurationError(f"--samples must be even and >= 4, got {self.samples}")
-        if self.order < 1:
-            raise ConfigurationError(f"--order must be >= 1, got {self.order}")
-        if self.order > self.samples // 2 - 1:
-            raise ConfigurationError(
-                f"--order {self.order} exceeds the band {self.samples // 2 - 1} "
-                f"representable at --samples {self.samples}"
-            )
-        if self.depth < 1:
-            raise ConfigurationError(f"--depth must be >= 1, got {self.depth}")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        order=args.order,
-        samples=args.samples,
-        method=getattr(args, "method", "indirect"),
-        pruning=getattr(args, "pruning", "paper"),
-        basis_spec=getattr(args, "basis", None),
-        schedule_path=getattr(args, "schedule", None),
-        phase_s=getattr(args, "phase_s", None),
-        phase_r=getattr(args, "phase_r", None),
-        depth=getattr(args, "depth", DEFAULT_DEPTH),
-        input_path=getattr(args, "input", None),
-        out_path=getattr(args, "out", None),
-        json_out=getattr(args, "json_out", None),
-        recon_out=getattr(args, "recon_out", None),
-        keep_from=getattr(args, "keep_from", None),
-        keep_to=getattr(args, "keep_to", None),
-        residual_tol=getattr(args, "residual_tol", DEFAULT_RESIDUAL_TOL),
-        eps_ind=getattr(args, "eps_ind", EPS_INDEPENDENCE),
-        eps_conv=getattr(args, "eps_conv", EPS_CONVERGENCE),
-    )
+def _validate(args: argparse.Namespace) -> None:
+    """Reject run shapes and tolerances no subcommand can use (exit code 2)."""
+    if args.samples < 4 or args.samples % 2 != 0:
+        raise ConfigurationError(f"--samples must be even and >= 4, got {args.samples}")
+    if args.order < 1:
+        raise ConfigurationError(f"--order must be >= 1, got {args.order}")
+    if args.order > args.samples // 2 - 1:
+        raise ConfigurationError(
+            f"--order {args.order} exceeds the band {args.samples // 2 - 1} "
+            f"representable at --samples {args.samples}"
+        )
+    if "depth" in args and args.depth < 1:
+        raise ConfigurationError(f"--depth must be >= 1, got {args.depth}")
+    for name in ("eps_ind", "eps_conv", "residual_tol"):
+        value = getattr(args, name, 0.0)
+        if not (math.isfinite(value) and value >= 0):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag} must be finite and >= 0, got {value}")
 
 
 # --- input loading (failures here are exit code 1) ----------------------------
 
 
-def _load_pair(cfg: RunConfig) -> BasisPair:
-    spec = cfg.basis_spec
+def _load_pair(args: argparse.Namespace) -> BasisPair:
+    spec = args.basis
     if spec is None:
         raise _LoadError("a basis is required: --basis <builtin name or JSON path>")
     if spec in BUILTIN_KINDS:
         try:
-            return builtin_basis(spec, cfg.phase_s, cfg.phase_r, cfg.depth)
+            return builtin_basis(spec, args.phase_s, args.phase_r, args.depth)
         except ConfigurationError as exc:
             raise _LoadError(str(exc)) from exc
     try:
@@ -143,14 +101,14 @@ def _load_pair(cfg: RunConfig) -> BasisPair:
         raise _LoadError(f"cannot load basis {spec!r}: {exc}") from exc
 
 
-def _load_analysis_basis(cfg: RunConfig):
+def _load_analysis_basis(args: argparse.Namespace):
     """The pair or schedule requested for an analysis run."""
-    if cfg.schedule_path is not None:
+    if args.schedule is not None:
         try:
-            return load_schedule(cfg.schedule_path)
+            return load_schedule(args.schedule)
         except (OSError, ConfigurationError) as exc:
-            raise _LoadError(f"cannot load schedule {cfg.schedule_path!r}: {exc}") from exc
-    return _load_pair(cfg)
+            raise _LoadError(f"cannot load schedule {args.schedule!r}: {exc}") from exc
+    return _load_pair(args)
 
 
 def _load_signal(path: str | None) -> PeriodicSignal:
@@ -171,10 +129,10 @@ def _load_decomposition(path: str | None) -> Decomposition:
         raise _LoadError(f"cannot load decomposition {path!r}: {exc}") from exc
 
 
-def _require_out(cfg: RunConfig) -> str:
-    if cfg.out_path is None:
+def _require_out(args: argparse.Namespace) -> str:
+    if args.out is None:
         raise ConfigurationError("an output path is required: --out <path>")
-    return cfg.out_path
+    return args.out
 
 
 def _write_json(data: dict, path: str) -> None:
@@ -186,12 +144,12 @@ def _write_json(data: dict, path: str) -> None:
 # --- subcommand handlers -------------------------------------------------------
 
 
-def _run_check_basis(cfg: RunConfig) -> int:
-    pair = _load_pair(cfg)
-    independence = check_independence(pair, cfg.eps_ind)
-    convergence = check_convergence(pair, cfg.eps_conv)
-    ortho = classify_orthogonality(pair, min(cfg.order, 16))
-    bounds = frame_bounds(pair, min(cfg.order, 16))
+def _run_check_basis(args: argparse.Namespace) -> int:
+    pair = _load_pair(args)
+    independence = check_independence(pair, args.eps_ind)
+    convergence = check_convergence(pair, args.eps_conv)
+    ortho = classify_orthogonality(pair, min(args.order, 16))
+    bounds = frame_bounds(pair, min(args.order, 16))
     label = pair.label or "unlabeled"
     print(f"basis: {label}")
     print(
@@ -204,7 +162,7 @@ def _run_check_basis(cfg: RunConfig) -> int:
     )
     print(f"orthogonality: horizontal {ortho.horizontal_label}, vertical {ortho.vertical_label}")
     print(f"frame bounds (N={bounds.order}): lower {bounds.lower!r}, upper {bounds.upper!r}")
-    if cfg.json_out is not None:
+    if args.json_out is not None:
         _write_json(
             {
                 "label": label,
@@ -231,19 +189,9 @@ def _run_check_basis(cfg: RunConfig) -> int:
                     "order": bounds.order,
                 },
             },
-            cfg.json_out,
+            args.json_out,
         )
     return 0 if (independence and convergence) else 2
-
-
-def _analyze(cfg: RunConfig, f: PeriodicSignal, basis) -> Decomposition:
-    if isinstance(basis, BasisSchedule):
-        if cfg.method != "indirect":
-            raise ConfigurationError("schedules support only --method indirect")
-        return analyze_multiband(f, basis, cfg.order, cfg.eps_ind)
-    if cfg.method == "direct":
-        return analyze_direct(f, basis, cfg.order, cfg.pruning, cfg.eps_ind)
-    return analyze_indirect(f, basis, cfg.order, cfg.eps_ind)
 
 
 def _noise_start(res_spec, tol: float) -> int | None:
@@ -253,14 +201,17 @@ def _noise_start(res_spec, tol: float) -> int | None:
     return None
 
 
-def _run_analyze(cfg: RunConfig) -> int:
-    f = _load_signal(cfg.input_path)
-    basis = _load_analysis_basis(cfg)
-    d = _analyze(cfg, f, basis)
+def _run_analyze(args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
+    basis = _load_analysis_basis(args)
+    if args.method == "direct":
+        d = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
+    else:
+        d = analyze_indirect(f, basis, args.order, args.eps_ind)
     approx = reconstruct(d, f.n)
     res = PeriodicSignal(f.samples - approx.samples)
     res_spec = analyze_fourier(res, f.n // 2 - 1)
-    start = _noise_start(res_spec, cfg.residual_tol)
+    start = _noise_start(res_spec, args.residual_tol)
     print(f"method: {d.method}")
     print(f"c0: {d.c0!r}")
     print(f"residual norm: {norm(res)!r}")
@@ -270,77 +221,75 @@ def _run_analyze(cfg: RunConfig) -> int:
         print(f"noise starts at: {start}")
     for note in d.warnings:
         print(f"warning: {note}")
-    save_decomposition(d, _require_out(cfg))
-    if cfg.recon_out is not None:
-        write_signal_csv(approx, cfg.recon_out)
+    save_decomposition(d, _require_out(args))
+    if args.recon_out is not None:
+        write_signal_csv(approx, args.recon_out)
     return 0
 
 
-def _run_reconstruct(cfg: RunConfig) -> int:
-    d = _load_decomposition(cfg.input_path)
-    write_signal_csv(reconstruct(d, cfg.samples), _require_out(cfg))
+def _run_reconstruct(args: argparse.Namespace) -> int:
+    d = _load_decomposition(args.input)
+    write_signal_csv(reconstruct(d, args.samples), _require_out(args))
     return 0
 
 
-def _run_spectrum(cfg: RunConfig) -> int:
-    d = _load_decomposition(cfg.input_path)
+def _run_spectrum(args: argparse.Namespace) -> int:
+    d = _load_decomposition(args.input)
     gs = generalized_spectrum(d)
-    write_spectrum_csv(gs, _require_out(cfg))
-    if cfg.json_out is not None:
-        recon = reconstruct(d, cfg.samples)
-        lhs = parseval_power(analyze_fourier(recon, cfg.samples // 2 - 1))
+    write_spectrum_csv(gs, _require_out(args))
+    if args.json_out is not None:
+        recon = reconstruct(d, args.samples)
+        lhs = parseval_power(analyze_fourier(recon, args.samples // 2 - 1))
         _write_json(
             {"total": gs.total(), "c0_sq": gs.c0_sq, "parseval_lhs": lhs},
-            cfg.json_out,
+            args.json_out,
         )
     return 0
 
 
-def _run_filter(cfg: RunConfig) -> int:
-    d = _load_decomposition(cfg.input_path)
-    if cfg.keep_from is None or cfg.keep_to is None:
+def _run_filter(args: argparse.Namespace) -> int:
+    d = _load_decomposition(args.input)
+    if args.keep_from is None or args.keep_to is None:
         raise ConfigurationError("filter requires --keep-from and --keep-to")
-    kept = band_filter(d, cfg.keep_from, cfg.keep_to)
-    save_decomposition(kept, _require_out(cfg))
-    if cfg.recon_out is not None:
-        write_signal_csv(reconstruct(kept, cfg.samples), cfg.recon_out)
+    kept = band_filter(d, args.keep_from, args.keep_to)
+    save_decomposition(kept, _require_out(args))
+    if args.recon_out is not None:
+        write_signal_csv(reconstruct(kept, args.samples), args.recon_out)
     return 0
 
 
-def _run_compare(cfg: RunConfig) -> int:
-    f = _load_signal(cfg.input_path)
-    basis = _load_analysis_basis(cfg)
-    if isinstance(basis, BasisSchedule):
-        raise ConfigurationError("compare works on a single basis pair, not a schedule")
-    d_ind = analyze_indirect(f, basis, cfg.order, cfg.eps_ind)
-    d_dir = analyze_direct(f, basis, cfg.order, cfg.pruning, cfg.eps_ind)
+def _run_compare(args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
+    basis = _load_analysis_basis(args)
+    d_ind = analyze_indirect(f, basis, args.order, args.eps_ind)
+    d_dir = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
     rms_ind = norm(residual(f, d_ind))
     rms_dir = norm(residual(f, d_dir))
-    with open(_require_out(cfg), "w", newline="") as fh:
+    with open(_require_out(args), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "A_direct", "B_direct", "A_indirect", "B_indirect"])
         for (k, a_d, b_d), (_, a_i, b_i) in zip(d_dir.coeffs, d_ind.coeffs):
             writer.writerow([k, repr(a_d), repr(b_d), repr(a_i), repr(b_i)])
-    print(f"rms residual (direct, N={cfg.order}): {rms_dir!r}")
-    print(f"rms residual (indirect, N={cfg.order}): {rms_ind!r}")
-    if cfg.json_out is not None:
+    print(f"rms residual (direct, N={args.order}): {rms_dir!r}")
+    print(f"rms residual (indirect, N={args.order}): {rms_ind!r}")
+    if args.json_out is not None:
         _write_json(
             {
-                "order": cfg.order,
-                "pruning": cfg.pruning,
+                "order": args.order,
+                "pruning": args.pruning,
                 "rms_direct": rms_dir,
                 "rms_indirect": rms_ind,
                 "condition_estimate": d_dir.condition_estimate,
             },
-            cfg.json_out,
+            args.json_out,
         )
     return 0
 
 
-def _run_fourier(cfg: RunConfig) -> int:
-    f = _load_signal(cfg.input_path)
-    spec = analyze_fourier(f, min(cfg.order, f.n // 2 - 1))
-    with open(_require_out(cfg), "w", newline="") as fh:
+def _run_fourier(args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
+    spec = analyze_fourier(f, min(args.order, f.n // 2 - 1))
+    with open(_require_out(args), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "a", "b"])
         # harmonic 0 carries the mean in the cosine column
@@ -397,7 +346,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_basis_flags(p)
     p.add_argument("--in", dest="input", help="input signal CSV")
-    p.add_argument("--schedule", help="schedule JSON path (indirect method only)")
+    p.add_argument("--schedule", help="schedule JSON path")
     p.add_argument("--method", choices=("direct", "indirect"), default="indirect")
     p.add_argument("--pruning", choices=("paper", "lcm", "none"), default="paper")
     p.add_argument("--recon-out", dest="recon_out", help="also write the reconstruction CSV")
@@ -424,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_basis_flags(p)
     p.add_argument("--in", dest="input", help="input signal CSV")
-    p.add_argument("--schedule", help=argparse.SUPPRESS)
+    p.add_argument("--schedule", help="schedule JSON path")
     p.add_argument("--pruning", choices=("paper", "lcm", "none"), default="paper")
 
     p = sub.add_parser("fourier", help="plain sine/cosine coefficients of a signal CSV")
@@ -437,8 +386,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        _validate(args)
+        return _HANDLERS[args.command](args)
     except _LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ k under a schedule. Everything below reads off Phi:
 * ``build_gram_system`` / ``analyze_direct``: the 2N x 2N system
   (1/2) Phi^T Phi x = (1/2) Phi^T [b; a], optionally pruned, solved in one
   shot by dense LU; its coefficients depend on N.
-* ``analyze_indirect`` / ``analyze_multiband``: Phi's first N harmonic rows.
+* ``analyze_indirect``: Phi's first N harmonic rows.
   Member (S,k) reaches harmonic n = q*k only when k divides n, and a proper
   divisor is at most n/2, so the harmonics of a level [L, 2L) depend only on
   harmonics below L. A level-scheduled forward substitution solves the
@@ -24,7 +24,8 @@ k under a schedule. Everything below reads off Phi:
   Coefficients never change when N grows, and the residual after order N has
   no content below N+1.
 
-Only the direct method needs scipy, imported when it first runs.
+Both methods take a pair or a schedule, since only Phi's columns depend on
+which it is. Only the direct method needs scipy, imported when it first runs.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .basis import (
     BasisPair,
     BasisSchedule,
     EPS_INDEPENDENCE,
-    check_independence,
     pair_from_dict,
     pair_to_dict,
     schedule_from_dict,
     schedule_to_dict,
+    _depth,
+    _segments,
     _synthesis_entries,
     synthesis_operator,
 )
@@ -161,24 +163,26 @@ class GramSystem:
         object.__setattr__(self, "pruned_mask", mask)
 
 
-def _require_solvable(pair: BasisPair, eps: float, context: str = "") -> None:
-    """Raise unless the pair's first-harmonic 2x2 system is safely invertible."""
-    where = f" {context}" if context else ""
-    report = check_independence(pair, eps)
-    if not report:
-        raise AnalysisError(
-            f"basis{where} fails the independence condition: "
-            f"products {report.products[0]:.6g} and {report.products[1]:.6g}"
-        )
-    s1c, s1s = float(pair.S.cos_coeffs[0]), float(pair.S.sin_coeffs[0])
-    r1c, r1s = float(pair.R.cos_coeffs[0]), float(pair.R.sin_coeffs[0])
-    det = s1c * r1s - s1s * r1c
-    scale = s1c * s1c + s1s * s1s + r1c * r1c + r1s * r1s
-    if abs(det) <= eps * scale:
-        raise IllConditionedBasisError(
-            f"basis{where} first-harmonic system is ill-conditioned: "
-            f"determinant {det:.6g} against scale {scale:.6g}"
-        )
+def _require_solvable(basis, eps: float) -> None:
+    """Raise unless every segment's first-harmonic 2x2 system is safely invertible.
+
+    The test is |det| > eps * (s1^2 + s'1^2 + r1^2 + r'1^2). That scale is at
+    least 2 (|s1*r'1| + |s'1*r1|), so a passing pair also passes
+    ``check_independence`` at the same eps. A NaN eps refuses every basis.
+    """
+    for start, pair in _segments(basis):
+        s1c, s1s = float(pair.S.cos_coeffs[0]), float(pair.S.sin_coeffs[0])
+        r1c, r1s = float(pair.R.cos_coeffs[0]), float(pair.R.sin_coeffs[0])
+        det = s1c * r1s - s1s * r1c
+        scale = s1c * s1c + s1s * s1s + r1c * r1c + r1s * r1s
+        if not abs(det) > eps * scale:
+            where = ""
+            if isinstance(basis, BasisSchedule):
+                where = f" (segment at k={start}, {pair.label or 'unlabeled'})"
+            raise IllConditionedBasisError(
+                f"basis{where} first-harmonic system is ill-conditioned: "
+                f"determinant {det:.6g} against scale {scale:.6g}"
+            )
 
 
 def _check_band(f: PeriodicSignal, order: int) -> None:
@@ -220,25 +224,31 @@ def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     return x
 
 
+def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, *provenance):
+    """f's mean and x = [A_1..A_N, B_1..B_N] as a result with (k, A_k, B_k) triples."""
+    order = len(x) // 2
+    coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
+    return Decomposition(float(np.mean(f.samples)), coeffs, basis, method, *provenance)
+
+
 def analyze_indirect(
     f: PeriodicSignal,
-    basis: BasisPair,
+    basis: BasisPair | BasisSchedule,
     order: int,
     eps_independence: float = EPS_INDEPENDENCE,
 ) -> Decomposition:
-    """Frequency-by-frequency analysis of f over a single basis pair.
+    """Frequency-by-frequency analysis of f over a basis pair or schedule.
 
     Walks k = 1..order, at each step matching the signal's (a_k, b_k) after
     subtracting what lower components already contribute at harmonic k via
-    their divisors. The resulting residual has zero Fourier content at every
-    harmonic up to the order, and the coefficients do not depend on the order.
+    their divisors. Under a schedule each correction reads the stored
+    (A_k, B_k) against the pair that produced them. The resulting residual has
+    zero Fourier content at every harmonic up to the order, and the
+    coefficients do not depend on the order.
     """
     _check_band(f, order)
     _require_solvable(basis, eps_independence)
-    x = _indirect_coeffs(f, basis, order)
-    c0 = float(np.mean(f.samples))
-    coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
-    return Decomposition(c0, coeffs, basis, "indirect")
+    return _decomposition(f, basis, _indirect_coeffs(f, basis, order), "indirect")
 
 
 def analyze_multiband(
@@ -247,19 +257,8 @@ def analyze_multiband(
     order: int,
     eps_independence: float = EPS_INDEPENDENCE,
 ) -> Decomposition:
-    """Indirect analysis with the active basis pair selected per frequency.
-
-    Correction terms at harmonic n read the stored (A_k, B_k) against the pair
-    that produced them, so segments may freely disagree about coefficients.
-    """
-    _check_band(f, order)
-    for start, pair in schedule.segments:
-        label = pair.label or "unlabeled"
-        _require_solvable(pair, eps_independence, f"(segment at k={start}, {label})")
-    x = _indirect_coeffs(f, schedule, order)
-    c0 = float(np.mean(f.samples))
-    coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
-    return Decomposition(c0, coeffs, schedule, "indirect")
+    """``analyze_indirect`` over a schedule, the active pair selected per frequency."""
+    return analyze_indirect(f, schedule, order, eps_independence)
 
 
 def _keep_mask(order: int, pruning: str) -> np.ndarray:
@@ -281,7 +280,7 @@ def _keep_mask(order: int, pruning: str) -> np.ndarray:
 
 
 def build_gram_system(
-    f: PeriodicSignal, basis: BasisPair, order: int, pruning: str = "paper"
+    f: PeriodicSignal, basis: BasisPair | BasisSchedule, order: int, pruning: str = "paper"
 ) -> GramSystem:
     """Assemble the direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T [b; a].
 
@@ -293,7 +292,7 @@ def build_gram_system(
     """
     _check_band(f, order)
     band = f.n // 2 - 1
-    cap = max(max(basis.S.depth, basis.R.depth) * order, band)
+    cap = max(_depth(basis) * order, band)
     phi = synthesis_operator(basis, order, cap)
     gram = 0.5 * (phi.T @ phi).toarray()
     keep = _keep_mask(order, pruning)
@@ -328,7 +327,7 @@ def _solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarr
 
 def analyze_direct(
     f: PeriodicSignal,
-    basis: BasisPair,
+    basis: BasisPair | BasisSchedule,
     order: int,
     pruning: str = "paper",
     eps_independence: float = EPS_INDEPENDENCE,
@@ -349,9 +348,7 @@ def analyze_direct(
             f"condition estimate {cond:.3e} exceeds {CONDITION_WARN_LIMIT:.0e}; "
             "coefficients may be unreliable",
         )
-    c0 = float(np.mean(f.samples))
-    coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
-    return Decomposition(c0, coeffs, basis, "direct", pruning, cond, notes)
+    return _decomposition(f, basis, x, "direct", pruning, cond, notes)
 
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:

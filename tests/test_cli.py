@@ -113,14 +113,42 @@ def test_analyze_over_schedule(workdir, capsys):
     assert "noise starts at: none within band" in capsys.readouterr().out
 
 
-def test_schedule_refuses_direct_method(workdir, capsys):
-    code = main(
-        ["analyze", "--in", str(workdir / "signal.csv"), "--schedule",
-         str(workdir / "schedule.json"), "--method", "direct",
-         "--order", "8", "--out", str(workdir / "x.json")]
+def test_schedule_runs_the_direct_method_and_compare(workdir, capsys):
+    common = ["--in", str(workdir / "signal.csv"), "--schedule",
+              str(workdir / "schedule.json"), "--order", "8"]
+    code = main(["analyze", *common, "--method", "direct", "--out", str(workdir / "x.json")])
+    assert code == 0
+    d = load_decomposition(workdir / "x.json")
+    assert d.method == "direct"
+    assert (d.pair_at(3).label, d.pair_at(4).label) == ("diverging", "sine_cosine")
+    assert main(["compare", *common, "--out", str(workdir / "cmp.csv")]) == 0
+    rows = (workdir / "cmp.csv").read_text().splitlines()
+    assert rows[0] == "k,A_direct,B_direct,A_indirect,B_indirect"
+    assert [row.split(",")[0] for row in rows[1:]] == [str(k) for k in range(1, 9)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        # a dependent pair would get through the gate and divide by zero
+        ("analyze", ["--phase-s", "0", "--phase-r", "0", "--eps-ind", "-1"]),
+        ("analyze", ["--eps-ind", "nan"]),
+        ("analyze", ["--residual-tol", "inf"]),
+        ("check-basis", ["--eps-conv", "-1"]),
+    ],
+)
+def test_out_of_range_tolerances_exit_two(workdir, command, flags):
+    io = ["--in", str(workdir / "signal.csv"), "--out", str(workdir / "x.json")]
+    argv = [command, "--basis", "square_saw", *(io if command == "analyze" else []), *flags]
+    env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genharm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
     )
-    assert code == 2
-    assert "indirect" in capsys.readouterr().err
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flags[-2]} must be finite and >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_reconstruct_round_trips_through_files(workdir, capsys):
