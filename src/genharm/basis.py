@@ -24,7 +24,6 @@ switches to a converging pair at higher frequencies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -32,6 +31,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .files import read_json, write_json
 from .signals import FourierSpectrum, analyze_fourier, sample_closed_form
 
 if TYPE_CHECKING:
@@ -417,11 +417,14 @@ def _depth(basis) -> int:
 def _segment_runs(basis, order: int) -> list:
     """(first_k, last_k, pair) runs of a pair or schedule, clipped at k = order.
 
-    A run starting beyond the order comes out empty (last_k < first_k).
+    A run starting beyond the order comes out empty, as (order + 1, order).
     """
     segments = _segments(basis)
     ends = [start - 1 for start, _ in segments[1:]] + [order]
-    return [(start, min(end, order), pair) for (start, pair), end in zip(segments, ends)]
+    return [
+        (min(start, order + 1), min(end, order), pair)
+        for (start, pair), end in zip(segments, ends)
+    ]
 
 
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:
@@ -592,7 +595,7 @@ def pair_from_dict(data) -> BasisPair:
                 np.asarray(entry["cos"], dtype=float),
                 np.asarray(entry["sin"], dtype=float),
             )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed basis data: {exc}") from exc
     return BasisPair(members["S"], members["R"], label)
 
@@ -623,36 +626,22 @@ def schedule_from_dict(data) -> BasisSchedule:
             (int(item["start_k"]), _segment_pair_from_dict(item["basis"]))
             for item in data["segments"]
         ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed schedule data: {exc}") from exc
     return BasisSchedule(tuple(segments))
 
 
 def save_basis(pair: BasisPair, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pair_to_dict(pair), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(pair_to_dict(pair), path)
 
 
 def load_basis(path) -> BasisPair:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return pair_from_dict(data)
+    return pair_from_dict(read_json(path))
 
 
 def save_schedule(schedule: BasisSchedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(schedule_to_dict(schedule), path)
 
 
 def load_schedule(path) -> BasisSchedule:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return schedule_from_dict(data)
+    return schedule_from_dict(read_json(path))

@@ -14,8 +14,6 @@ empty band, invalid run shape or tolerance).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
@@ -24,7 +22,6 @@ from .basis import (
     DEFAULT_DEPTH,
     EPS_CONVERGENCE,
     EPS_INDEPENDENCE,
-    BasisPair,
     builtin_basis,
     check_convergence,
     check_independence,
@@ -34,7 +31,7 @@ from .basis import (
     load_schedule,
 )
 from .decompose import (
-    Decomposition,
+    PRUNING_RULES,
     analyze_direct,
     analyze_indirect,
     load_decomposition,
@@ -42,7 +39,8 @@ from .decompose import (
     residual,
     save_decomposition,
 )
-from .errors import ConfigurationError, GenharmError, InvalidSignalError
+from .errors import ConfigurationError, GenharmError
+from .files import write_csv, write_json
 from .signals import (
     PeriodicSignal,
     analyze_fourier,
@@ -65,15 +63,10 @@ class _LoadError(Exception):
 
 def _validate(args: argparse.Namespace) -> None:
     """Reject run shapes and tolerances no subcommand can use (exit code 2)."""
-    if args.samples < 4 or args.samples % 2 != 0:
+    if "samples" in args and (args.samples < 4 or args.samples % 2 != 0):
         raise ConfigurationError(f"--samples must be even and >= 4, got {args.samples}")
-    if args.order < 1:
+    if "order" in args and args.order < 1:
         raise ConfigurationError(f"--order must be >= 1, got {args.order}")
-    if args.order > args.samples // 2 - 1:
-        raise ConfigurationError(
-            f"--order {args.order} exceeds the band {args.samples // 2 - 1} "
-            f"representable at --samples {args.samples}"
-        )
     if "depth" in args and args.depth < 1:
         raise ConfigurationError(f"--depth must be >= 1, got {args.depth}")
     for name in ("eps_ind", "eps_conv", "residual_tol"):
@@ -86,47 +79,29 @@ def _validate(args: argparse.Namespace) -> None:
 # --- input loading (failures here are exit code 1) ----------------------------
 
 
-def _load_pair(args: argparse.Namespace) -> BasisPair:
-    spec = args.basis
-    if spec is None:
+def _load(what: str, loader, path):
+    """``loader(path)``; a missing path, or a file that cannot be read or parsed, exits 1."""
+    if path is None:
+        raise _LoadError(f"an input {what} is required: --in <path>")
+    try:
+        return loader(path)
+    except (OSError, GenharmError) as exc:
+        raise _LoadError(f"cannot load {what} {path!r}: {exc}") from exc
+
+
+def _load_basis(args: argparse.Namespace):
+    """The schedule, builtin pair or basis file that the arguments name."""
+    if "schedule" in args and args.schedule is not None:
+        return _load("schedule", load_schedule, args.schedule)
+    if args.basis is None:
         raise _LoadError("a basis is required: --basis <builtin name or JSON path>")
-    if spec in BUILTIN_KINDS:
-        try:
-            return builtin_basis(spec, args.phase_s, args.phase_r, args.depth)
-        except ConfigurationError as exc:
-            raise _LoadError(str(exc)) from exc
-    try:
-        return load_basis(spec)
-    except (OSError, ConfigurationError) as exc:
-        raise _LoadError(f"cannot load basis {spec!r}: {exc}") from exc
-
-
-def _load_analysis_basis(args: argparse.Namespace):
-    """The pair or schedule requested for an analysis run."""
-    if args.schedule is not None:
-        try:
-            return load_schedule(args.schedule)
-        except (OSError, ConfigurationError) as exc:
-            raise _LoadError(f"cannot load schedule {args.schedule!r}: {exc}") from exc
-    return _load_pair(args)
-
-
-def _load_signal(path: str | None) -> PeriodicSignal:
-    if path is None:
-        raise _LoadError("an input signal is required: --in <csv path>")
-    try:
-        return read_signal_csv(path)
-    except (OSError, InvalidSignalError) as exc:
-        raise _LoadError(f"cannot load signal {path!r}: {exc}") from exc
-
-
-def _load_decomposition(path: str | None) -> Decomposition:
-    if path is None:
-        raise _LoadError("an input decomposition is required: --in <json path>")
-    try:
-        return load_decomposition(path)
-    except (OSError, ConfigurationError) as exc:
-        raise _LoadError(f"cannot load decomposition {path!r}: {exc}") from exc
+    if args.basis in BUILTIN_KINDS:
+        return _load(
+            "basis",
+            lambda kind: builtin_basis(kind, args.phase_s, args.phase_r, args.depth),
+            args.basis,
+        )
+    return _load("basis", load_basis, args.basis)
 
 
 def _require_out(args: argparse.Namespace) -> str:
@@ -135,17 +110,11 @@ def _require_out(args: argparse.Namespace) -> str:
     return args.out
 
 
-def _write_json(data: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
 # --- subcommand handlers -------------------------------------------------------
 
 
 def _run_check_basis(args: argparse.Namespace) -> int:
-    pair = _load_pair(args)
+    pair = _load_basis(args)
     independence = check_independence(pair, args.eps_ind)
     convergence = check_convergence(pair, args.eps_conv)
     ortho = classify_orthogonality(pair, min(args.order, 16))
@@ -163,7 +132,7 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     print(f"orthogonality: horizontal {ortho.horizontal_label}, vertical {ortho.vertical_label}")
     print(f"frame bounds (N={bounds.order}): lower {bounds.lower!r}, upper {bounds.upper!r}")
     if args.json_out is not None:
-        _write_json(
+        write_json(
             {
                 "label": label,
                 "independence": {
@@ -202,8 +171,8 @@ def _noise_start(res_spec, tol: float) -> int | None:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
-    f = _load_signal(args.input)
-    basis = _load_analysis_basis(args)
+    f = _load("signal", read_signal_csv, args.input)
+    basis = _load_basis(args)
     if args.method == "direct":
         d = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
     else:
@@ -228,19 +197,19 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_reconstruct(args: argparse.Namespace) -> int:
-    d = _load_decomposition(args.input)
+    d = _load("decomposition", load_decomposition, args.input)
     write_signal_csv(reconstruct(d, args.samples), _require_out(args))
     return 0
 
 
 def _run_spectrum(args: argparse.Namespace) -> int:
-    d = _load_decomposition(args.input)
+    d = _load("decomposition", load_decomposition, args.input)
     gs = generalized_spectrum(d)
     write_spectrum_csv(gs, _require_out(args))
     if args.json_out is not None:
         recon = reconstruct(d, args.samples)
         lhs = parseval_power(analyze_fourier(recon, args.samples // 2 - 1))
-        _write_json(
+        write_json(
             {"total": gs.total(), "c0_sq": gs.c0_sq, "parseval_lhs": lhs},
             args.json_out,
         )
@@ -248,7 +217,7 @@ def _run_spectrum(args: argparse.Namespace) -> int:
 
 
 def _run_filter(args: argparse.Namespace) -> int:
-    d = _load_decomposition(args.input)
+    d = _load("decomposition", load_decomposition, args.input)
     if args.keep_from is None or args.keep_to is None:
         raise ConfigurationError("filter requires --keep-from and --keep-to")
     kept = band_filter(d, args.keep_from, args.keep_to)
@@ -259,21 +228,22 @@ def _run_filter(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    f = _load_signal(args.input)
-    basis = _load_analysis_basis(args)
+    f = _load("signal", read_signal_csv, args.input)
+    basis = _load_basis(args)
     d_ind = analyze_indirect(f, basis, args.order, args.eps_ind)
     d_dir = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
     rms_ind = norm(residual(f, d_ind))
     rms_dir = norm(residual(f, d_dir))
-    with open(_require_out(args), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "A_direct", "B_direct", "A_indirect", "B_indirect"])
-        for (k, a_d, b_d), (_, a_i, b_i) in zip(d_dir.coeffs, d_ind.coeffs):
-            writer.writerow([k, repr(a_d), repr(b_d), repr(a_i), repr(b_i)])
+    write_csv(
+        _require_out(args),
+        ("k", "A_direct", "B_direct", "A_indirect", "B_indirect"),
+        [(k, a_d, b_d, a_i, b_i)
+         for (k, a_d, b_d), (_, a_i, b_i) in zip(d_dir.coeffs, d_ind.coeffs)],
+    )
     print(f"rms residual (direct, N={args.order}): {rms_dir!r}")
     print(f"rms residual (indirect, N={args.order}): {rms_ind!r}")
     if args.json_out is not None:
-        _write_json(
+        write_json(
             {
                 "order": args.order,
                 "pruning": args.pruning,
@@ -287,48 +257,63 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_fourier(args: argparse.Namespace) -> int:
-    f = _load_signal(args.input)
+    f = _load("signal", read_signal_csv, args.input)
     spec = analyze_fourier(f, min(args.order, f.n // 2 - 1))
-    with open(_require_out(args), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "a", "b"])
-        # harmonic 0 carries the mean in the cosine column
-        writer.writerow([0, repr(0.0), repr(spec.c0)])
-        for k, a_k, b_k in spec.terms():
-            writer.writerow([k, repr(a_k), repr(b_k)])
+    # harmonic 0 carries the mean in the cosine column
+    write_csv(_require_out(args), ("k", "a", "b"), [(0, 0.0, spec.c0), *spec.terms()])
     return 0
 
 
-_HANDLERS = {
-    "check-basis": _run_check_basis,
-    "analyze": _run_analyze,
-    "reconstruct": _run_reconstruct,
-    "spectrum": _run_spectrum,
-    "filter": _run_filter,
-    "compare": _run_compare,
-    "fourier": _run_fourier,
+# Every option a subcommand can take; each subcommand declares only those its
+# handler reads. --samples on analyze and compare is accepted but unread: their
+# grid is the input CSV's.
+_OPTIONS = {
+    "signal": ("--in", {"dest": "input", "help": "input signal CSV"}),
+    "decomposition": ("--in", {"dest": "input", "help": "input decomposition JSON"}),
+    "order": ("--order", {"type": int, "default": DEFAULT_ORDER, "help": "analysis order N"}),
+    "samples": ("--samples", {"type": int, "default": DEFAULT_SAMPLES, "help": "grid size n"}),
+    "out": ("--out", {"help": "primary output path"}),
+    "json-out": ("--json-out", {"help": "JSON report path"}),
+    "recon-out": ("--recon-out", {"help": "also write the reconstruction CSV"}),
+    "basis": ("--basis", {"help": "builtin basis name or basis JSON path"}),
+    "schedule": ("--schedule", {"help": "schedule JSON path"}),
+    "phase-s": ("--phase-s", {"type": float, "help": "S phase shift in turns (builtin bases)"}),
+    "phase-r": ("--phase-r", {"type": float, "help": "R phase shift in turns (builtin bases)"}),
+    "depth": ("--depth", {"type": int, "default": DEFAULT_DEPTH,
+                          "help": "harmonic depth Q for builtin bases"}),
+    "eps-ind": ("--eps-ind", {"type": float, "default": EPS_INDEPENDENCE,
+                              "help": "independence tolerance"}),
+    "eps-conv": ("--eps-conv", {"type": float, "default": EPS_CONVERGENCE,
+                                "help": "convergence tolerance"}),
+    "method": ("--method", {"choices": ("direct", "indirect"), "default": "indirect"}),
+    "pruning": ("--pruning", {"choices": PRUNING_RULES, "default": "paper"}),
+    "residual-tol": ("--residual-tol", {"type": float, "default": DEFAULT_RESIDUAL_TOL,
+                                        "help": "threshold for reporting where residual "
+                                                "content starts"}),
+    "keep-from": ("--keep-from", {"type": int, "help": "first harmonic kept"}),
+    "keep-to": ("--keep-to", {"type": int, "help": "last harmonic kept"}),
 }
 
+_BASIS = "basis phase-s phase-r depth eps-ind"
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER, help="analysis order N")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="grid size n")
-    sub.add_argument("--out", help="primary output path")
-    sub.add_argument("--json-out", dest="json_out", help="JSON report path")
-
-
-def _add_basis_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--basis", help="builtin basis name or basis JSON path")
-    sub.add_argument("--phase-s", dest="phase_s", type=float, default=None,
-                     help="S phase shift in turns (builtin bases)")
-    sub.add_argument("--phase-r", dest="phase_r", type=float, default=None,
-                     help="R phase shift in turns (builtin bases)")
-    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                     help="harmonic depth Q for builtin bases")
-    sub.add_argument("--eps-ind", dest="eps_ind", type=float, default=EPS_INDEPENDENCE,
-                     help="independence tolerance")
-    sub.add_argument("--eps-conv", dest="eps_conv", type=float, default=EPS_CONVERGENCE,
-                     help="convergence tolerance")
+# subcommand -> (handler, help, the options it reads)
+_COMMANDS = {
+    "check-basis": (_run_check_basis, "run validity checks on a basis pair",
+                    f"{_BASIS} eps-conv order json-out"),
+    "analyze": (_run_analyze, "decompose a signal CSV over a basis or schedule",
+                f"signal {_BASIS} schedule method pruning order samples out recon-out "
+                "residual-tol"),
+    "reconstruct": (_run_reconstruct, "sample a decomposition JSON to a signal CSV",
+                    "decomposition samples out"),
+    "spectrum": (_run_spectrum, "write the generalized spectrum of a decomposition",
+                 "decomposition samples out json-out"),
+    "filter": (_run_filter, "keep a band of components, zeroing the rest",
+               "decomposition keep-from keep-to samples out recon-out"),
+    "compare": (_run_compare, "direct vs indirect coefficients on one signal",
+                f"signal {_BASIS} schedule pruning order samples out json-out"),
+    "fourier": (_run_fourier, "plain sine/cosine coefficients of a signal CSV",
+                "signal order out"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -337,49 +322,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Frequency analysis of periodic signals over two-function bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-basis", help="run validity checks on a basis pair")
-    _add_common(p)
-    _add_basis_flags(p)
-
-    p = sub.add_parser("analyze", help="decompose a signal CSV over a basis or schedule")
-    _add_common(p)
-    _add_basis_flags(p)
-    p.add_argument("--in", dest="input", help="input signal CSV")
-    p.add_argument("--schedule", help="schedule JSON path")
-    p.add_argument("--method", choices=("direct", "indirect"), default="indirect")
-    p.add_argument("--pruning", choices=("paper", "lcm", "none"), default="paper")
-    p.add_argument("--recon-out", dest="recon_out", help="also write the reconstruction CSV")
-    p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                   default=DEFAULT_RESIDUAL_TOL,
-                   help="threshold for reporting where residual content starts")
-
-    p = sub.add_parser("reconstruct", help="sample a decomposition JSON to a signal CSV")
-    _add_common(p)
-    p.add_argument("--in", dest="input", help="input decomposition JSON")
-
-    p = sub.add_parser("spectrum", help="write the generalized spectrum of a decomposition")
-    _add_common(p)
-    p.add_argument("--in", dest="input", help="input decomposition JSON")
-
-    p = sub.add_parser("filter", help="keep a band of components, zeroing the rest")
-    _add_common(p)
-    p.add_argument("--in", dest="input", help="input decomposition JSON")
-    p.add_argument("--keep-from", dest="keep_from", type=int, help="first harmonic kept")
-    p.add_argument("--keep-to", dest="keep_to", type=int, help="last harmonic kept")
-    p.add_argument("--recon-out", dest="recon_out", help="also write the filtered reconstruction")
-
-    p = sub.add_parser("compare", help="direct vs indirect coefficients on one signal")
-    _add_common(p)
-    _add_basis_flags(p)
-    p.add_argument("--in", dest="input", help="input signal CSV")
-    p.add_argument("--schedule", help="schedule JSON path")
-    p.add_argument("--pruning", choices=("paper", "lcm", "none"), default="paper")
-
-    p = sub.add_parser("fourier", help="plain sine/cosine coefficients of a signal CSV")
-    _add_common(p)
-    p.add_argument("--in", dest="input", help="input signal CSV")
-
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            flag, kwargs = _OPTIONS[name]
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -387,7 +334,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _validate(args)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,6 @@ which it is. Only the direct method needs scipy, imported when it first runs.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings as _warnings
 from dataclasses import dataclass
@@ -56,6 +55,7 @@ from .errors import (
     DimensionError,
     IllConditionedBasisError,
 )
+from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
@@ -119,9 +119,12 @@ class Decomposition:
         values = [self.c0] + [v for _, ak, bk in cleaned for v in (ak, bk)]
         if not all(math.isfinite(v) for v in values):
             raise ConfigurationError("decomposition values must all be finite")
+        warnings = tuple(self.warnings)
+        if not all(isinstance(note, str) for note in warnings):
+            raise ConfigurationError("warnings must be strings")
         object.__setattr__(self, "c0", float(self.c0))
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def order(self) -> int:
@@ -421,20 +424,13 @@ def decomposition_from_dict(data) -> Decomposition:
             data.get("condition_estimate"),
             tuple(data.get("warnings", ())),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed decomposition data: {exc}") from exc
 
 
 def save_decomposition(d: Decomposition, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(decomposition_to_dict(d), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(decomposition_to_dict(d), path)
 
 
 def load_decomposition(path) -> Decomposition:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return decomposition_from_dict(data)
+    return decomposition_from_dict(read_json(path))

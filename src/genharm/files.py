@@ -1,0 +1,45 @@
+"""The two file formats genharm reads and writes: JSON and CSV.
+
+JSON is written strictly, indented by 2, with a closing newline; data holding
+a NaN or infinity is a :class:`ConfigurationError` and writes nothing. A file
+that does not decode to a JSON value is a :class:`ConfigurationError` too.
+CSV is written with the bytes of ``csv.writer``'s default dialect: ``,``
+separators, ``\r\n`` line ends, and no quoting, which a number never needs.
+Every field is written by ``repr``, a float's shortest lossless form, so rows
+must hold Python scalars: numpy 2 reprs a float64 as ``np.float64(0.5)``.
+Signal CSVs are read by ``signals.read_signal_csv``.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import chain
+
+from .errors import ConfigurationError
+
+
+def write_json(data, path) -> None:
+    try:
+        text = json.dumps(data, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite float
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header line, then one line per row of ints or floats."""
+    values = tuple(chain.from_iterable(rows))
+    # one formatting call over every field: as fast as a per-row f-string
+    line = ",".join(["%r"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + line * (len(values) // len(header)) % values)

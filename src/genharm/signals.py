@@ -16,6 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import AliasingError, DimensionError, InvalidSignalError
+from .files import write_csv
 
 __all__ = [
     "PeriodicSignal",
@@ -177,39 +178,36 @@ def spectral_inner(s: FourierSpectrum, t: FourierSpectrum) -> float:
 
 
 def write_signal_csv(f: PeriodicSignal, path) -> None:
-    """Write the signal as ``x,value`` rows with x = j/n ascending.
-
-    The bytes are those of ``csv.writer`` with its default dialect: ``\\r\\n``
-    line ends, and no quoting, which a float's repr never needs.
-    """
+    """Write the signal as ``x,value`` rows with x = j/n ascending."""
     xs = (np.arange(f.n) / f.n).tolist()
-    rows = "".join(f"{x!r},{v!r}\r\n" for x, v in zip(xs, f.samples.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("x,value\r\n" + rows)
+    write_csv(path, ("x", "value"), zip(xs, f.samples.tolist()))
 
 
 def read_signal_csv(path) -> PeriodicSignal:
     """Read a ``x,value`` CSV, validating the uniform grid within 1e-12."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "value"]:
-            raise InvalidSignalError(f"{path}: expected header 'x,value'")
-        xs: list[float] = []
-        values: list[float] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InvalidSignalError(f"{path}: malformed row {row!r}")
-            try:
-                xs.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise InvalidSignalError(f"{path}: non-numeric row {row!r}") from exc
+    xs: list[float] = []
+    values: list[float] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["x", "value"]:
+                raise InvalidSignalError(f"{path}: expected header 'x,value'")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise InvalidSignalError(f"{path}: malformed row {row!r}")
+                try:
+                    xs.append(float(row[0]))
+                    values.append(float(row[1]))
+                except ValueError as exc:
+                    raise InvalidSignalError(f"{path}: non-numeric row {row!r}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidSignalError(f"{path}: unreadable CSV: {exc}") from exc
     n = len(values)
     _check_sample_count(n)
     expected = np.arange(n) / n
-    if np.max(np.abs(np.asarray(xs) - expected)) > 1e-12:
+    if not np.max(np.abs(np.asarray(xs) - expected)) <= 1e-12:
         raise InvalidSignalError(f"{path}: grid is not uniform x=j/n within 1e-12")
     return PeriodicSignal(np.asarray(values))

@@ -10,7 +10,7 @@ than renormalized.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .basis import _segment_runs, _undilated
 from .decompose import Decomposition
 from .errors import ConfigurationError
+from .files import write_csv
 from .signals import FourierSpectrum
 
 __all__ = [
@@ -41,8 +42,8 @@ class GeneralizedSpectrum:
         ks = [k for k, _ in cleaned]
         if ks != list(range(1, len(cleaned) + 1)):
             raise ConfigurationError("spectrum entries must cover k = 1..N exactly once")
-        if any(e < 0.0 for _, e in cleaned) or self.c0_sq < 0.0:
-            raise ConfigurationError("energies must be nonnegative")
+        if not all(0.0 <= e < math.inf for e in (self.c0_sq, *(e for _, e in cleaned))):
+            raise ConfigurationError("energies must be finite and nonnegative")
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(self, "c0_sq", float(self.c0_sq))
 
@@ -82,7 +83,11 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
         a, b = ab[start - 1 : end].T
         mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
         energies[start - 1 : end] = 0.5 * np.einsum("kq,kq->k", mix, mix)
-    return GeneralizedSpectrum(tuple(zip(range(1, d.order + 1), energies)), d.c0 ** 2)
+    try:
+        c0_sq = d.c0 ** 2
+    except OverflowError:
+        c0_sq = math.inf  # refused with the other non-finite energies
+    return GeneralizedSpectrum(tuple(zip(range(1, d.order + 1), energies)), c0_sq)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:
@@ -113,8 +118,4 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
 
 def write_spectrum_csv(spec: GeneralizedSpectrum, path) -> None:
     """Write ``k,energy`` rows in ascending k."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "energy"])
-        for k, energy in spec.entries:
-            writer.writerow([k, repr(energy)])
+    write_csv(path, ("k", "energy"), spec.entries)

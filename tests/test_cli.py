@@ -8,16 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genharm
 from genharm import (
     BasisFunction,
     BasisPair,
     BasisSchedule,
+    Decomposition,
     builtin_basis,
     load_decomposition,
     read_signal_csv,
     save_basis,
+    save_decomposition,
     save_schedule,
     write_signal_csv,
 )
@@ -205,7 +209,8 @@ def test_filter_band_and_errors(workdir, capsys):
 
 @pytest.mark.parametrize(
     "field, raw",
-    [("basis", '"square_saw"'), ("pruning", '"bogus"'), ("condition_estimate", "NaN")],
+    [("basis", '"square_saw"'), ("pruning", '"bogus"'), ("condition_estimate", "NaN"),
+     ("warnings", "[NaN]")],
 )
 def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw):
     main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
@@ -311,20 +316,132 @@ def test_outputs_are_byte_identical_across_runs(workdir):
 
 
 def test_load_phase_failures_exit_one(workdir, capsys):
-    assert main(["analyze", "--in", str(workdir / "nope.csv"), "--basis",
-                 "square_saw", "--out", str(workdir / "x.json")]) == 1
-    assert main(["analyze", "--in", str(workdir / "signal.csv"), "--basis",
-                 "wavelet", "--out", str(workdir / "x.json")]) == 1
-    bad = workdir / "bad.csv"
-    bad.write_text("wrong,header\n0.0,1.0\n")
-    assert main(["analyze", "--in", str(bad), "--basis", "square_saw",
-                 "--out", str(workdir / "x.json")]) == 1
-    notjson = workdir / "notjson.json"
-    notjson.write_text("{oops")
-    assert main(["reconstruct", "--in", str(notjson),
-                 "--out", str(workdir / "x.csv")]) == 1
-    assert main(["analyze", "--basis", "square_saw",
-                 "--out", str(workdir / "x.json")]) == 1
+    signal = str(workdir / "signal.csv")
+    for name, content in [
+        ("bad.csv", b"wrong,header\n0.0,1.0\n"),
+        ("notjson.json", b"{oops"),
+        ("latin1.json", b'{"label": "caf\xe9"}'),
+        ("deep.json", b"[" * 100000 + b"]" * 100000),
+        ("latin1.csv", b"x,value\n0.0,caf\xe9\n"),
+        ("long.csv", b"x,value\n0.0," + b"1" * 200000 + b"\n"),
+    ]:
+        (workdir / name).write_bytes(content)
+    out = ["--out", str(workdir / "x.out")]
+    cases = [
+        ["analyze", "--in", str(workdir / "nope.csv"), "--basis", "square_saw", *out],
+        ["analyze", "--in", signal, "--basis", "wavelet", *out],
+        ["analyze", "--in", str(workdir / "bad.csv"), "--basis", "square_saw", *out],
+        ["reconstruct", "--in", str(workdir / "notjson.json"), *out],
+        ["analyze", "--basis", "square_saw", *out],
+        # undecodable files: not UTF-8, nested past the recursion limit, a
+        # field past the csv module's size limit
+        ["reconstruct", "--in", str(workdir / "latin1.json"), *out],
+        ["check-basis", "--basis", str(workdir / "latin1.json")],
+        ["analyze", "--in", signal, "--schedule", str(workdir / "latin1.json"), *out],
+        ["spectrum", "--in", str(workdir / "deep.json"), *out],
+        ["analyze", "--in", str(workdir / "latin1.csv"), "--basis", "square_saw", *out],
+        ["fourier", "--in", str(workdir / "long.csv"), *out],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    # past the float range, short of the int-to-str digit limit
+    | st.integers(-(10**400), 10**400),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+_CSV_FIELDS = st.sampled_from(["0.0", "0.25", "0.5", "0.75", "-1", "1e300", "1e400", "nan", ""])
+
+
+def _with_one_node_replaced(doc, data):
+    """``doc`` with one node, chosen by Hypothesis, replaced by any JSON value.
+
+    A builtin segment's ``depth`` is never replaced: a huge depth makes the
+    projection run for hours, and bounding it is a separate limit policy.
+    """
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        keys = [key for key in doc if key != "depth"] if isinstance(doc, dict) else range(len(doc))
+        key = data.draw(st.sampled_from(list(keys)))
+        copy = dict(doc) if isinstance(doc, dict) else list(doc)
+        copy[key] = _with_one_node_replaced(doc[key], data)
+        return copy
+    return data.draw(_JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory, builtin_pairs):
+    """Valid inputs of every kind, each a seed for the fuzzed files."""
+    path = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    write_signal_csv(random_bandlimited(rng, 4, 16, c0=0.5), path / "signal.csv")
+    pair = builtin_basis("square_saw", depth=4)
+    save_basis(pair, path / "pair.json")
+    save_schedule(BasisSchedule(((1, pair), (3, builtin_pairs["sine_cosine"]))),
+                  path / "schedule.json")
+    schedule = json.loads((path / "schedule.json").read_text())
+    schedule["segments"][1]["basis"] = {"builtin": "triangle", "depth": 3, "phase_s": 0.5}
+    (path / "schedule.json").write_text(json.dumps(schedule))
+    main(["analyze", "--in", str(path / "signal.csv"), "--basis", "square_saw", "--depth", "4",
+          "--order", "4", "--method", "direct", "--out", str(path / "dec.json")])
+    decomposition = json.loads((path / "dec.json").read_text())
+    decomposition["warnings"] = ["a note"]
+    (path / "dec.json").write_text(json.dumps(decomposition))
+    return path
+
+
+# (argv reading the fuzzed file {input}, the valid file that it stands in for)
+_FILE_READERS = [
+    ("analyze --in {input} --basis square_saw --depth 4 --order 2", "signal.csv"),
+    ("compare --in {input} --basis square_saw --depth 4 --order 2", "signal.csv"),
+    ("fourier --in {input} --order 3", "signal.csv"),
+    ("reconstruct --in {input} --samples 16", "dec.json"),
+    ("spectrum --in {input} --samples 16 --json-out {input}.json", "dec.json"),
+    ("filter --in {input} --keep-from 2 --keep-to 3 --samples 16 --recon-out {input}.csv",
+     "dec.json"),
+    ("check-basis --basis {input} --order 3", "pair.json"),
+    ("analyze --in {signal} --basis {input} --order 4", "pair.json"),
+    ("analyze --in {signal} --schedule {input} --order 4", "schedule.json"),
+]
+
+
+@pytest.mark.parametrize("command, valid", _FILE_READERS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_any_input_file_exits_zero_one_or_two(fuzzdir, command, valid, data):
+    seed = (fuzzdir / valid).read_bytes()
+    if data.draw(st.booleans()):
+        content = data.draw(st.binary(max_size=64) | st.just(seed)
+                            | _JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+    elif valid.endswith(".csv"):
+        fields = _CSV_FIELDS | st.text(max_size=4)
+        lines = data.draw(st.lists(st.lists(fields, max_size=3).map(",".join), max_size=6))
+        content = "\n".join(["x,value", *lines]).encode()
+    else:
+        content = json.dumps(_with_one_node_replaced(json.loads(seed), data)).encode()
+    (fuzzdir / "input").write_bytes(content)
+    argv = command.format(input=fuzzdir / "input", signal=fuzzdir / "signal.csv").split()
+    if not command.startswith("check-basis"):
+        argv += ["--out", str(fuzzdir / "out")]
+    assert main(argv) in (0, 1, 2)
+
+
+def test_samples_does_not_bound_an_unread_order(workdir, capsys):
+    """analyze runs on its input's grid, reconstruct never reads --order."""
+    rng = np.random.default_rng(9)
+    write_signal_csv(random_bandlimited(rng, 8, 1024, c0=0.0), workdir / "wide.csv")
+    assert main(["analyze", "--in", str(workdir / "wide.csv"), "--basis", "square_saw",
+                 "--order", "40", "--samples", "64", "--out", str(workdir / "o40.json")]) == 0
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "10", "--out", str(workdir / "o10.json")])
+    assert main(["reconstruct", "--in", str(workdir / "o10.json"), "--samples", "64",
+                 "--out", str(workdir / "r64.csv")]) == 0
+    assert read_signal_csv(workdir / "r64.csv").n == 64
     capsys.readouterr()
 
 
@@ -344,4 +461,12 @@ def test_domain_failures_exit_two(workdir, capsys):
     # missing output path is a configuration problem, not an IO failure
     assert main(["analyze", "--in", str(workdir / "signal.csv"),
                  "--basis", "square_saw"]) == 2
+    # energies that overflow: c0 squared alone, then only the sum for the summary
+    trig = BasisPair(BasisFunction([1.0], [0.0]), BasisFunction([0.0], [1.0]))
+    for c0 in (1e200, 1.3e154):
+        huge = Decomposition(c0, ((1, 1e154, 0.0),), trig, "indirect")
+        save_decomposition(huge, workdir / "huge.json")
+        assert main(["spectrum", "--in", str(workdir / "huge.json"), "--out",
+                     str(workdir / "x.csv"), "--json-out", str(workdir / "summary.json")]) == 2
+    assert not (workdir / "summary.json").exists()
     capsys.readouterr()

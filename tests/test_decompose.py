@@ -389,9 +389,12 @@ def test_one_segment_schedule_matches_its_pair(method):
             return analyze_indirect(f, basis, 10)
         return analyze_direct(f, basis, 10, method)
 
-    d_pair, d_sched = analyze(pair), analyze(BasisSchedule(((1, pair),)))
-    assert d_sched.coeffs == d_pair.coeffs
-    assert d_sched.condition_estimate == d_pair.condition_estimate
+    d_pair = analyze(pair)
+    # a segment starting past the order, even past int64, is never active
+    for schedule in (((1, pair),), ((1, pair), (2**64, pair))):
+        d_sched = analyze(BasisSchedule(schedule))
+        assert d_sched.coeffs == d_pair.coeffs
+        assert d_sched.condition_estimate == d_pair.condition_estimate
 
 
 # --- reconstruction and persistence -------------------------------------------------

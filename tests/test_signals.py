@@ -23,6 +23,7 @@ from genharm import (
     synthesize_fourier,
     write_signal_csv,
 )
+from genharm.files import write_csv
 
 
 def test_signal_requires_even_count_of_at_least_four():
@@ -180,15 +181,27 @@ def test_csv_round_trip_is_exact(tmp_path):
 )
 def test_csv_bytes_match_a_csv_writer_reference(tmp_path, samples):
     f = PeriodicSignal(samples)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for j, value in enumerate(f.samples):
-            writer.writerow([repr(j / f.n), repr(float(value))])
-    path = tmp_path / "sig.csv"
-    write_signal_csv(f, path)
-    assert path.read_bytes() == reference.read_bytes()
+    v = f.samples.tolist()
+    files = {
+        "signal": (["x", "value"], [(j / f.n, value) for j, value in enumerate(v)]),
+        "spectrum": (["k", "energy"], [(k + 1, abs(value)) for k, value in enumerate(v)]),
+        "compare": (["k", "A_direct", "B_direct", "A_indirect", "B_indirect"],
+                    [(k + 1, value, -value, v[k - 1], 0.0) for k, value in enumerate(v)]),
+        "fourier": (["k", "a", "b"], [(0, 0.0, v[0])] + [(k, -value, value) for k, value in
+                                                         enumerate(v[1:], 1)]),
+    }
+    for name, (header, rows) in files.items():
+        reference = tmp_path / f"{name}.reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        path = tmp_path / f"{name}.csv"
+        if name == "signal":
+            write_signal_csv(f, path)
+        else:
+            write_csv(path, header, rows)
+        assert path.read_bytes() == reference.read_bytes(), name
 
 
 def test_csv_rejects_bad_inputs(tmp_path):
@@ -211,3 +224,9 @@ def test_csv_rejects_bad_inputs(tmp_path):
     skewed.write_text("x,value\n" + "".join(f"{j/8 + (1e-6 if j == 3 else 0.0)},1.0\n" for j in range(8)))
     with pytest.raises(InvalidSignalError):
         read_signal_csv(skewed)
+
+    # a NaN abscissa compares false against the tolerance, so it must not pass
+    nan_grid = tmp_path / "nan.csv"
+    nan_grid.write_text("x,value\n" + "nan,1.0\n" * 8)
+    with pytest.raises(InvalidSignalError):
+        read_signal_csv(nan_grid)

@@ -76,6 +76,12 @@ def test_generalized_spectrum_validation():
         GeneralizedSpectrum(((1, -0.5),), 0.0)
     with pytest.raises(ConfigurationError):
         GeneralizedSpectrum(((2, 0.5),), 0.0)
+    with pytest.raises(ConfigurationError):
+        GeneralizedSpectrum(((1, np.inf),), 0.0)
+    # finite decompositions whose energies overflow: the mean, then a component
+    for c0, a_1 in ((1e200, 0.0), (0.0, 1e200)):
+        with pytest.raises(ConfigurationError):
+            generalized_spectrum(Decomposition(c0, ((1, a_1, 0.0),), hand_pair(), "indirect"))
 
 
 def test_orthogonal_power_equality(builtin_pairs):
