@@ -13,7 +13,8 @@ sample-domain quadrature.
 Two conditions make a pair usable for analysis:
 
 * independence: the first-harmonic 2x2 system is solvable, its determinant
-  |s1*r'1 - s'1*r1| above a relative tolerance;
+  |s1*r'1 - s'1*r1| above a tolerance relative to the fundamentals' energy;
+  every analysis refuses a pair or schedule segment that fails it;
 * the convergence requisite: any combination A*S + B*R carries more energy at
   its fundamental than at all higher harmonics combined, decided as positive
   definiteness of a 2x2 quadratic form.
@@ -47,6 +48,7 @@ __all__ = [
     "OrthogonalityReport",
     "BUILTIN_KINDS",
     "DEFAULT_DEPTH",
+    "MAX_DEPTH",
     "EPS_INDEPENDENCE",
     "EPS_CONVERGENCE",
     "ORTHOGONALITY_TOL",
@@ -71,6 +73,10 @@ EPS_INDEPENDENCE = 1e-9
 EPS_CONVERGENCE = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_DEPTH = 64
+# builtin members are sampled by one Python call per point on a grid of more
+# than 2 * depth points: this bound keeps a projection under a second, where a
+# schedule file's depth could otherwise make it run for days
+MAX_DEPTH = 1 << 16
 
 _PROJECTION_SAMPLES = 4096
 _TRAPEZOID_RISE = 0.125
@@ -181,9 +187,9 @@ class FrameBounds:
 class IndependenceReport:
     """Verdict of the first-coefficient independence check.
 
-    ``products`` holds (s1*r'1, s'1*r1); ``margin`` is how far the absolute
-    determinant |s1*r'1 - s'1*r1| clears the relative threshold (positive
-    passes).
+    ``products`` holds (s1*r'1, s'1*r1), the paper's diagnostic; ``margin`` is
+    how far the absolute determinant |s1*r'1 - s'1*r1| clears eps times the
+    fundamentals' energy (positive passes).
     """
 
     passed: bool
@@ -338,7 +344,7 @@ def builtin_basis(
         shift canonical sine-phase waveforms, and their defaults pick a
         combination that passes the independence check.
     depth : int
-        Harmonic depth Q of each member.
+        Harmonic depth Q of each member, 1 <= Q <= ``MAX_DEPTH``.
     s_eval, r_eval : callable, optional
         Closed-form evaluators on [0, 1), required for ``kind="custom"``.
     label : str, optional
@@ -351,8 +357,8 @@ def builtin_basis(
         at quarter-turn phases); every other kind is projected numerically at
         high resolution.
     """
-    if depth < 1:
-        raise ConfigurationError(f"depth must be >= 1, got {depth}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ConfigurationError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     if kind == "sine_cosine":
         ps = 0.0 if phase_s is None else float(phase_s)
         pr = 0.0 if phase_r is None else float(phase_r)
@@ -477,20 +483,20 @@ def _undilated(pair: BasisPair) -> np.ndarray:
     return phi
 
 
-def _family_gram(pair: BasisPair, order: int) -> np.ndarray:
-    """(1/2) Phi^T Phi at a cap wide enough that no dilation is truncated."""
-    phi = synthesis_operator(pair, order, _depth(pair) * order)
+def _family_gram(basis, order: int) -> np.ndarray:
+    """(1/2) Phi^T Phi of a pair or schedule, with no dilation truncated."""
+    phi = synthesis_operator(basis, order, _depth(basis) * order)
     return 0.5 * (phi.T @ phi).toarray()
 
 
 def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
-    """Decide whether the pair's first-harmonic 2x2 system is solvable.
+    """Decide whether the pair's first-harmonic 2x2 system is safely solvable.
 
     Passes iff the determinant |s1*r'1 - s'1*r1| exceeds eps times the
-    magnitude scale |s1*r'1| + |s'1*r1| of its two products, so the verdict
-    does not change when either member is rescaled. Near-cancellation means an
-    ill-conditioned system and is reported as a failure rather than silently
-    accepted.
+    fundamentals' energy s1^2 + s'1^2 + r1^2 + r'1^2, the test every analysis
+    applies before it runs. The verdict does not change when both members are
+    scaled by one factor; a member much smaller than the other makes the
+    system ill-conditioned and fails. A NaN eps fails every pair.
     """
     s1 = float(pair.S.cos_coeffs[0])
     sp1 = float(pair.S.sin_coeffs[0])
@@ -499,7 +505,7 @@ def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> Indepe
     p_main = s1 * rp1
     p_cross = sp1 * r1
     det = abs(p_main - p_cross)
-    threshold = eps * (abs(p_main) + abs(p_cross))
+    threshold = eps * (s1 * s1 + sp1 * sp1 + r1 * r1 + rp1 * rp1)
     return IndependenceReport(det > threshold, (p_main, p_cross), det - threshold)
 
 

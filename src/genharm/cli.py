@@ -16,12 +16,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
+
+import numpy as np
 
 from .basis import (
     BUILTIN_KINDS,
     DEFAULT_DEPTH,
     EPS_CONVERGENCE,
     EPS_INDEPENDENCE,
+    MAX_DEPTH,
     builtin_basis,
     check_convergence,
     check_independence,
@@ -67,8 +71,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"--samples must be even and >= 4, got {args.samples}")
     if "order" in args and args.order < 1:
         raise ConfigurationError(f"--order must be >= 1, got {args.order}")
-    if "depth" in args and args.depth < 1:
-        raise ConfigurationError(f"--depth must be >= 1, got {args.depth}")
+    if "depth" in args and not 1 <= args.depth <= MAX_DEPTH:
+        raise ConfigurationError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
     for name in ("eps_ind", "eps_conv", "residual_tol"):
         value = getattr(args, name, 0.0)
         if not (math.isfinite(value) and value >= 0):
@@ -132,42 +136,19 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     print(f"orthogonality: horizontal {ortho.horizontal_label}, vertical {ortho.vertical_label}")
     print(f"frame bounds (N={bounds.order}): lower {bounds.lower!r}, upper {bounds.upper!r}")
     if args.json_out is not None:
-        write_json(
-            {
-                "label": label,
-                "independence": {
-                    "passed": independence.passed,
-                    "products": list(independence.products),
-                    "margin": independence.margin,
-                },
-                "convergence": {
-                    "passed": convergence.passed,
-                    "eigenvalues": list(convergence.eigenvalues),
-                    "form": [list(row) for row in convergence.form],
-                },
-                "orthogonality": {
-                    "horizontal": ortho.horizontal_label,
-                    "vertical": ortho.vertical_label,
-                    "max_horizontal": ortho.max_horizontal,
-                    "max_vertical": ortho.max_vertical,
-                    "k_max": ortho.k_max,
-                },
-                "frame_bounds": {
-                    "lower": bounds.lower,
-                    "upper": bounds.upper,
-                    "order": bounds.order,
-                },
-            },
-            args.json_out,
-        )
+        reports = {"independence": independence, "convergence": convergence,
+                   "orthogonality": ortho, "frame_bounds": bounds}
+        data = {"label": label, **{name: asdict(report) for name, report in reports.items()}}
+        data["orthogonality"].update(horizontal=ortho.horizontal_label,
+                                     vertical=ortho.vertical_label)
+        write_json(data, args.json_out)
     return 0 if (independence and convergence) else 2
 
 
 def _noise_start(res_spec, tol: float) -> int | None:
-    for k, a_k, b_k in res_spec.terms():
-        if max(abs(a_k), abs(b_k)) > tol:
-            return k
-    return None
+    """The first harmonic whose sine or cosine coefficient exceeds tol, if any."""
+    loud = np.flatnonzero(np.maximum(np.abs(res_spec.a), np.abs(res_spec.b)) > tol)
+    return int(loud[0]) + 1 if loud.size else None
 
 
 def _run_analyze(args: argparse.Namespace) -> int:

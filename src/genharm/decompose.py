@@ -44,10 +44,10 @@ from .basis import (
     pair_to_dict,
     schedule_from_dict,
     schedule_to_dict,
-    _depth,
+    _family_gram,
     _segments,
     _synthesis_entries,
-    synthesis_operator,
+    check_independence,
 )
 from .errors import (
     AnalysisError,
@@ -167,24 +167,16 @@ class GramSystem:
 
 
 def _require_solvable(basis, eps: float) -> None:
-    """Raise unless every segment's first-harmonic 2x2 system is safely invertible.
-
-    The test is |det| > eps * (s1^2 + s'1^2 + r1^2 + r'1^2). That scale is at
-    least 2 (|s1*r'1| + |s'1*r1|), so a passing pair also passes
-    ``check_independence`` at the same eps. A NaN eps refuses every basis.
-    """
+    """Raise unless every segment passes ``check_independence`` at eps."""
     for start, pair in _segments(basis):
-        s1c, s1s = float(pair.S.cos_coeffs[0]), float(pair.S.sin_coeffs[0])
-        r1c, r1s = float(pair.R.cos_coeffs[0]), float(pair.R.sin_coeffs[0])
-        det = s1c * r1s - s1s * r1c
-        scale = s1c * s1c + s1s * s1s + r1c * r1c + r1s * r1s
-        if not abs(det) > eps * scale:
+        report = check_independence(pair, eps)
+        if not report:
             where = ""
             if isinstance(basis, BasisSchedule):
                 where = f" (segment at k={start}, {pair.label or 'unlabeled'})"
             raise IllConditionedBasisError(
                 f"basis{where} first-harmonic system is ill-conditioned: "
-                f"determinant {det:.6g} against scale {scale:.6g}"
+                f"independence margin {report.margin:.6g}"
             )
 
 
@@ -289,22 +281,20 @@ def build_gram_system(
 
     Phi is capped wide enough that no dilation is truncated, so pruned and
     unpruned variants differ only by the rule; [b; a] is f's spectrum up to
-    its band. Under ``paper`` pruning a cross-frequency entry (k != m)
-    survives only if k*m <= order or the smaller index divides the larger;
-    ``lcm`` keeps it only if lcm(k, m) <= order; ``none`` keeps all.
+    its band, beyond which it is zero. Under ``paper`` pruning a
+    cross-frequency entry (k != m) survives only if k*m <= order or the
+    smaller index divides the larger; ``lcm`` keeps it only if
+    lcm(k, m) <= order; ``none`` keeps all.
     """
     _check_band(f, order)
     band = f.n // 2 - 1
-    cap = max(_depth(basis) * order, band)
-    phi = synthesis_operator(basis, order, cap)
-    gram = 0.5 * (phi.T @ phi).toarray()
+    gram = _family_gram(basis, order)
     keep = _keep_mask(order, pruning)
     gram[~keep] = 0.0
     f_spec = analyze_fourier(f, band)
-    spectrum = np.zeros(2 * cap)
-    spectrum[:band] = f_spec.b
-    spectrum[cap : cap + band] = f_spec.a
-    rhs = 0.5 * (phi.T @ spectrum)
+    rows, cols, vals = _synthesis_entries(basis, order, band)
+    b_a = np.concatenate([f_spec.b, f_spec.a])
+    rhs = 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * order)
     return GramSystem(gram, rhs, ~keep, order, pruning)
 
 

@@ -4,11 +4,14 @@ A signal is one period of a real function, sampled uniformly at x_j = j/n.
 All quadrature is the uniform-grid mean (rectangle rule), which is exact for
 trigonometric polynomials below the Nyquist limit; higher modules reduce their
 inner products either to this layer or to coefficient arithmetic on spectra.
+
+Signals are stored as ``x,value`` CSV. ``files`` reads and writes that format;
+this module adds what makes the rows a signal: an even count of at least 4,
+abscissae on the grid x = j/n within 1e-12, and finite samples.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -16,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import AliasingError, DimensionError, InvalidSignalError
-from .files import write_csv
+from .files import read_csv, write_csv
 
 __all__ = [
     "PeriodicSignal",
@@ -185,29 +188,10 @@ def write_signal_csv(f: PeriodicSignal, path) -> None:
 
 def read_signal_csv(path) -> PeriodicSignal:
     """Read a ``x,value`` CSV, validating the uniform grid within 1e-12."""
-    xs: list[float] = []
-    values: list[float] = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["x", "value"]:
-                raise InvalidSignalError(f"{path}: expected header 'x,value'")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise InvalidSignalError(f"{path}: malformed row {row!r}")
-                try:
-                    xs.append(float(row[0]))
-                    values.append(float(row[1]))
-                except ValueError as exc:
-                    raise InvalidSignalError(f"{path}: non-numeric row {row!r}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InvalidSignalError(f"{path}: unreadable CSV: {exc}") from exc
-    n = len(values)
+    xs, values = read_csv(path, ("x", "value")).T
+    n = values.size
     _check_sample_count(n)
-    expected = np.arange(n) / n
-    if not np.max(np.abs(np.asarray(xs) - expected)) <= 1e-12:
+    # a NaN abscissa compares false, so it is refused too
+    if not np.max(np.abs(xs - np.arange(n) / n)) <= 1e-12:
         raise InvalidSignalError(f"{path}: grid is not uniform x=j/n within 1e-12")
-    return PeriodicSignal(np.asarray(values))
+    return PeriodicSignal(values)

@@ -12,6 +12,10 @@ from genharm import (
     BasisPair,
     BasisSchedule,
     ConfigurationError,
+    IllConditionedBasisError,
+    MAX_DEPTH,
+    PeriodicSignal,
+    analyze_indirect,
     builtin_basis,
     check_convergence,
     check_independence,
@@ -162,6 +166,10 @@ def test_unknown_kind_and_bad_depth_are_rejected():
         builtin_basis("wavelet")
     with pytest.raises(ConfigurationError):
         builtin_basis("square", depth=0)
+    # past the bound, projecting would take one Python call per grid point
+    for kind in ("square", "sine_cosine"):
+        with pytest.raises(ConfigurationError):
+            builtin_basis(kind, depth=MAX_DEPTH + 1)
 
 
 # --- dilation ------------------------------------------------------------------
@@ -275,19 +283,36 @@ def test_independence_fails_on_proportional_members():
     assert not check_independence(pair)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # fundamentals (1, 0) and (1, 1e-12): condition number about 1e12
+        BasisPair(BasisFunction([1.0], [0.0]), BasisFunction([1.0], [1e-12]), "near_parallel"),
+        # orthogonal fundamentals, but R is 1e10 times smaller than S
+        BasisPair(BasisFunction([100.0], [0.0]), BasisFunction([0.0], [1e-8]), "lopsided"),
+    ],
+    ids=lambda pair: pair.label,
+)
+def test_independence_fails_where_every_analysis_refuses(pair):
+    assert not check_independence(pair)
+    with pytest.raises(IllConditionedBasisError):
+        analyze_indirect(PeriodicSignal(np.sin(2 * np.pi * np.arange(8) / 8)), pair, 2)
+
+
 @given(
-    c_s=st.floats(-8, 8).filter(lambda c: abs(c) > 1e-3),
-    c_r=st.floats(-8, 8).filter(lambda c: abs(c) > 1e-3),
+    c=st.floats(-8, 8).filter(lambda c: abs(c) > 1e-3),
     depth=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_independence_verdict_is_scale_invariant(c_s, c_r, depth, seed):
+def test_independence_verdict_is_scale_invariant(c, depth, seed):
+    # one factor on both members; scaling one member alone changes how well
+    # the 2x2 system is conditioned, and with it the verdict
     rng = np.random.default_rng(seed)
     pair = random_pair(rng, depth)
     scaled = BasisPair(
-        BasisFunction(c_s * np.asarray(pair.S.cos_coeffs), c_s * np.asarray(pair.S.sin_coeffs)),
-        BasisFunction(c_r * np.asarray(pair.R.cos_coeffs), c_r * np.asarray(pair.R.sin_coeffs)),
+        BasisFunction(c * np.asarray(pair.S.cos_coeffs), c * np.asarray(pair.S.sin_coeffs)),
+        BasisFunction(c * np.asarray(pair.R.cos_coeffs), c * np.asarray(pair.R.sin_coeffs)),
         "scaled",
     )
     assert check_independence(pair).passed == check_independence(scaled).passed

@@ -324,6 +324,8 @@ def test_load_phase_failures_exit_one(workdir, capsys):
         ("deep.json", b"[" * 100000 + b"]" * 100000),
         ("latin1.csv", b"x,value\n0.0,caf\xe9\n"),
         ("long.csv", b"x,value\n0.0," + b"1" * 200000 + b"\n"),
+        ("deep_builtin.json", b'{"segments": [{"start_k": 1, "basis": '
+                              b'{"builtin": "square", "depth": 1e11}}]}'),
     ]:
         (workdir / name).write_bytes(content)
     out = ["--out", str(workdir / "x.out")]
@@ -341,6 +343,8 @@ def test_load_phase_failures_exit_one(workdir, capsys):
         ["spectrum", "--in", str(workdir / "deep.json"), *out],
         ["analyze", "--in", str(workdir / "latin1.csv"), "--basis", "square_saw", *out],
         ["fourier", "--in", str(workdir / "long.csv"), *out],
+        # a builtin depth past MAX_DEPTH, which would take days to project
+        ["analyze", "--in", signal, "--schedule", str(workdir / "deep_builtin.json"), *out],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -360,14 +364,9 @@ _CSV_FIELDS = st.sampled_from(["0.0", "0.25", "0.5", "0.75", "-1", "1e300", "1e4
 
 
 def _with_one_node_replaced(doc, data):
-    """``doc`` with one node, chosen by Hypothesis, replaced by any JSON value.
-
-    A builtin segment's ``depth`` is never replaced: a huge depth makes the
-    projection run for hours, and bounding it is a separate limit policy.
-    """
+    """``doc`` with one node, chosen by Hypothesis, replaced by any JSON value."""
     if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
-        keys = [key for key in doc if key != "depth"] if isinstance(doc, dict) else range(len(doc))
-        key = data.draw(st.sampled_from(list(keys)))
+        key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
         copy = dict(doc) if isinstance(doc, dict) else list(doc)
         copy[key] = _with_one_node_replaced(doc[key], data)
         return copy
@@ -458,6 +457,8 @@ def test_domain_failures_exit_two(workdir, capsys):
     assert main(["analyze", "--in", str(workdir / "signal.csv"), "--basis",
                  "square_saw", "--samples", "7",
                  "--out", str(workdir / "x.json")]) == 2
+    # a builtin depth past MAX_DEPTH
+    assert main(["check-basis", "--basis", "square", "--depth", "65537"]) == 2
     # missing output path is a configuration problem, not an IO failure
     assert main(["analyze", "--in", str(workdir / "signal.csv"),
                  "--basis", "square_saw"]) == 2

@@ -105,8 +105,8 @@ def test_rotated_trig_pair_reduces_to_plain_fourier():
 
 
 def test_lopsided_member_scales_raise_the_conditioning_error():
-    # independence passes on relative terms, but R is so small next to S that
-    # the 2x2 determinant is negligible against the fundamental magnitudes
+    # R is so small next to S that the 2x2 determinant is negligible against
+    # the fundamental magnitudes
     pair = BasisPair(
         BasisFunction([100.0], [0.0]),
         BasisFunction([0.0], [1e-8]),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,13 +166,17 @@ def test_spectral_inner_matches_grid_inner_product():
 
 
 def test_csv_round_trip_is_exact(tmp_path):
+    # bit for bit, through CRLF line ends, and with blank lines between rows
     rng = np.random.default_rng(17)
-    f = PeriodicSignal(rng.normal(size=24))
+    spread = rng.normal(size=28) * 10.0 ** rng.integers(-300, 300, 28)
+    f = PeriodicSignal(np.concatenate([[-0.0, 5e-324, 1e300, -1e300], spread]))
     path = tmp_path / "sig.csv"
     write_signal_csv(f, path)
-    g = read_signal_csv(path)
-    assert np.array_equal(f.samples, g.samples)
-    assert path.read_text().splitlines()[0] == "x,value"
+    text = path.read_bytes()
+    assert text.startswith(b"x,value\r\n") and text.count(b"\r\n") == f.n + 1
+    assert read_signal_csv(path).samples.tobytes() == f.samples.tobytes()
+    path.write_bytes(text.replace(b"\r\n", b"\r\n\r\n"))
+    assert read_signal_csv(path).samples.tobytes() == f.samples.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -230,3 +235,17 @@ def test_csv_rejects_bad_inputs(tmp_path):
     nan_grid.write_text("x,value\n" + "nan,1.0\n" * 8)
     with pytest.raises(InvalidSignalError):
         read_signal_csv(nan_grid)
+
+    # forms no genharm writer emits: a quoted field, a comment row, no rows;
+    # each is refused without a warning on the way
+    grid = "".join(f"{j/4},1.0\n" for j in range(4))
+    for name, text in [
+        ("quoted", "x,value\n" + grid.replace("0.5,", '"0.5",')),
+        ("comment", "x,value\n# sampled at j/4\n" + grid),
+        ("header_only", "x,value\n"),
+    ]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(), pytest.raises(InvalidSignalError):
+            warnings.simplefilter("error")
+            read_signal_csv(path)
