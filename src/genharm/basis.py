@@ -1,9 +1,11 @@
 """Basis pairs on [0, 1): construction, the synthesis operator, validity checks, schedules.
 
 A basis pair holds two zero-mean periodic members S and R as truncated Fourier
-coefficient sequences (depth Q). Dilating a member by k moves coefficient q to
-harmonic q*k. ``_synthesis_entries`` writes that index arithmetic down once, as
-the (rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
+coefficient sequences (depth Q). Each builtin member is its waveform's exact
+Fourier series turned by a phase; only ``custom`` members are projected from
+samples. Dilating a member by k moves coefficient q to harmonic q*k.
+``_synthesis_entries`` writes that index arithmetic down once, as the
+(rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
 the numpy paths (reconstruction, the indirect solve, spectra) use the entries
 as they are. ``synthesis_operator`` is their scipy CSR view, which the Gram
 checks below and the direct method use; scipy is imported on its first call.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -73,13 +76,12 @@ EPS_INDEPENDENCE = 1e-9
 EPS_CONVERGENCE = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 DEFAULT_DEPTH = 64
-# builtin members are sampled by one Python call per point on a grid of more
-# than 2 * depth points: this bound keeps a projection under a second, where a
-# schedule file's depth could otherwise make it run for days
+# a builtin costs O(depth) to build, but each member holds 2 * depth floats and
+# Phi up to depth entries per column, depth * order per member: this bound keeps
+# a schedule file's depth from asking for arrays past memory
 MAX_DEPTH = 1 << 16
 
 _PROJECTION_SAMPLES = 4096
-_TRAPEZOID_RISE = 0.125
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +147,8 @@ class BasisSchedule:
         cleaned = []
         for item in self.segments:
             start, pair = item
+            if not float(start).is_integer():
+                raise ConfigurationError(f"start_k must be an integer, got {start!r}")
             start = int(start)
             if not isinstance(pair, BasisPair):
                 raise ConfigurationError("schedule segments must hold BasisPair values")
@@ -236,88 +240,87 @@ class OrthogonalityReport:
         return "orthogonal" if self.vertical else "non_orthogonal"
 
 
-# --- closed-form waveforms ---------------------------------------------------
+# --- closed-form series ------------------------------------------------------
 #
-# All generators are odd (zero-mean) in their canonical phase and return the
-# jump midpoint (0) at discontinuities. Phases are in turns; shifting by 0.25
-# turns an odd waveform into its even (cosine-phase) counterpart.
+# A series maps the harmonics q = 1..Q (a float array) to a waveform's cosine
+# and sine coefficients in its canonical phase. Every builtin waveform but the
+# cosine is odd there, so its series is a sine series. Phases are in turns;
+# shifting an odd waveform by 0.25 gives its even (cosine-phase) counterpart.
 
 
-def _sinusoid(u: float) -> float:
-    return math.sin(2.0 * math.pi * u)
+def _cosine_series(q: np.ndarray) -> tuple:
+    """cos(2 pi x)."""
+    return (q == 1.0).astype(float), np.zeros(q.size)
 
 
-def _square(u: float) -> float:
-    if u == 0.0 or u == 0.5:
-        return 0.0
-    return 1.0 if u < 0.5 else -1.0
+def _sine_series(q: np.ndarray) -> tuple:
+    """sin(2 pi x)."""
+    return np.zeros(q.size), (q == 1.0).astype(float)
 
 
-def _sawtooth(u: float) -> float:
-    return 0.0 if u == 0.0 else 1.0 - 2.0 * u
+def _sawtooth_series(q: np.ndarray) -> tuple:
+    """1 - 2x on (0, 1): sine coefficients 2/(pi q)."""
+    return np.zeros(q.size), 2.0 / (np.pi * q)
 
 
-def _triangle(u: float) -> float:
-    if u < 0.25:
-        return 4.0 * u
-    if u < 0.75:
-        return 2.0 - 4.0 * u
-    return 4.0 * u - 4.0
+def _square_series(q: np.ndarray, rise: float = 0.0) -> tuple:
+    """The odd square wave, sine coefficients 4/(pi q) at odd q.
+
+    A rise > 0 averages the square over a window of 2*rise turns, turning each
+    jump into a ramp and multiplying harmonic q by sinc(2 q rise): rise 1/4
+    gives the triangle, 1/8 the trapezoid.
+    """
+    sines = np.where(q % 2 == 1, 4.0 / (np.pi * q), 0.0)
+    if rise:
+        sines *= _sin_turns(q * rise) / (2.0 * np.pi * q * rise)
+    return np.zeros(q.size), sines
 
 
-def _trapezoid(u: float) -> float:
-    rho = _TRAPEZOID_RISE
-    if u < rho:
-        return u / rho
-    if u < 0.5 - rho:
-        return 1.0
-    if u < 0.5 + rho:
-        return (0.5 - u) / rho
-    if u < 1.0 - rho:
-        return -1.0
-    return (u - 1.0) / rho
+def _cos_turns(t: np.ndarray) -> np.ndarray:
+    """cos(2 pi t) elementwise, with exact values at quarter turns."""
+    t = np.mod(t, 1.0)
+    quarters = 4.0 * t
+    exact = quarters == np.floor(quarters)
+    quarter_cos = np.array([1.0, 0.0, -1.0, 0.0])[quarters.astype(int) % 4]
+    return np.where(exact, quarter_cos, np.cos(2.0 * np.pi * t))
 
 
-_QUARTER_COS = {0.0: 1.0, 0.25: 0.0, 0.5: -1.0, 0.75: 0.0}
+def _sin_turns(t: np.ndarray) -> np.ndarray:
+    """cos a quarter turn back; t is reduced first, so the shift rounds by at most ulp(1)."""
+    return _cos_turns(np.mod(t, 1.0) - 0.25)
 
 
-def _cos_turns(t: float) -> float:
-    """cos(2 pi t) with exact values at quarter turns."""
-    t = t % 1.0
-    exact = _QUARTER_COS.get(t)
-    return math.cos(2.0 * math.pi * t) if exact is None else exact
+def _project(evaluator: Callable[[float], float], q: np.ndarray) -> tuple:
+    """A custom waveform's series, projected from samples on a grid past q's band."""
+    n = _PROJECTION_SAMPLES
+    while n // 2 - 1 < q.size:
+        n *= 2
+    spec = analyze_fourier(sample_closed_form(evaluator, n), q.size)
+    return spec.b, spec.a
 
 
-def _sin_turns(t: float) -> float:
-    return _cos_turns(t - 0.25)
+def _shifted(series: Callable, phase: float, depth: int) -> BasisFunction:
+    """series(x + phase): harmonic q's (cos, sin) pair turned by 2 pi q (phase mod 1)."""
+    q = np.arange(1.0, depth + 1)
+    cos_c, sin_c = series(q)
+    turns = q * (phase % 1.0)
+    c, s = _cos_turns(turns), _sin_turns(turns)
+    return BasisFunction(cos_c * c + sin_c * s, sin_c * c - cos_c * s)
 
 
-# kind -> (S generator, default S phase, R generator, default R phase);
-# generators are canonical sine-phase, so the defaults below pick the
-# even/odd combination that keeps the first-coefficient check solvable
-_BUILTIN_LAYOUTS = {
-    "square": (_square, 0.25, _sinusoid, 0.0),
-    "sawtooth": (_sawtooth, 0.0, _sinusoid, 0.25),
-    "triangle": (_triangle, 0.0, _sinusoid, 0.25),
-    "trapezoid": (_trapezoid, 0.0, _sinusoid, 0.25),
-    "square_saw": (_square, 0.25, _sawtooth, 0.0),
+# kind -> (S series, default S phase, R series, default R phase); the
+# defaults pick the even/odd combination that keeps the first-coefficient
+# check solvable
+_BUILTIN_SERIES = {
+    "sine_cosine": (_cosine_series, 0.0, _sine_series, 0.0),
+    "square": (_square_series, 0.25, _sine_series, 0.0),
+    "sawtooth": (_sawtooth_series, 0.0, _sine_series, 0.25),
+    "triangle": (partial(_square_series, rise=0.25), 0.0, _sine_series, 0.25),
+    "trapezoid": (partial(_square_series, rise=0.125), 0.0, _sine_series, 0.25),
+    "square_saw": (_square_series, 0.25, _sawtooth_series, 0.0),
 }
 
-BUILTIN_KINDS = ("sine_cosine",) + tuple(_BUILTIN_LAYOUTS) + ("custom",)
-
-
-def _project(gen: Callable[[float], float], phase: float, depth: int) -> BasisFunction:
-    """Project the phase-shifted waveform onto harmonics 1..depth.
-
-    Resolution grows automatically when depth pushes past the default grid's
-    Nyquist band. Any DC content is discarded: members are zero-mean by type.
-    """
-    n = _PROJECTION_SAMPLES
-    while n // 2 - 1 < depth:
-        n *= 2
-    signal = sample_closed_form(lambda x: gen((x + phase) % 1.0), n)
-    spec = analyze_fourier(signal, depth)
-    return BasisFunction(spec.b, spec.a)
+BUILTIN_KINDS = tuple(_BUILTIN_SERIES) + ("custom",)
 
 
 def builtin_basis(
@@ -338,8 +341,8 @@ def builtin_basis(
         One of ``sine_cosine``, ``square``, ``sawtooth``, ``triangle``,
         ``trapezoid``, ``square_saw``, ``custom``.
     phase_s, phase_r : float, optional
-        Phase shifts in turns applied to each member. ``None`` selects the
-        kind's default. For ``sine_cosine`` the canonical members are already
+        Finite phase shifts in turns applied to each member. ``None`` selects
+        the kind's default. For ``sine_cosine`` the canonical members are
         cos(2 pi x) and sin(2 pi x) with default shifts 0; all other kinds
         shift canonical sine-phase waveforms, and their defaults pick a
         combination that passes the independence check.
@@ -353,39 +356,29 @@ def builtin_basis(
     Returns
     -------
     BasisPair
-        ``sine_cosine`` is built analytically (exact coefficients, including
-        at quarter-turn phases); every other kind is projected numerically at
-        high resolution.
+        Every builtin kind is its exact Fourier series, each harmonic turned
+        by its phase, with exact coefficients at quarter-turn phases. Only
+        ``custom`` members are projected numerically from samples.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ConfigurationError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
-    if kind == "sine_cosine":
-        ps = 0.0 if phase_s is None else float(phase_s)
-        pr = 0.0 if phase_r is None else float(phase_r)
-        s_cos = np.zeros(depth)
-        s_sin = np.zeros(depth)
-        r_cos = np.zeros(depth)
-        r_sin = np.zeros(depth)
-        # S(x) = cos(2 pi (x + ps)), R(x) = sin(2 pi (x + pr))
-        s_cos[0] = _cos_turns(ps)
-        s_sin[0] = -_sin_turns(ps)
-        r_cos[0] = _sin_turns(pr)
-        r_sin[0] = _cos_turns(pr)
-        pair_label = "sine_cosine" if label is None else label
-        return BasisPair(BasisFunction(s_cos, s_sin), BasisFunction(r_cos, r_sin), pair_label)
     if kind == "custom":
         if s_eval is None or r_eval is None:
             raise ConfigurationError("custom basis requires s_eval and r_eval callables")
-        gen_s, base_ps, gen_r, base_pr = s_eval, 0.0, r_eval, 0.0
-    elif kind in _BUILTIN_LAYOUTS:
-        gen_s, base_ps, gen_r, base_pr = _BUILTIN_LAYOUTS[kind]
+        layout = (partial(_project, s_eval), 0.0, partial(_project, r_eval), 0.0)
+    elif kind in _BUILTIN_SERIES:
+        layout = _BUILTIN_SERIES[kind]
     else:
         raise ConfigurationError(f"unknown basis kind {kind!r}")
+    series_s, base_ps, series_r, base_pr = layout
     ps = base_ps if phase_s is None else float(phase_s)
     pr = base_pr if phase_r is None else float(phase_r)
+    for name, phase in (("phase_s", ps), ("phase_r", pr)):
+        if not math.isfinite(phase):
+            raise ConfigurationError(f"{name} must be finite, got {phase}")
     return BasisPair(
-        _project(gen_s, ps, depth),
-        _project(gen_r, pr, depth),
+        _shifted(series_s, ps, depth),
+        _shifted(series_r, pr, depth),
         kind if label is None else label,
     )
 
@@ -628,13 +621,12 @@ def schedule_to_dict(schedule: BasisSchedule) -> dict:
 
 def schedule_from_dict(data) -> BasisSchedule:
     try:
-        segments = [
-            (int(item["start_k"]), _segment_pair_from_dict(item["basis"]))
+        return BasisSchedule(tuple(
+            (item["start_k"], _segment_pair_from_dict(item["basis"]))
             for item in data["segments"]
-        ]
+        ))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed schedule data: {exc}") from exc
-    return BasisSchedule(tuple(segments))
 
 
 def save_basis(pair: BasisPair, path) -> None:

@@ -8,7 +8,7 @@ form).
 Handlers read the parsed arguments directly, once ``_validate`` has checked
 the run shape and tolerances. Exit codes: 0 success; 1 unreadable or
 unparseable inputs; 2 domain failures (failed basis checks, dependent basis,
-empty band, invalid run shape or tolerance).
+empty band, invalid run shape, phase or tolerance).
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"--order must be >= 1, got {args.order}")
     if "depth" in args and not 1 <= args.depth <= MAX_DEPTH:
         raise ConfigurationError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
+    for name in ("phase_s", "phase_r"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be finite, got {value}")
     for name in ("eps_ind", "eps_conv", "residual_tol"):
         value = getattr(args, name, 0.0)
         if not (math.isfinite(value) and value >= 0):

@@ -7,9 +7,10 @@ CSV is written with the bytes of ``csv.writer``'s default dialect: ``,``
 separators, ``\r\n`` line ends, and no quoting, which a number never needs.
 Every field is written by ``repr``, a float's shortest lossless form, so rows
 must hold Python scalars: numpy 2 reprs a float64 as ``np.float64(0.5)``.
-``read_csv`` is its inverse: any line end, blank lines skipped, fields padded
+``read_csv`` is its inverse: any line end, empty lines skipped, fields padded
 by whitespace allowed, every field a float literal (``nan`` and ``inf``
-included); quoted fields and ``#`` comments are not. The only CSV genharm
+included); quoted fields, ``#`` comments and a line of only spaces or tabs
+(a row with the wrong field count to ``np.loadtxt``) are not. The only CSV genharm
 reads is a signal, so a file it cannot read is an :class:`InvalidSignalError`.
 """
 

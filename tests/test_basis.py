@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genharm.basis as basis_module
 from genharm import (
+    BUILTIN_KINDS,
     BasisFunction,
     BasisPair,
     BasisSchedule,
@@ -36,10 +38,15 @@ from genharm import (
 from conftest import two_segment_schedule
 
 # Frozen check outputs for the shipped default pair (cosine-phase square +
-# sine-phase sawtooth at depth 64). Derived once from the coefficient
-# definitions; any drift here means the construction changed.
-SQUARE_SAW_PRODUCT = 0.8105691512472821
-SQUARE_SAW_EIGS = (0.15019601467412624, 1.2549610660220696)
+# sine-phase sawtooth at depth 64). The product is the fundamentals' (4/pi) *
+# (2/pi); the eigenvalues were derived once from the exact series. Any drift
+# here means the construction changed.
+SQUARE_SAW_PRODUCT = 8 / math.pi**2
+SQUARE_SAW_EIGS = (0.15018616087599668, 1.2549419941697373)
+
+# the textbook-series tests run each waveform at its default phase (None) and
+# at these explicit ones: quarter turns, a non-dyadic phase, an eighth turn
+SERIES_PHASES = (None, 0.0, 0.25, 0.1, 0.375)
 
 # the analytic limit of the square member's fundamental-dominance margin is
 # 32/pi**2 - 2; depth-64 truncation shifts it up by the discarded tail
@@ -82,36 +89,56 @@ def test_sine_cosine_quarter_turn_phases_are_exact():
     assert pair.R.cos_coeffs[0] == 1.0 and pair.R.sin_coeffs[0] == 0.0
 
 
+def assert_matches_series(member, sines, phase):
+    """``member`` is the sine series ``sines`` (q = 1..Q) shifted by ``phase`` turns.
+
+    Harmonic q of g(x + phase) is g's pair turned by 2 pi q phase, taken here
+    with math.cos and math.sin and snapped to exact values at quarter turns.
+    A coefficient that is zero there must come out exactly 0.0, any other
+    within a few ulp of the harmonic's amplitude.
+    """
+    assert member.depth == len(sines)
+    for q, amplitude in enumerate(sines, start=1):
+        turn = (q * phase) % 1.0
+        cos_t, sin_t = math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn)
+        if (4 * turn).is_integer():
+            cos_t, sin_t = round(cos_t), round(sin_t)
+        got = (member.cos_coeffs[q - 1], member.sin_coeffs[q - 1])
+        for value, want in zip(got, (amplitude * sin_t, amplitude * cos_t)):
+            if want == 0.0:
+                assert value == 0.0, (q, phase)
+            else:
+                assert abs(value - want) <= 4 * math.ulp(abs(amplitude)), (q, phase)
+
+
+def odd_harmonics(q, amplitude):
+    """``amplitude`` at odd q, zero at even q."""
+    return amplitude if q % 2 == 1 else 0.0
+
+
 def test_square_series_matches_textbook_coefficients():
-    """Cosine-phase square: b_q = ±4/(pi q) on odd q, zero elsewhere."""
-    pair = builtin_basis("square", depth=9)
-    S = pair.S
-    for q in range(1, 10):
-        if q % 2 == 1:
-            want = 4.0 / (math.pi * q) * (-1) ** ((q - 1) // 2)
-        else:
-            want = 0.0
-        assert S.cos_coeffs[q - 1] == pytest.approx(want, abs=1e-5)
-        assert abs(S.sin_coeffs[q - 1]) < 1e-12
+    """Sine-phase square: a_q = 4/(pi q) on odd q; the default is cosine phase."""
+    sines = [odd_harmonics(q, 4.0 / (math.pi * q)) for q in range(1, 10)]
+    for phase in SERIES_PHASES:
+        member = builtin_basis("square", phase_s=phase, depth=9).S
+        assert_matches_series(member, sines, 0.25 if phase is None else phase)
 
 
 def test_sawtooth_series_matches_textbook_coefficients():
     """Sine-phase sawtooth: a_q = 2/(pi q) for every q."""
-    member = builtin_basis("sawtooth", depth=9).S
-    for q in range(1, 10):
-        assert member.sin_coeffs[q - 1] == pytest.approx(2.0 / (math.pi * q), abs=1e-5)
-        assert abs(member.cos_coeffs[q - 1]) < 1e-12
+    sines = [2.0 / (math.pi * q) for q in range(1, 10)]
+    for phase in SERIES_PHASES:
+        member = builtin_basis("sawtooth", phase_s=phase, depth=9).S
+        assert_matches_series(member, sines, 0.0 if phase is None else phase)
 
 
 def test_triangle_series_matches_textbook_coefficients():
     """Sine-phase triangle: a_q = ±8/(pi q)^2 on odd q."""
-    member = builtin_basis("triangle", depth=9).S
-    for q in range(1, 10):
-        if q % 2 == 1:
-            want = 8.0 / (math.pi * q) ** 2 * (-1) ** ((q - 1) // 2)
-        else:
-            want = 0.0
-        assert member.sin_coeffs[q - 1] == pytest.approx(want, abs=1e-6)
+    sines = [odd_harmonics(q, 8.0 / (math.pi * q) ** 2 * (-1) ** ((q - 1) // 2))
+             for q in range(1, 10)]
+    for phase in SERIES_PHASES:
+        member = builtin_basis("triangle", phase_s=phase, depth=9).S
+        assert_matches_series(member, sines, 0.0 if phase is None else phase)
 
 
 def test_trapezoid_series_matches_quadrature_oracle():
@@ -140,10 +167,55 @@ def test_trapezoid_series_matches_quadrature_oracle():
 
 
 def test_explicit_phase_replaces_the_default():
-    # sine-phase square (phase 0) is odd: cosine projections vanish
+    # an explicit phase_r turns R, the sinusoid, and leaves S at its default
+    default = builtin_basis("square", depth=8)
+    for phase in SERIES_PHASES:
+        pair = builtin_basis("square", phase_r=phase, depth=8)
+        assert np.array_equal(pair.S.cos_coeffs, default.S.cos_coeffs)
+        assert np.array_equal(pair.S.sin_coeffs, default.S.sin_coeffs)
+        assert_matches_series(pair.R, [1.0] + [0.0] * 7, 0.0 if phase is None else phase)
+    # sine-phase square (phase 0) is odd: cosine coefficients vanish exactly
     member = builtin_basis("square", phase_s=0.0, depth=8).S
-    assert np.max(np.abs(member.cos_coeffs)) < 1e-12
-    assert member.sin_coeffs[0] == pytest.approx(4.0 / math.pi, abs=1e-5)
+    assert not np.any(member.cos_coeffs)
+    assert member.sin_coeffs[0] == 4.0 / math.pi
+
+
+@pytest.mark.parametrize("far_phase, phase", [(1e300, 0.0), (2.0**50 + 0.25, 0.25)])
+def test_builtin_phase_is_taken_mod_one(far_phase, phase):
+    # 1e300 is a whole number of turns; past 2**50 turns, q times the phase
+    # would round away a quarter turn unless the phase is reduced first
+    far = builtin_basis("square", phase_s=far_phase, phase_r=-far_phase)
+    near = builtin_basis("square", phase_s=phase, phase_r=-phase)
+    for got, want in ((far.S, near.S), (far.R, near.R)):
+        assert np.array_equal(got.cos_coeffs, want.cos_coeffs)
+        assert np.array_equal(got.sin_coeffs, want.sin_coeffs)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_nonfinite_phase_is_rejected(phase):
+    with pytest.raises(ConfigurationError, match="phase_s must be finite"):
+        builtin_basis("square", phase_s=phase)
+    with pytest.raises(ConfigurationError, match="phase_r must be finite"):
+        builtin_basis("sine_cosine", phase_r=phase)
+
+
+def test_builtins_are_built_without_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a builtin was sampled")
+
+    monkeypatch.setattr(basis_module, "sample_closed_form", refuse)
+    for kind in BUILTIN_KINDS:
+        if kind != "custom":
+            assert builtin_basis(kind, depth=16).label == kind
+    with pytest.raises(AssertionError):
+        builtin_basis("custom", s_eval=math.sin, r_eval=math.cos)
+
+
+def test_top_coefficient_at_max_depth_is_exact():
+    member = builtin_basis("sawtooth", depth=MAX_DEPTH).S
+    want = 2.0 / (math.pi * MAX_DEPTH)
+    assert abs(member.sin_coeffs[-1] - want) <= 4 * math.ulp(want)
+    assert not np.any(member.cos_coeffs)
 
 
 def test_custom_kind_projects_supplied_evaluators():
@@ -166,7 +238,8 @@ def test_unknown_kind_and_bad_depth_are_rejected():
         builtin_basis("wavelet")
     with pytest.raises(ConfigurationError):
         builtin_basis("square", depth=0)
-    # past the bound, projecting would take one Python call per grid point
+    # past the bound, a schedule file's depth could ask for member and Phi
+    # arrays past memory
     for kind in ("square", "sine_cosine"):
         with pytest.raises(ConfigurationError):
             builtin_basis(kind, depth=MAX_DEPTH + 1)
@@ -275,7 +348,10 @@ def test_independence_fails_on_two_odd_members():
     # both members sine-phase: the cross products are both ~0, so the first
     # harmonic carries no solvable 2x2 system
     pair = builtin_basis("square_saw", phase_s=0.0, phase_r=0.0)
-    assert not check_independence(pair)
+    report = check_independence(pair)
+    assert not report
+    # exact series at quarter-turn phases: the determinant is exactly 0
+    assert report.products == (0.0, 0.0)
 
 
 def test_independence_fails_on_proportional_members():
@@ -425,6 +501,19 @@ def test_schedule_segment_validation(builtin_pairs):
         BasisSchedule(((1, sc), (4, sq), (4, sc)))
     with pytest.raises(ConfigurationError):
         BasisSchedule(())
+
+
+def test_schedule_start_k_must_be_integral(builtin_pairs):
+    sc = builtin_pairs["sine_cosine"]
+    with pytest.raises(ConfigurationError, match="start_k must be an integer"):
+        BasisSchedule(((1, sc), (4.7, sc)))
+    with pytest.raises(ConfigurationError, match="start_k must be an integer"):
+        schedule_from_dict({"segments": [
+            {"start_k": 1, "basis": {"builtin": "square_saw"}},
+            {"start_k": 4.7, "basis": {"builtin": "sine_cosine"}},
+        ]})
+    # a whole float is a start all the same
+    assert BasisSchedule(((1.0, sc), (4.0, sc))).segments[1][0] == 4
 
 
 def test_schedule_pair_for_switches_at_boundaries(builtin_pairs):

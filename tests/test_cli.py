@@ -343,12 +343,43 @@ def test_load_phase_failures_exit_one(workdir, capsys):
         ["spectrum", "--in", str(workdir / "deep.json"), *out],
         ["analyze", "--in", str(workdir / "latin1.csv"), "--basis", "square_saw", *out],
         ["fourier", "--in", str(workdir / "long.csv"), *out],
-        # a builtin depth past MAX_DEPTH, which would take days to project
+        # a builtin depth past MAX_DEPTH, whose member and Phi arrays could
+        # exhaust memory
         ["analyze", "--in", signal, "--schedule", str(workdir / "deep_builtin.json"), *out],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_unusable_phases_and_starts_are_refused(workdir, capsys):
+    signal = str(workdir / "signal.csv")
+    out = ["--out", str(workdir / "x.json")]
+    # on the command line a phase is checked like --depth: exit 2
+    for flag, value in (("--phase-s", "nan"), ("--phase-r", "inf")):
+        assert main(["analyze", "--in", signal, "--basis", "square_saw", flag, value, *out]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+    # in a schedule file it makes the file unusable: exit 1
+    for name, second in [
+        ("inf_phase.json", '{"start_k": 4, "basis": {"builtin": "square", "phase_s": 1e999}}'),
+        ("fractional.json", '{"start_k": 4.7, "basis": {"builtin": "square"}}'),
+    ]:
+        (workdir / name).write_text(
+            '{"segments": [{"start_k": 1, "basis": {"builtin": "square_saw"}}, ' + second + "]}"
+        )
+        assert main(["analyze", "--in", signal, "--schedule", str(workdir / name), *out]) == 1
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_whitespace_only_csv_lines_are_refused(workdir, capsys):
+    """An empty line is skipped; a line of spaces or a tab is a malformed row."""
+    lines = (workdir / "signal.csv").read_text().splitlines()
+    for name, blank, code in (("empty.csv", "", 0), ("space.csv", "   ", 1), ("tab.csv", "\t", 1)):
+        (workdir / name).write_text("\n".join(lines[:3] + [blank] + lines[3:]) + "\n")
+        argv = ["fourier", "--in", str(workdir / name), "--order", "3",
+                "--out", str(workdir / "x.csv")]
+        assert main(argv) == code, name
+    assert "unreadable CSV" in capsys.readouterr().err
 
 
 _JSON_VALUES = st.recursive(
