@@ -6,11 +6,12 @@ Fourier series turned by a phase; only ``custom`` members are projected from
 samples. Dilating a member by k moves coefficient q to harmonic q*k.
 ``_synthesis_entries`` writes that index arithmetic down once, as the
 (rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
-the numpy paths (reconstruction, the indirect solve, spectra) use the entries
-as they are. ``synthesis_operator`` is their scipy CSR view, which the Gram
-checks below and the direct method use; scipy is imported on its first call.
-The inner products behind the checks are linear algebra on Phi, with no
-sample-domain quadrature.
+reconstruction, the indirect solve and spectra use the entries as they are.
+The Gram matrix (1/2) Phi^T Phi behind the checks below and the direct method
+is written down in closed form from the members' coefficients, with no
+sample-domain quadrature. ``synthesis_operator`` is Phi as a scipy CSR
+matrix, for callers that want it; it is the only code that imports scipy,
+on its first call.
 
 Two conditions make a pair usable for analysis:
 
@@ -84,6 +85,13 @@ MAX_DEPTH = 1 << 16
 _PROJECTION_SAMPLES = 4096
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refusing a non-integral number rather than truncating it."""
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class BasisFunction:
     """A zero-mean periodic function as cosine/sine coefficients at q = 1..Q.
@@ -147,9 +155,7 @@ class BasisSchedule:
         cleaned = []
         for item in self.segments:
             start, pair = item
-            if not float(start).is_integer():
-                raise ConfigurationError(f"start_k must be an integer, got {start!r}")
-            start = int(start)
+            start = _integer(start, "start_k")
             if not isinstance(pair, BasisPair):
                 raise ConfigurationError("schedule segments must hold BasisPair values")
             cleaned.append((start, pair))
@@ -477,9 +483,47 @@ def _undilated(pair: BasisPair) -> np.ndarray:
 
 
 def _family_gram(basis, order: int) -> np.ndarray:
-    """(1/2) Phi^T Phi of a pair or schedule, with no dilation truncated."""
-    phi = synthesis_operator(basis, order, _depth(basis) * order)
-    return 0.5 * (phi.T @ phi).toarray()
+    """(1/2) Phi^T Phi of a pair or schedule, with no dilation truncated, in closed form.
+
+    Members (X,k) and (Y,m) share the harmonics t*lcm(k, m). With
+    g = gcd(k, m), a = m/g and b = k/g these are X's coefficient t*a and Y's
+    t*b, so the entry is (1/2) sum_t X.cos[t*a] Y.cos[t*b] + X.sin[t*a] Y.sin[t*b]:
+    it depends only on the coprime pair (a, b), and vanishes unless
+    a <= depth(X) and b <= depth(Y). One matmul tabulates it over a, b <=
+    min(depth, order) for every two members of every segment; each coprime
+    (a, b) then fills the cells (k, m) = (g*b, g*a), g <= order / max(a, b).
+    """
+    runs = _segment_runs(basis, order)
+    depth = _depth(basis)
+    span = min(depth, order)
+    # series[p, a-1] holds member p's coefficients t*a, t = 1..depth, cos then sin
+    harmonic = np.arange(1, span + 1)[:, None] * np.arange(1, depth + 1)
+    members = [member for _, _, pair in runs for member in (pair.S, pair.R)]
+    series = np.zeros((len(members), span, 2 * depth))
+    for row, member in zip(series, members):
+        inside = harmonic <= member.depth
+        taken = harmonic[inside] - 1
+        row[:, :depth][inside] = member.cos_coeffs[taken]
+        row[:, depth:][inside] = member.sin_coeffs[taken]
+    flat = series.reshape(-1, 2 * depth)
+    table = (0.5 * (flat @ flat.T)).reshape(len(members), span, len(members), span)
+
+    a, b = (axis.ravel() for axis in np.indices((span, span)) + 1)
+    coprime = np.gcd(a, b) == 1
+    a, b = a[coprime], b[coprime]
+    count = order // np.maximum(a, b)
+    g = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
+    a, b = np.repeat(a, count), np.repeat(b, count)
+    k, m = g * b, g * a
+    # segment i's S and R are members 2i and 2i + 1
+    starts = np.array([start for start, _, _ in runs])
+    member_k = 2 * (np.searchsorted(starts, k, side="right") - 1)
+    member_m = 2 * (np.searchsorted(starts, m, side="right") - 1)
+    x = np.arange(2)[:, None, None]  # 0 for S, 1 for R
+    y = x.transpose(1, 0, 2)
+    gram = np.zeros((2 * order, 2 * order))
+    gram[x * order + k - 1, y * order + m - 1] = table[member_k + x, a - 1, member_m + y, b - 1]
+    return gram
 
 
 def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
@@ -605,7 +649,7 @@ def _segment_pair_from_dict(entry) -> BasisPair:
             str(entry["builtin"]),
             entry.get("phase_s"),
             entry.get("phase_r"),
-            int(entry.get("depth", DEFAULT_DEPTH)),
+            _integer(entry.get("depth", DEFAULT_DEPTH), "depth"),
         )
     return pair_from_dict(entry)
 

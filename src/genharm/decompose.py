@@ -14,7 +14,7 @@ k under a schedule. Everything below reads off Phi:
   summed straight from Phi's entries.
 * ``build_gram_system`` / ``analyze_direct``: the 2N x 2N system
   (1/2) Phi^T Phi x = (1/2) Phi^T [b; a], optionally pruned, solved in one
-  shot by dense LU; its coefficients depend on N.
+  shot; its coefficients depend on N.
 * ``analyze_indirect``: Phi's first N harmonic rows.
   Member (S,k) reaches harmonic n = q*k only when k divides n, and a proper
   divisor is at most n/2, so the harmonics of a level [L, 2L) depend only on
@@ -25,13 +25,12 @@ k under a schedule. Everything below reads off Phi:
   no content below N+1.
 
 Both methods take a pair or a schedule, since only Phi's columns depend on
-which it is. Only the direct method needs scipy, imported when it first runs.
+which it is.
 """
 
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +90,9 @@ class Decomposition:
 
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each. The basis
     field is the pair or schedule the analysis ran with; direct results also
-    record the pruning rule and a condition estimate, since their coefficients
-    are tied to the order and system they came from.
+    record the pruning rule and ``condition_estimate``, the exact 1-norm
+    condition number ||G||_1 ||G^-1||_1 of the system G they solved, since
+    their coefficients are tied to the order and system they came from.
     """
 
     c0: float
@@ -299,23 +299,17 @@ def build_gram_system(
 
 
 def _solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dense LU solve with partial pivoting plus a 1-norm condition estimate."""
-    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(matrix)
-    if np.any(np.diag(lu) == 0.0):
-        raise AnalysisError("gram system is exactly singular")
-    gecon = get_lapack_funcs("gecon", (matrix,))
-    anorm = np.linalg.norm(matrix, 1)
-    rcond, info = gecon(lu, anorm)
-    if info != 0:
-        raise AnalysisError(f"condition estimation failed (info={info})")
-    if rcond == 0.0:
+    """LU solve with partial pivoting plus the exact 1-norm condition number ||G||_1 ||G^-1||_1."""
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError("gram system is exactly singular") from exc
+    with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+        cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
+    if not math.isfinite(cond):
         raise AnalysisError("gram system is numerically singular")
-    solution = lu_solve((lu, piv), rhs)
-    return solution, 1.0 / float(rcond)
+    return solution, cond
 
 
 def analyze_direct(
@@ -329,7 +323,7 @@ def analyze_direct(
 
     Unlike the indirect method, the coefficients depend on the order: adding
     components redistributes weight across the non-orthogonal family. The
-    result carries a 1-norm condition estimate of the system; estimates above
+    result carries the system's exact 1-norm condition number; values above
     ``CONDITION_WARN_LIMIT`` attach a warning instead of failing.
     """
     _require_solvable(basis, eps_independence)

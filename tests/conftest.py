@@ -10,6 +10,7 @@ from genharm import (
     FourierSpectrum,
     builtin_basis,
     dilate,
+    synthesis_operator,
     synthesize_fourier,
 )
 
@@ -51,6 +52,14 @@ def two_segment_schedule():
         "short",
     )
     return BasisSchedule(((1, builtin_basis("square_saw", depth=5)), (3, short)))
+
+
+def phi_gram(basis, order: int) -> np.ndarray:
+    """(1/2) Phi^T Phi through the sparse operator, capped so no dilation is truncated."""
+    segments = basis.segments if isinstance(basis, BasisSchedule) else ((1, basis),)
+    depth = max(max(pair.S.depth, pair.R.depth) for _, pair in segments)
+    phi = synthesis_operator(basis, order, depth * order)
+    return 0.5 * (phi.T @ phi).toarray()
 
 
 def random_bandlimited(rng, k_max: int, n: int, decay: float = 1.0, c0: float | None = None):

@@ -35,7 +35,7 @@ from genharm import (
     synthesis_operator,
 )
 
-from conftest import two_segment_schedule
+from conftest import phi_gram, two_segment_schedule
 
 # Frozen check outputs for the shipped default pair (cosine-phase square +
 # sine-phase sawtooth at depth 64). The product is the fundamentals' (4/pi) *
@@ -323,6 +323,58 @@ def test_synthesis_operator_columns_are_dilated_members(basis_kind, cap):
             assert np.array_equal(dense[:, column], want), (k, column)
 
 
+def _gram_cases():
+    rng = np.random.default_rng(21)
+
+    def custom(s_depth, r_depth):
+        return BasisPair(
+            BasisFunction(rng.normal(size=s_depth), rng.normal(size=s_depth)),
+            BasisFunction(rng.normal(size=r_depth), rng.normal(size=r_depth)),
+        )
+
+    cases = [(kind, builtin_basis(kind), 48) for kind in BUILTIN_KINDS if kind != "custom"]
+    cases += [
+        ("custom_deeper_than_order", custom(30, 20), 7),
+        ("custom_shallower_than_order", custom(5, 3), 48),
+        ("schedule_mixed_depths", two_segment_schedule(), 48),
+        ("schedule_mixed_depths_short", two_segment_schedule(), 2),
+        ("schedule_segment_past_order", BasisSchedule((
+            (1, builtin_basis("square", depth=9)),
+            (5, builtin_basis("sawtooth", depth=3)),
+            (60, builtin_basis("triangle")),
+        )), 48),
+    ]
+    return [pytest.param(basis, order, id=name) for name, basis, order in cases]
+
+
+@pytest.mark.parametrize("basis,order", _gram_cases())
+def test_closed_form_gram_matches_phi(basis, order):
+    got = basis_module._family_gram(basis, order)
+    want = phi_gram(basis, order)
+    assert got.shape == want.shape == (2 * order, 2 * order)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_gram_checks_read_the_same_values_as_phi(builtin_pairs):
+    pairs = dict(builtin_pairs)
+    pairs["hand"] = BasisPair(BasisFunction([1.0, 0.3], [0.0, 0.0]), BasisFunction([0.0], [1.0]))
+    for kind, pair in pairs.items():
+        for order in (1, 8, 16):
+            want = phi_gram(pair, order)
+            eigs = np.linalg.eigvalsh(want)
+            bounds = frame_bounds(pair, order)
+            assert bounds.lower == pytest.approx(max(0.0, eigs[0]), abs=1e-12), kind
+            assert bounds.upper == pytest.approx(eigs[-1], abs=1e-12), kind
+            report = classify_orthogonality(pair, order)
+            same_k = np.tile(np.eye(order, dtype=bool), (2, 2))
+            horizontal = np.max(np.abs(np.diag(want, order)))
+            vertical = np.max(np.abs(want[~same_k]), initial=0.0)
+            assert report.horizontal == (horizontal <= basis_module.ORTHOGONALITY_TOL), kind
+            assert report.vertical == (vertical <= basis_module.ORTHOGONALITY_TOL), kind
+            assert report.max_horizontal == pytest.approx(horizontal, abs=1e-15), kind
+            assert report.max_vertical == pytest.approx(vertical, abs=1e-15), kind
+
+
 # --- validity checks ------------------------------------------------------------
 
 
@@ -514,6 +566,19 @@ def test_schedule_start_k_must_be_integral(builtin_pairs):
         ]})
     # a whole float is a start all the same
     assert BasisSchedule(((1.0, sc), (4.0, sc))).segments[1][0] == 4
+
+
+def test_schedule_builtin_depth_must_be_integral():
+    def schedule(depth):
+        return schedule_from_dict({"segments": [
+            {"start_k": 1, "basis": {"builtin": "square_saw", "depth": depth}},
+        ]})
+
+    for depth in (4.7, float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="depth must be an integer"):
+            schedule(depth)
+    # a whole float is a depth all the same
+    assert schedule(4.0).segments[0][1].S.depth == 4
 
 
 def test_schedule_pair_for_switches_at_boundaries(builtin_pairs):

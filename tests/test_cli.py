@@ -232,35 +232,42 @@ def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw
 
 _NO_SCIPY_SCRIPT = """
 import sys
-from genharm.cli import main
+from genharm.cli import _COMMANDS, main
 
 work = sys.argv[1]
+signal = ["--in", f"{work}/signal.csv", "--basis", "square_saw", "--order", "8",
+          "--samples", "512"]
 runs = [
-    ["analyze", "--in", f"{work}/signal.csv", "--basis", "square_saw", "--order", "8",
-     "--samples", "512", "--out", f"{work}/dec.json", "--recon-out", f"{work}/recon.csv"],
+    ["analyze", *signal, "--out", f"{work}/dec.json", "--recon-out", f"{work}/recon.csv"],
+    ["analyze", *signal, "--method", "direct", "--out", f"{work}/direct.json"],
+    ["analyze", "--in", f"{work}/signal.csv", "--schedule", f"{work}/schedule.json",
+     "--order", "8", "--method", "direct", "--pruning", "none", "--out", f"{work}/sd.json"],
+    ["compare", *signal, "--out", f"{work}/cmp.csv", "--json-out", f"{work}/cmp.json"],
+    ["check-basis", "--basis", "square_saw", "--order", "8", "--json-out", f"{work}/check.json"],
+    ["fourier", "--in", f"{work}/signal.csv", "--order", "8", "--out", f"{work}/four.csv"],
     ["spectrum", "--in", f"{work}/dec.json", "--samples", "512",
      "--out", f"{work}/spec.csv", "--json-out", f"{work}/spec.json"],
-    ["reconstruct", "--in", f"{work}/dec.json", "--samples", "512", "--out", f"{work}/r.csv"],
+    ["reconstruct", "--in", f"{work}/direct.json", "--samples", "512", "--out", f"{work}/r.csv"],
+    ["reconstruct", "--in", f"{work}/dec.json", "--samples", "512", "--out", f"{work}/r2.csv"],
     ["filter", "--in", f"{work}/dec.json", "--keep-from", "2", "--keep-to", "5",
      "--samples", "512", "--out", f"{work}/filtered.json", "--recon-out", f"{work}/f.csv"],
 ]
 codes = [main(argv) for argv in runs]
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-direct = main(["analyze", "--in", f"{work}/signal.csv", "--basis", "square_saw", "--order",
-               "8", "--samples", "512", "--method", "direct", "--out", f"{work}/direct.json"])
-print(codes, loaded, direct)
+untried = sorted(set(_COMMANDS) - {argv[0] for argv in runs})
+print(codes, loaded, untried)
 """
 
 
-def test_only_the_direct_method_loads_scipy(workdir):
+def test_no_command_loads_scipy(workdir):
     env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(workdir)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] 0"
-    assert (workdir / "recon.csv").read_bytes() == (workdir / "r.csv").read_bytes()
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] [] []"
+    assert (workdir / "recon.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
 
 
 def test_compare_columns_match_for_orthogonal_basis(workdir, capsys):
@@ -369,6 +376,38 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
         )
         assert main(["analyze", "--in", signal, "--schedule", str(workdir / name), *out]) == 1
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_fractional_schedule_depth_is_refused(workdir, capsys):
+    (workdir / "depth.json").write_text(
+        '{"segments": [{"start_k": 1, "basis": {"builtin": "square_saw", "depth": 4.7}}]}'
+    )
+    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--schedule",
+            str(workdir / "depth.json"), "--out", str(workdir / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("depth must be an integer, got 4.7\n")
+    assert not (workdir / "x.json").exists()
+
+
+def test_singular_direct_system_is_an_error_not_a_traceback(workdir):
+    # R is S dilated by two plus a fundamental too small to survive rounding in
+    # the Gram matrix: the first-harmonic check passes, the system is singular
+    pair = BasisPair(
+        BasisFunction([1.0, 0.5], [0.0, 0.0]),
+        BasisFunction([0.0, 1.0, 0.0, 0.5], [1e-8, 0.0, 0.0, 0.0]),
+        "near-copy",
+    )
+    save_basis(pair, workdir / "singular.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "genharm.cli", "analyze", "--in", str(workdir / "signal.csv"),
+         "--basis", str(workdir / "singular.json"), "--order", "2", "--method", "direct",
+         "--pruning", "none", "--out", str(workdir / "x.json")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: gram system is exactly singular\n"
 
 
 def test_whitespace_only_csv_lines_are_refused(workdir, capsys):

@@ -1,5 +1,7 @@
 """Direct and indirect analysis, pruning, reconstruction, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,9 +33,9 @@ from genharm import (
     synthesis_operator,
     synthesize_fourier,
 )
-from genharm.decompose import CONDITION_WARN_LIMIT, PRUNING_RULES
+from genharm.decompose import CONDITION_WARN_LIMIT, PRUNING_RULES, _solve_with_condition
 
-from conftest import in_span_signal, random_bandlimited, two_segment_schedule
+from conftest import in_span_signal, phi_gram, random_bandlimited, two_segment_schedule
 
 
 def hand_pair():
@@ -473,6 +475,59 @@ def test_indirect_matches_a_dense_solve_on_phi(basis_kind, order):
     want = np.linalg.solve(phi, np.concatenate([spec.b, spec.a]))
     got = np.array(d.coeffs)[:, 1:].T.ravel()
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _direct_systems(f, order):
+    """(name, basis, rule, Gram from Phi, rhs) for every builtin and a schedule, each rule."""
+    kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
+    cases = [(kind, builtin_basis(kind)) for kind in kinds]
+    cases.append(("schedule", two_segment_schedule()))
+    for name, basis in cases:
+        full = phi_gram(basis, order)
+        for pruning in PRUNING_RULES:
+            system = build_gram_system(f, basis, order, pruning)
+            yield name, basis, pruning, np.where(system.pruned_mask, 0.0, full), system.rhs
+
+
+@pytest.mark.parametrize("order,n", [(48, 512), (400, 4096)])
+def test_direct_matches_scipy_lu_on_phi(order, n):
+    from scipy.linalg import lu_factor, lu_solve
+
+    f = random_bandlimited(np.random.default_rng(order), order, n)
+    for name, basis, pruning, gram, rhs in _direct_systems(f, order):
+        want = lu_solve(lu_factor(gram), rhs)
+        got = np.array(analyze_direct(f, basis, order, pruning).coeffs)[:, 1:].T.ravel()
+        gap = np.max(np.abs(got - want))
+        assert gap <= 1e-12 * np.max(np.abs(want)), (name, pruning, gap)
+
+
+def test_condition_estimate_is_the_exact_one_norm_condition():
+    from scipy.linalg import get_lapack_funcs, inv, lu_factor
+
+    f = random_bandlimited(np.random.default_rng(3), 48, 512)
+    for name, basis, pruning, gram, _ in _direct_systems(f, 48):
+        norm1 = np.linalg.norm(gram, 1)
+        gecon = get_lapack_funcs("gecon", (gram,))
+        rcond, info = gecon(lu_factor(gram)[0], norm1)
+        assert info == 0
+        got = analyze_direct(f, basis, 48, pruning).condition_estimate
+        exact = norm1 * np.linalg.norm(inv(gram), 1)
+        assert got == pytest.approx(exact, rel=1e-12), (name, pruning)
+        # gecon estimates the same quantity from below
+        assert got >= (1.0 - 1e-12) / rcond, (name, pruning)
+
+
+@pytest.mark.parametrize("matrix,reason", [
+    ([[1.0, 2.0], [2.0, 4.0]], "exactly singular"),  # elimination leaves a zero pivot
+    ([[1.0, 0.0], [0.0, 1e-310]], "numerically singular"),  # 1/1e-310 overflows
+    # the inverse's first column is five entries of 4e307, summing past the float range
+    (2.5e-308 * (np.eye(5) - np.eye(5, k=-1)), "numerically singular"),
+])
+def test_singular_systems_raise_an_analysis_error(matrix, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match=reason):
+            _solve_with_condition(np.array(matrix), np.ones(len(matrix)))
 
 
 @pytest.mark.parametrize("cap", [7, 40])
