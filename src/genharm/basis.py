@@ -86,10 +86,20 @@ _PROJECTION_SAMPLES = 4096
 
 
 def _integer(value, name: str) -> int:
-    """value as an int, refusing a non-integral number rather than truncating it."""
-    if not float(value).is_integer():
+    """value as an int, refusing a bool or a non-integral number rather than truncating it."""
+    if isinstance(value, bool) or not float(value).is_integer():
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """values seen through a read-only buffer, so no caller can make the array writeable again.
+
+    Analysis plans are cached by basis identity, so the arrays of a basis and
+    of a plan must never change once built.
+    """
+    values = np.ascontiguousarray(values)
+    return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +108,7 @@ class BasisFunction:
 
     ``cos_coeffs[q-1]`` and ``sin_coeffs[q-1]`` are the coefficients of
     cos(2 pi q x) and sin(2 pi q x). There is no DC slot by construction.
+    Both arrays are private read-only copies that cannot be made writeable.
     """
 
     cos_coeffs: np.ndarray
@@ -113,10 +124,8 @@ class BasisFunction:
         energy = float(cos_c @ cos_c + sin_c @ sin_c)
         if not math.isfinite(energy) or energy <= 0.0:
             raise ConfigurationError("basis function energy must be finite and positive")
-        cos_c.setflags(write=False)
-        sin_c.setflags(write=False)
-        object.__setattr__(self, "cos_coeffs", cos_c)
-        object.__setattr__(self, "sin_coeffs", sin_c)
+        object.__setattr__(self, "cos_coeffs", _frozen(cos_c))
+        object.__setattr__(self, "sin_coeffs", _frozen(sin_c))
 
     @property
     def depth(self) -> int:

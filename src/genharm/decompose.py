@@ -26,11 +26,35 @@ k under a schedule. Everything below reads off Phi:
 
 Both methods take a pair or a schedule, since only Phi's columns depend on
 which it is.
+
+Everything above but the signal's spectrum depends only on (basis, order),
+so it is built once, as the plan of that (basis, order), and reused by every
+later call: Phi's entries at the last band cap asked for, the indirect
+method's level subsets with their 2x2 blocks and determinants, per pruning
+rule the pruned Gram matrix, its mask and its condition number, and each
+segment's undilated Phi for ``spectrum.generalized_spectrum``. A call then
+does only per-signal work: one rfft, then the level substitution, or the
+right-hand side and ``np.linalg.solve``, or one bincount for Phi @ [A; B].
+The arithmetic is the one a fresh build would do, so a reused plan gives
+bit-for-bit the results of a new one.
+
+Plans are keyed by the basis object's identity, not its values: a rebuilt
+equal basis gets a plan of its own, and basis arrays cannot be made
+writeable, so a basis never changes under its plan. The cache keeps the
+``_PLAN_CACHE_SIZE`` = 8 plans used last and never keeps a basis alive: the
+plans of a garbage-collected basis are dropped. A plan at order N with depth
+Q holds Phi's entries, up to 16 bytes per (member, k, q <= Q) with q*k within
+the cap (0.2 MiB at N = 48, Q = 64 on a 4096-sample grid), and, per pruning
+rule the direct method has used, 36 N^2 bytes for the Gram matrix and mask
+(81 KiB at N = 48, 5.5 MiB at N = 400, 137 MiB at N = 2000).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +68,12 @@ from .basis import (
     schedule_from_dict,
     schedule_to_dict,
     _family_gram,
+    _frozen,
+    _integer,
+    _segment_runs,
     _segments,
     _synthesis_entries,
+    _undilated,
     check_independence,
 )
 from .errors import (
@@ -82,13 +110,18 @@ __all__ = [
 
 PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
+# (basis, order) plans kept, the least recently used dropped first: a workload
+# cycling through more bases than this rebuilds a plan on every call, as if
+# there were no cache
+_PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
-    ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each. The basis
+    ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
+    any (N, 3) sequence or array and kept as a tuple of tuples. The basis
     field is the pair or schedule the analysis ran with; direct results also
     record the pruning rule and ``condition_estimate``, the exact 1-norm
     condition number ||G||_1 ||G^-1||_1 of the system G they solved, since
@@ -112,13 +145,17 @@ class Decomposition:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
             raise ConfigurationError("condition estimate must be finite")
-        cleaned = tuple((int(k), float(ak), float(bk)) for k, ak, bk in self.coeffs)
-        ks = [k for k, _, _ in cleaned]
-        if ks != list(range(1, len(cleaned) + 1)):
+        table = np.asarray(self.coeffs, dtype=float)
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ConfigurationError("coefficients must be (k, A_k, B_k) triples")
+        order = len(table)
+        if not np.array_equal(table[:, 0], np.arange(1, order + 1)):
             raise ConfigurationError("coefficients must cover k = 1..N exactly once, ascending")
-        values = [self.c0] + [v for _, ak, bk in cleaned for v in (ak, bk)]
-        if not all(math.isfinite(v) for v in values):
+        if not (math.isfinite(self.c0) and np.isfinite(table[:, 1:]).all()):
             raise ConfigurationError("decomposition values must all be finite")
+        cleaned = tuple(zip(range(1, order + 1), table[:, 1].tolist(), table[:, 2].tolist()))
         warnings = tuple(self.warnings)
         if not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
@@ -144,6 +181,9 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
+    Read-only inputs of the right dtype are kept as they are (the direct
+    method's plan hands out frozen arrays); any other input is copied, so a
+    caller's array is never frozen.
     """
 
     matrix: np.ndarray
@@ -153,17 +193,126 @@ class GramSystem:
     pruning: str
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float, copy=True)
-        rhs = np.array(self.rhs, dtype=float, copy=True)
-        mask = np.array(self.pruned_mask, dtype=bool, copy=True)
+        matrix = _read_only(self.matrix, float)
+        rhs = _read_only(self.rhs, float)
+        mask = _read_only(self.pruned_mask, bool)
         two_n = 2 * self.order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
-        for arr in (matrix, rhs, mask):
-            arr.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "pruned_mask", mask)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: kept if it already is one, else a frozen copy."""
+    array = np.asarray(values, dtype=dtype)
+    return _frozen(array.copy()) if array.flags.writeable else array
+
+
+class _Plan:
+    """What the analyses of one (basis, order) need before they see a signal.
+
+    Each part is built on its first use and kept; every array handed out is
+    ``_frozen``.
+    """
+
+    def __init__(self, basis, order: int):
+        self._basis = weakref.ref(basis)  # the cache must not keep the basis alive
+        self.order = order
+        self._entries = (None, ())  # (cap, Phi's entries at that cap)
+        self._levels = None
+        self._grams = {}  # pruning -> (pruned Gram matrix, pruned mask)
+        self._conditions = {}  # pruning -> exact 1-norm condition number
+        self._undilated = None
+
+    @property
+    def basis(self):
+        return self._basis()
+
+    def entries(self, cap: int) -> tuple:
+        """Phi's (rows, cols, vals) at ``cap``; only the last cap asked for is kept."""
+        held, entries = self._entries
+        if held != cap:
+            entries = tuple(map(_frozen, _synthesis_entries(self.basis, self.order, cap)))
+            self._entries = (cap, entries)
+        return entries
+
+    def levels(self) -> tuple:
+        """The indirect method's forward substitution on Phi's first N harmonic rows.
+
+        Per level [L, 2L): its harmonics as a slice, the (rows, cols, vals)
+        of the off-diagonal entries that land in its rows, and the adjugate
+        entries s1, r1, s'1, r'1 and determinant of each harmonic's 2x2
+        diagonal block C_1(n) = [[s1, r1], [s'1, r'1]].
+        """
+        if self._levels is None:
+            order = self.order
+            rows, cols, vals = _synthesis_entries(self.basis, order, order)
+            harmonic = rows % order + 1
+            diagonal = harmonic == cols % order + 1
+            c1 = np.zeros((2, 2, order))
+            c1[rows[diagonal] // order, cols[diagonal] // order, harmonic[diagonal] - 1] = vals[diagonal]
+            (s1, r1), (sp1, rp1) = c1
+            blocks = _frozen(np.stack([s1, r1, sp1, rp1, s1 * rp1 - r1 * sp1]))
+            levels = []
+            for level in range(order.bit_length()):
+                lo, hi = 1 << level, min(2 << level, order + 1)
+                into = ~diagonal & (lo <= harmonic) & (harmonic < hi)
+                n = slice(lo - 1, hi - 1)
+                into_entries = tuple(_frozen(part[into]) for part in (rows, cols, vals))
+                levels.append((n, *into_entries, *blocks[:, n]))
+            self._levels = tuple(levels)
+        return self._levels
+
+    def gram(self, pruning: str) -> tuple:
+        """The direct method's pruned Gram matrix and the mask of the entries pruned."""
+        if pruning not in self._grams:
+            pruned = ~_keep_mask(self.order, pruning)
+            gram = _family_gram(self.basis, self.order)
+            gram[pruned] = 0.0
+            self._grams[pruning] = (_frozen(gram), _frozen(pruned))
+        return self._grams[pruning]
+
+    def condition(self, pruning: str) -> float:
+        """The exact 1-norm condition number of ``gram(pruning)``; a singular one raises each time."""
+        if pruning not in self._conditions:
+            self._conditions[pruning] = _condition_number(self.gram(pruning)[0])
+        return self._conditions[pruning]
+
+    def undilated(self) -> tuple:
+        """(first_k, last_k, undilated Phi) of each segment run."""
+        if self._undilated is None:
+            self._undilated = tuple(
+                (start, end, _frozen(_undilated(pair)))
+                for start, end, pair in _segment_runs(self.basis, self.order)
+            )
+        return self._undilated
+
+
+_plans = OrderedDict()  # (weak reference to basis, order) -> _Plan, least recent first
+_plans_lock = threading.Lock()
+
+
+def _plan(basis, order: int) -> _Plan:
+    """The plan of (basis, order), built on a miss.
+
+    Bases compare by identity, and a live weak reference compares as its
+    object, so the key stands for the basis object without keeping it alive.
+    A dead reference equals only itself: its plan is dropped at the next miss.
+    """
+    key = (weakref.ref(basis), order)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+        for dead in [held for held in _plans if held[0]() is None]:
+            del _plans[dead]
+        plan = _plans[key] = _Plan(basis, order)
+        if len(_plans) > _PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    return plan
 
 
 def _require_solvable(basis, eps: float) -> None:
@@ -198,31 +347,21 @@ def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     C_1(n) = [[s1, r1], [s'1, r'1]] of the pair active at n through its
     adjugate and determinant.
     """
-    rows, cols, vals = _synthesis_entries(basis, order, order)
-    harmonic = rows % order + 1
-    diagonal = harmonic == cols % order + 1
-    c1 = np.zeros((2, 2, order))
-    c1[rows[diagonal] // order, cols[diagonal] // order, harmonic[diagonal] - 1] = vals[diagonal]
-    (s1, r1), (sp1, rp1) = c1
-    det = s1 * rp1 - r1 * sp1
     spec = analyze_fourier(f, order)
     rhs = np.concatenate([spec.b, spec.a])
     x = np.zeros(2 * order)
-    for level in range(order.bit_length()):
-        lo, hi = 1 << level, min(2 << level, order + 1)
-        into = ~diagonal & (lo <= harmonic) & (harmonic < hi)
-        rhs -= np.bincount(rows[into], vals[into] * x[cols[into]], minlength=2 * order)
-        n = slice(lo - 1, hi - 1)
+    for n, rows, cols, vals, s1, r1, sp1, rp1, det in _plan(basis, order).levels():
+        rhs -= np.bincount(rows, vals * x[cols], minlength=2 * order)
         c, s = rhs[n], rhs[order:][n]
-        x[n] = (rp1[n] * c - r1[n] * s) / det[n]
-        x[order:][n] = (s1[n] * s - sp1[n] * c) / det[n]
+        x[n] = (rp1 * c - r1 * s) / det
+        x[order:][n] = (s1 * s - sp1 * c) / det
     return x
 
 
 def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, *provenance):
     """f's mean and x = [A_1..A_N, B_1..B_N] as a result with (k, A_k, B_k) triples."""
     order = len(x) // 2
-    coeffs = tuple((k, float(x[k - 1]), float(x[order + k - 1])) for k in range(1, order + 1))
+    coeffs = np.column_stack([np.arange(1, order + 1), x[:order], x[order:]])
     return Decomposition(float(np.mean(f.samples)), coeffs, basis, method, *provenance)
 
 
@@ -288,20 +427,18 @@ def build_gram_system(
     """
     _check_band(f, order)
     band = f.n // 2 - 1
-    gram = _family_gram(basis, order)
-    keep = _keep_mask(order, pruning)
-    gram[~keep] = 0.0
+    plan = _plan(basis, order)
+    gram, pruned = plan.gram(pruning)
     f_spec = analyze_fourier(f, band)
-    rows, cols, vals = _synthesis_entries(basis, order, band)
+    rows, cols, vals = plan.entries(band)
     b_a = np.concatenate([f_spec.b, f_spec.a])
     rhs = 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * order)
-    return GramSystem(gram, rhs, ~keep, order, pruning)
+    return GramSystem(gram, rhs, pruned, order, pruning)
 
 
-def _solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """LU solve with partial pivoting plus the exact 1-norm condition number ||G||_1 ||G^-1||_1."""
+def _condition_number(matrix: np.ndarray) -> float:
+    """The exact 1-norm condition number ||G||_1 ||G^-1||_1, refusing a singular G."""
     try:
-        solution = np.linalg.solve(matrix, rhs)
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise AnalysisError("gram system is exactly singular") from exc
@@ -309,7 +446,7 @@ def _solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarr
         cond = float(np.linalg.norm(matrix, 1)) * float(np.linalg.norm(inverse, 1))
     if not math.isfinite(cond):
         raise AnalysisError("gram system is numerically singular")
-    return solution, cond
+    return cond
 
 
 def analyze_direct(
@@ -328,7 +465,9 @@ def analyze_direct(
     """
     _require_solvable(basis, eps_independence)
     system = build_gram_system(f, basis, order, pruning)
-    x, cond = _solve_with_condition(system.matrix, system.rhs)
+    cond = _plan(basis, order).condition(pruning)
+    # a finite condition number means LU found no zero pivot, so solve succeeds
+    x = np.linalg.solve(system.matrix, system.rhs)
     notes = ()
     if cond > CONDITION_WARN_LIMIT:
         notes = (
@@ -341,7 +480,7 @@ def analyze_direct(
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
     weights = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:].T.ravel()  # [A; B]
-    rows, cols, vals = _synthesis_entries(d.basis, d.order, band_cap)
+    rows, cols, vals = _plan(d.basis, d.order).entries(band_cap)
     cos_sin = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
     return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
 
@@ -396,7 +535,7 @@ def decomposition_from_dict(data) -> Decomposition:
         else:
             basis = pair_from_dict(basis_data)
         coeffs = tuple(
-            (int(item["k"]), float(item["A"]), float(item["B"]))
+            (_integer(item["k"], "k"), float(item["A"]), float(item["B"]))
             for item in data["coefficients"]
         )
         return Decomposition(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _segment_runs, _undilated
-from .decompose import Decomposition
+from .decompose import Decomposition, _plan
 from .errors import ConfigurationError
 from .files import write_csv
 from .signals import FourierSpectrum
@@ -78,8 +77,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     """
     ab = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:]
     energies = np.empty(d.order)
-    for start, end, pair in _segment_runs(d.basis, d.order):
-        phi = _undilated(pair)
+    for start, end, phi in _plan(d.basis, d.order).undilated():
         a, b = ab[start - 1 : end].T
         mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
         energies[start - 1 : end] = 0.5 * np.einsum("kq,kq->k", mix, mix)

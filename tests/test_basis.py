@@ -74,6 +74,19 @@ def test_member_validation():
     assert member.energy() == pytest.approx(1.25)
 
 
+def test_member_arrays_cannot_be_made_writeable():
+    # analysis plans are cached by basis identity, so a member must never change
+    given = np.array([1.0, 0.5])
+    custom = BasisFunction(given, given)
+    square = builtin_basis("square")
+    for member in (square.S, square.R, custom):
+        for coeffs in (member.cos_coeffs, member.sin_coeffs):
+            with pytest.raises(ValueError):
+                coeffs.setflags(write=True)
+    given[0] = 2.0  # the caller's array stays its own
+    assert custom.cos_coeffs[0] == 1.0
+
+
 def test_sine_cosine_members_are_exact():
     pair = builtin_basis("sine_cosine", depth=8)
     assert pair.S.cos_coeffs[0] == 1.0 and pair.S.sin_coeffs[0] == 0.0

@@ -378,6 +378,21 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
         assert capsys.readouterr().err.startswith("error: "), name
 
 
+@pytest.mark.parametrize("k, shown", [("1.5", "1.5"), ("true", "True")])
+def test_non_integral_coefficient_index_is_refused(workdir, capsys, k, shown):
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "4", "--out", str(workdir / "dec.json")])
+    text = (workdir / "dec.json").read_text()
+    assert text.count('"k": 1,') == 1
+    (workdir / "bad.json").write_text(text.replace('"k": 1,', f'"k": {k},'))
+    capsys.readouterr()
+    argv = ["reconstruct", "--in", str(workdir / "bad.json"), "--out", str(workdir / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"k must be an integer, got {shown}\n")
+    assert not (workdir / "x.csv").exists()
+
+
 def test_fractional_schedule_depth_is_refused(workdir, capsys):
     (workdir / "depth.json").write_text(
         '{"segments": [{"start_k": 1, "basis": {"builtin": "square_saw", "depth": 4.7}}]}'

@@ -17,6 +17,7 @@ from genharm import (
     Decomposition,
     DimensionError,
     FourierSpectrum,
+    GramSystem,
     IllConditionedBasisError,
     analyze_direct,
     analyze_fourier,
@@ -33,7 +34,7 @@ from genharm import (
     synthesis_operator,
     synthesize_fourier,
 )
-from genharm.decompose import CONDITION_WARN_LIMIT, PRUNING_RULES, _solve_with_condition
+from genharm.decompose import CONDITION_WARN_LIMIT, PRUNING_RULES, _condition_number
 
 from conftest import in_span_signal, phi_gram, random_bandlimited, two_segment_schedule
 
@@ -454,6 +455,30 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
         Decomposition(0.0, ((1, 1.0, 0.0), (3, 0.0, 0.0)), pair, "indirect")
     with pytest.raises(ConfigurationError):
         Decomposition(0.0, ((1, 1.0, 0.0),), pair, "sideways")
+    with pytest.raises(ConfigurationError, match="k = 1..N"):
+        Decomposition(0.0, ((1.5, 1.0, 0.0),), pair, "indirect")
+    with pytest.raises(ConfigurationError, match="finite"):
+        Decomposition(0.0, ((1, 1.0, 0.0), (2, float("inf"), 0.0)), pair, "indirect")
+    with pytest.raises(ConfigurationError, match="triples"):
+        Decomposition(0.0, ((1, 1.0),), pair, "indirect")
+    # any (N, 3) table is kept as (int, float, float) tuples
+    d = Decomposition(0.0, np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0]]), pair, "indirect")
+    assert d.coeffs == ((1, 2.0, 3.0), (2, 4.0, 5.0))
+    assert [type(v) for v in d.coeffs[1]] == [int, float, float]
+    assert Decomposition(0.0, (), pair, "indirect").order == 0
+
+
+def test_gram_system_copies_only_writeable_inputs():
+    frozen = build_gram_system(hand_signal(), hand_pair(), 2, "none")
+    # build_gram_system's read-only arrays are held as they are, not copied
+    again = GramSystem(frozen.matrix, frozen.rhs, frozen.pruned_mask, 2, "none")
+    assert again.matrix is frozen.matrix and again.pruned_mask is frozen.pruned_mask
+    # a caller's writeable array is copied, and stays writeable
+    matrix = np.array(frozen.matrix)
+    system = GramSystem(matrix, frozen.rhs, frozen.pruned_mask, 2, "none")
+    assert matrix.flags.writeable and not system.matrix.flags.writeable
+    matrix[0, 0] = 7.0
+    assert system.matrix[0, 0] == frozen.matrix[0, 0]
 
 
 # --- kernels against the sparse operator -----------------------------------------
@@ -527,7 +552,7 @@ def test_singular_systems_raise_an_analysis_error(matrix, reason):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AnalysisError, match=reason):
-            _solve_with_condition(np.array(matrix), np.ones(len(matrix)))
+            _condition_number(np.array(matrix))
 
 
 @pytest.mark.parametrize("cap", [7, 40])
