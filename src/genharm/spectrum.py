@@ -75,7 +75,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     the signal power; in general the cross terms between components are not
     counted.
     """
-    ab = np.array(d.coeffs, dtype=float).reshape(-1, 3)[:, 1:]
+    ab = d._table[:, 1:]
     energies = np.empty(d.order)
     for start, end, phi in _plan(d.basis, d.order).undilated():
         a, b = ab[start - 1 : end].T

@@ -34,7 +34,12 @@ from genharm import (
     synthesis_operator,
     synthesize_fourier,
 )
-from genharm.decompose import CONDITION_WARN_LIMIT, PRUNING_RULES, _condition_number
+from genharm.decompose import (
+    CONDITION_WARN_LIMIT,
+    PRUNING_RULES,
+    _condition_number,
+    _gram_blocks,
+)
 
 from conftest import in_span_signal, phi_gram, random_bandlimited, two_segment_schedule
 
@@ -553,6 +558,82 @@ def test_singular_systems_raise_an_analysis_error(matrix, reason):
         warnings.simplefilter("error")
         with pytest.raises(AnalysisError, match=reason):
             _condition_number(np.array(matrix))
+
+
+@pytest.mark.parametrize("order,n", [(48, 512), (400, 4096)])
+def test_blockwise_direct_matches_the_dense_numpy_solve(order, n):
+    f = random_bandlimited(np.random.default_rng(order + 1), order, n)
+    kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
+    cases = [(kind, builtin_basis(kind)) for kind in kinds] + [("schedule", two_segment_schedule())]
+    for name, basis in cases:
+        for pruning in PRUNING_RULES:
+            system = build_gram_system(f, basis, order, pruning)
+            want = np.linalg.solve(system.matrix, system.rhs)
+            d = analyze_direct(f, basis, order, pruning)
+            got = np.array(d.coeffs)[:, 1:].T.ravel()
+            gap = np.max(np.abs(got - want))
+            assert gap <= 1e-12 * np.max(np.abs(want)), (name, pruning, gap)
+            exact = np.linalg.norm(system.matrix, 1) * np.linalg.norm(np.linalg.inv(system.matrix), 1)
+            assert d.condition_estimate == pytest.approx(exact, rel=1e-12), (name, pruning)
+
+
+def _interleaved(blocks, seed):
+    """The block-diagonal matrix of blocks, its rows and columns shuffled by one permutation."""
+    size = sum(len(block) for block in blocks)
+    dense = np.zeros((size, size))
+    at = 0
+    for block in blocks:
+        dense[at : at + len(block), at : at + len(block)] = block
+        at += len(block)
+    shuffle = np.random.default_rng(seed).permutation(size)
+    return dense[np.ix_(shuffle, shuffle)]
+
+
+def test_condition_of_interleaved_blocks_is_the_dense_condition():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=(s, s)) + s * np.eye(s) for s in (1, 3, 2, 3, 5, 1)]
+    # rows linked by an entry on one side of the diagonal only still share a block
+    blocks += [np.array([[2.0, 1.0], [0.0, 2.0]]), np.array([[2.0, 0.0], [1.0, 2.0]])]
+    matrix = _interleaved(blocks, 8)
+    exact = np.linalg.norm(matrix, 1) * np.linalg.norm(np.linalg.inv(matrix), 1)
+    assert _condition_number(matrix) == pytest.approx(exact, rel=1e-12)
+    groups = _gram_blocks(matrix)
+    assert [index.shape for index, _ in groups] == [(2, 1), (3, 2), (2, 3), (1, 5)]
+    for index, stacked in groups:
+        assert np.array_equal(stacked, matrix[index[:, :, None], index[:, None, :]])
+        for rows in index:  # no nonzero entry links a block to the other rows
+            others = np.setdiff1d(np.arange(len(matrix)), rows)
+            assert not matrix[np.ix_(rows, others)].any()
+
+
+def test_one_singular_block_among_regular_ones_is_refused():
+    rng = np.random.default_rng(6)
+    blocks = [rng.normal(size=(s, s)) + s * np.eye(s) for s in (2, 3, 2)]
+    blocks.insert(1, np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="exactly singular"):
+            _condition_number(_interleaved(blocks, 9))
+
+
+def test_the_direct_method_never_factors_the_whole_system(monkeypatch):
+    shapes = []
+
+    def recording(function):
+        def recorded(*args, **kwargs):
+            shapes.extend(np.shape(arg) for arg in args if isinstance(arg, np.ndarray))
+            return function(*args, **kwargs)
+        return recorded
+
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if callable(function) and not isinstance(function, type):
+            monkeypatch.setattr(np.linalg, name, recording(function))
+    f = random_bandlimited(np.random.default_rng(7), 400, 1024)
+    analyze_direct(f, builtin_basis("square_saw"), 400, "none")  # a new basis, so a new plan
+    matrices = [shape for shape in shapes if len(shape) >= 2]
+    assert matrices, "no matrix reached numpy.linalg"
+    assert all(shape[-2] != 800 for shape in matrices), sorted(set(matrices))
 
 
 @pytest.mark.parametrize("cap", [7, 40])
