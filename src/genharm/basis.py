@@ -8,10 +8,10 @@ samples. Dilating a member by k moves coefficient q to harmonic q*k.
 (rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
 reconstruction, the indirect solve and spectra use the entries as they are.
 The Gram matrix (1/2) Phi^T Phi behind the checks below and the direct method
-is written down in closed form from the members' coefficients, with no
-sample-domain quadrature. ``synthesis_operator`` is Phi as a scipy CSR
-matrix, for callers that want it; it is the only code that imports scipy,
-on its first call.
+is listed entry by entry in closed form from the members' coefficients, with
+no sample-domain quadrature. ``synthesis_operator`` is Phi as a scipy CSR
+matrix, for callers that want it; it is the only code that imports scipy, an
+optional dependency, on its first call.
 
 Two conditions make a pair usable for analysis:
 
@@ -475,6 +475,7 @@ def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
     the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
     Gram matrix of the family. For a schedule, column k comes from the pair
     active at k. Harmonics above ``cap`` are dropped, never folded back.
+    Needs scipy, an optional dependency (the ``sparse`` extra), imported here.
     """
     from scipy import sparse
 
@@ -491,8 +492,8 @@ def _undilated(pair: BasisPair) -> np.ndarray:
     return phi
 
 
-def _family_gram(basis, order: int) -> np.ndarray:
-    """(1/2) Phi^T Phi of a pair or schedule, with no dilation truncated, in closed form.
+def _gram_entries(basis, order: int) -> tuple:
+    """The nonzero entries (rows, cols, vals) of (1/2) Phi^T Phi, no dilation truncated.
 
     Members (X,k) and (Y,m) share the harmonics t*lcm(k, m). With
     g = gcd(k, m), a = m/g and b = k/g these are X's coefficient t*a and Y's
@@ -530,8 +531,17 @@ def _family_gram(basis, order: int) -> np.ndarray:
     member_m = 2 * (np.searchsorted(starts, m, side="right") - 1)
     x = np.arange(2)[:, None, None]  # 0 for S, 1 for R
     y = x.transpose(1, 0, 2)
+    rows, cols = x * order + k - 1, y * order + m - 1
+    vals = table[member_k + x, a - 1, member_m + y, b - 1]
+    nonzero = vals != 0
+    return tuple(np.broadcast_to(part, vals.shape)[nonzero] for part in (rows, cols, vals))
+
+
+def _family_gram(basis, order: int) -> np.ndarray:
+    """(1/2) Phi^T Phi of a pair or schedule as a dense array: ``_gram_entries`` scattered."""
+    rows, cols, vals = _gram_entries(basis, order)
     gram = np.zeros((2 * order, 2 * order))
-    gram[x * order + k - 1, y * order + m - 1] = table[member_k + x, a - 1, member_m + y, b - 1]
+    gram[rows, cols] = vals
     return gram
 
 

@@ -12,12 +12,12 @@ k under a schedule. Everything below reads off Phi:
 
 * ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band,
   summed straight from Phi's entries.
-* ``build_gram_system`` / ``analyze_direct``: the 2N x 2N system
-  G x = (1/2) Phi^T [b; a] with G = (1/2) Phi^T Phi, optionally pruned; its
-  coefficients depend on N. Members that share no harmonic are orthogonal,
-  so G is block diagonal up to a permutation of its rows and columns: the
-  blocks are the connected components of G != 0. Each block is factored by
-  LU on its own, and blocks of one size are solved in one batched call.
+* ``analyze_direct``: the 2N x 2N system G x = (1/2) Phi^T [b; a] with
+  G = (1/2) Phi^T Phi, optionally pruned; its coefficients depend on N.
+  Members that share no harmonic are orthogonal, so G is block diagonal up
+  to a permutation: its blocks are the connected components of the nonzero
+  entries ``basis._gram_entries`` lists; blocks of one size share one batched LU.
+  ``build_gram_system`` returns the dense system, for inspection only.
 * ``analyze_indirect``: Phi's first N harmonic rows.
   Member (S,k) reaches harmonic n = q*k only when k divides n, and a proper
   divisor is at most n/2, so the harmonics of a level [L, 2L) depend only on
@@ -34,13 +34,12 @@ Everything above but the signal's spectrum depends only on (basis, order),
 so it is built once, as the plan of that (basis, order), and reused by every
 later call: Phi's entries at the last band cap asked for, the indirect
 method's level subsets with their 2x2 blocks and determinants, per pruning
-rule the pruned Gram matrix, its mask, its diagonal blocks and its condition
-number, and each segment's undilated Phi for
-``spectrum.generalized_spectrum``. A call then does only per-signal work:
-one rfft, then the level substitution, or the right-hand side and one
-``np.linalg.solve`` per block size, or one bincount for Phi @ [A; B].
-The arithmetic is the one a fresh build would do, so a reused plan gives
-bit-for-bit the results of a new one.
+rule the pruned Gram matrix's diagonal blocks and condition number, and each
+segment's undilated Phi for ``spectrum.generalized_spectrum``. A call then
+does only per-signal work: one rfft, then the level substitution, or the
+right-hand side and one ``np.linalg.solve`` per block size, or one bincount
+for Phi @ [A; B]. The arithmetic is the one a fresh build would do, so a
+reused plan gives bit-for-bit the results of a new one.
 
 Plans are keyed by the basis object's identity, not its values: a rebuilt
 equal basis gets a plan of its own, and basis arrays cannot be made
@@ -49,10 +48,9 @@ writeable, so a basis never changes under its plan. The cache keeps the
 plans of a garbage-collected basis are dropped. A plan at order N with depth
 Q holds Phi's entries, up to 16 bytes per (member, k, q <= Q) with q*k within
 the cap (0.2 MiB at N = 48, Q = 64 on a 4096-sample grid), and, per pruning
-rule the direct method has used, 36 N^2 bytes for the Gram matrix and mask
-(81 KiB at N = 48, 5.5 MiB at N = 400, 137 MiB at N = 2000) plus its
-diagonal blocks and their indices (for the depth-64 builtins, at most
-24 KiB at N = 48, 0.8 MiB at N = 400 and 9 MiB at N = 2000).
+rule the direct method has used, the Gram matrix's diagonal blocks and their
+indices (for the depth-64 builtins, at most 25 KiB at N = 48, 0.8 MiB at
+N = 400 and 9 MiB at N = 2000).
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ from .basis import (
     schedule_to_dict,
     _family_gram,
     _frozen,
+    _gram_entries,
     _integer,
     _segment_runs,
     _segments,
@@ -189,9 +188,9 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    Read-only inputs of the right dtype are kept as they are (the direct
-    method's plan hands out frozen arrays); any other input is copied, so a
-    caller's array is never frozen.
+    Read-only inputs of the right dtype are kept as they are
+    (``build_gram_system`` hands in frozen arrays); any other input is
+    copied, so a caller's array is never frozen.
     """
 
     matrix: np.ndarray
@@ -222,10 +221,10 @@ class _Plan:
     """What the analyses of one (basis, order) need before they see a signal.
 
     Each part is built on its first use and kept; every array handed out is
-    ``_frozen``. Per pruning rule the direct method keeps the pruned Gram
-    matrix G and its mask, G's diagonal blocks (see ``_gram_blocks``) and
-    the condition number read off them; a singular G keeps no condition
-    number, so it raises on every call.
+    ``_frozen``. Per pruning rule the direct method keeps the diagonal
+    blocks of the pruned Gram matrix G (see ``_gram_blocks``), cut from G's
+    entry list without building G, and the condition number read off them.
+    A singular G keeps nothing, so it raises on every call.
     """
 
     def __init__(self, basis, order: int):
@@ -233,9 +232,7 @@ class _Plan:
         self.order = order
         self._entries = (None, ())  # (cap, Phi's entries at that cap)
         self._levels = None
-        self._grams = {}  # pruning -> (pruned Gram matrix, pruned mask)
-        self._blocks = {}  # pruning -> the pruned Gram matrix's diagonal blocks
-        self._conditions = {}  # pruning -> exact 1-norm condition number
+        self._systems = {}  # pruning -> (pruned G's diagonal blocks, its condition number)
         self._undilated = None
 
     @property
@@ -277,27 +274,15 @@ class _Plan:
             self._levels = tuple(levels)
         return self._levels
 
-    def gram(self, pruning: str) -> tuple:
-        """The direct method's pruned Gram matrix and the mask of the entries pruned."""
-        if pruning not in self._grams:
-            pruned = ~_keep_mask(self.order, pruning)
-            gram = _family_gram(self.basis, self.order)
-            gram[pruned] = 0.0
-            self._grams[pruning] = (_frozen(gram), _frozen(pruned))
-        return self._grams[pruning]
-
-    def blocks(self, pruning: str) -> tuple:
-        """``_gram_blocks`` of ``gram(pruning)``: per block size, (indices, blocks)."""
-        if pruning not in self._blocks:
-            groups = _gram_blocks(self.gram(pruning)[0])
-            self._blocks[pruning] = tuple(tuple(map(_frozen, group)) for group in groups)
-        return self._blocks[pruning]
-
-    def condition(self, pruning: str) -> float:
-        """The exact 1-norm condition number of ``gram(pruning)``; a singular one raises each time."""
-        if pruning not in self._conditions:
-            self._conditions[pruning] = _blockwise_condition(self.blocks(pruning))
-        return self._conditions[pruning]
+    def system(self, pruning: str) -> tuple:
+        """The pruned G's ``_gram_blocks`` and its exact 1-norm condition number."""
+        if pruning not in self._systems:
+            rows, cols, vals = _gram_entries(self.basis, self.order)
+            kept = _kept(rows % self.order + 1, cols % self.order + 1, self.order, pruning)
+            groups = _gram_blocks(2 * self.order, rows[kept], cols[kept], vals[kept])
+            groups = tuple(tuple(map(_frozen, group)) for group in groups)
+            self._systems[pruning] = (groups, _blockwise_condition(groups))
+        return self._systems[pruning]
 
     def undilated(self) -> tuple:
         """(first_k, last_k, undilated Phi) of each segment run."""
@@ -414,49 +399,50 @@ def analyze_multiband(
     return analyze_indirect(f, schedule, order, eps_independence)
 
 
-def _keep_mask(order: int, pruning: str) -> np.ndarray:
-    """Boolean (2N, 2N) mask of entries the pruning rule keeps."""
+def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
+    """Whether the pruning rule keeps the Gram entries between dilations k and m, elementwise."""
     if pruning not in PRUNING_RULES:
         raise ConfigurationError(f"unknown pruning rule {pruning!r}")
-    kk = np.arange(1, order + 1)[:, None]
-    mm = kk.T
     if pruning == "none":
-        keep = np.ones((order, order), dtype=bool)
-    elif pruning == "paper":
-        lo = np.minimum(kk, mm)
-        hi = np.maximum(kk, mm)
-        keep = (kk * mm <= order) | (hi % lo == 0)
-    else:  # lcm: prune when the first common harmonic lies beyond the band
-        common = kk // np.gcd(kk, mm) * mm
-        keep = common <= order
-    return np.tile(keep, (2, 2))
+        return np.ones(np.broadcast(k, m).shape, dtype=bool)
+    if pruning == "paper":
+        return (k * m <= order) | (np.maximum(k, m) % np.minimum(k, m) == 0)
+    # lcm: prune when the first common harmonic lies beyond the band
+    return k // np.gcd(k, m) * m <= order
+
+
+def _rhs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
+    """(1/2) Phi^T [b; a], with [b; a] f's spectrum up to its band."""
+    band = f.n // 2 - 1
+    f_spec = analyze_fourier(f, band)
+    rows, cols, vals = plan.entries(band)
+    b_a = np.concatenate([f_spec.b, f_spec.a])
+    return 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * plan.order)
 
 
 def build_gram_system(
     f: PeriodicSignal, basis: BasisPair | BasisSchedule, order: int, pruning: str = "paper"
 ) -> GramSystem:
-    """Assemble the direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T [b; a].
+    """The direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T [b; a] as dense arrays.
 
-    Phi is capped wide enough that no dilation is truncated, so pruned and
-    unpruned variants differ only by the rule; [b; a] is f's spectrum up to
-    its band, beyond which it is zero. Under ``paper`` pruning a
+    Built anew on each call, for inspection; ``analyze_direct`` never builds
+    it. Phi is capped wide enough that no dilation is truncated, so pruned
+    and unpruned variants differ only by the rule; [b; a] is f's spectrum up
+    to its band, beyond which it is zero. Under ``paper`` pruning a
     cross-frequency entry (k != m) survives only if k*m <= order or the
     smaller index divides the larger; ``lcm`` keeps it only if
     lcm(k, m) <= order; ``none`` keeps all.
     """
     _check_band(f, order)
-    band = f.n // 2 - 1
-    plan = _plan(basis, order)
-    gram, pruned = plan.gram(pruning)
-    f_spec = analyze_fourier(f, band)
-    rows, cols, vals = plan.entries(band)
-    b_a = np.concatenate([f_spec.b, f_spec.a])
-    rhs = 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * order)
-    return GramSystem(gram, rhs, pruned, order, pruning)
+    k = np.arange(1, order + 1)
+    pruned = ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
+    gram = _family_gram(basis, order)
+    gram[pruned] = 0.0
+    return GramSystem(_frozen(gram), _rhs(f, _plan(basis, order)), _frozen(pruned), order, pruning)
 
 
-def _components(matrix: np.ndarray) -> np.ndarray:
-    """Each row's connected component in the graph of ``matrix != 0``, labelled by its least row.
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's connected component in the graph of edges (rows, cols), labelled by its least row.
 
     Min-label propagation with pointer jumping: every row takes the least
     label among its neighbours, in either direction, and hands it on to the
@@ -464,10 +450,8 @@ def _components(matrix: np.ndarray) -> np.ndarray:
     moving. A label is always a row of the same component, never larger
     than the row it labels, and the rounds end when no edge joins two labels.
     """
-    n = len(matrix)
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), n)
     ends, other_ends = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    labels = np.arange(n)
+    labels = np.arange(size)
     while True:
         low = labels.copy()
         np.minimum.at(low, ends, labels[other_ends])
@@ -479,24 +463,28 @@ def _components(matrix: np.ndarray) -> np.ndarray:
         labels = low
 
 
-def _gram_blocks(matrix: np.ndarray) -> tuple:
-    """The diagonal blocks of matrix under the permutation that makes it block diagonal.
+def _gram_blocks(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
+    """The diagonal blocks of the size x size matrix with nonzero entries (rows, cols, vals).
 
-    The blocks are the connected components of ``matrix != 0``, so no
-    nonzero entry lies outside them. Per block size s, from the smallest: the
-    rows of its b blocks as a (b, s) index array, each block's rows
-    ascending and the blocks in the order of their first row, and the
-    blocks themselves as one (b, s, s) stack.
+    Up to a permutation of rows and columns the matrix is block diagonal,
+    its blocks the connected components of the entries, so no entry lies
+    outside them. Per block size s, from the smallest: the rows of its b
+    blocks as a (b, s) index array, each block's rows ascending and the
+    blocks in the order of their first row, and the blocks themselves as one
+    (b, s, s) stack.
     """
-    labels = _components(matrix)
+    labels = _components(size, rows, cols)
     members = np.argsort(labels, kind="stable")  # by block, each block's rows ascending
-    sizes = np.bincount(labels)
-    sizes = sizes[sizes > 0]  # the blocks' sizes, in the order of their first row
-    starts = np.cumsum(sizes) - sizes
+    row_sizes = np.bincount(labels)[labels]  # each row's block size
+    place = np.empty(size, dtype=np.intp)  # each row's place in the index array of its block size
     groups = []
-    for size in sorted(set(sizes.tolist())):
-        index = members[starts[sizes == size][:, None] + np.arange(size)]
-        groups.append((index, matrix[index[:, :, None], index[:, None, :]]))
+    for s in np.unique(row_sizes).tolist():
+        index = members[row_sizes[members] == s].reshape(-1, s)
+        place[index] = np.arange(index.size).reshape(index.shape)
+        inside = row_sizes[rows] == s
+        stacked = np.zeros((len(index), s, s))  # as one (b*s, s) matrix, row r is its row place[r]
+        stacked.reshape(-1, s)[place[rows[inside]], place[cols[inside]] % s] = vals[inside]
+        groups.append((index, stacked))
     return tuple(groups)
 
 
@@ -524,7 +512,8 @@ def _blockwise_condition(groups) -> float:
 
 def _condition_number(matrix: np.ndarray) -> float:
     """The exact 1-norm condition number ||G||_1 ||G^-1||_1, refusing a singular G."""
-    return _blockwise_condition(_gram_blocks(matrix))
+    rows, cols = np.nonzero(matrix)
+    return _blockwise_condition(_gram_blocks(len(matrix), rows, cols, matrix[rows, cols]))
 
 
 def analyze_direct(
@@ -542,14 +531,15 @@ def analyze_direct(
     ``CONDITION_WARN_LIMIT`` attach a warning instead of failing.
     """
     _require_solvable(basis, eps_independence)
-    system = build_gram_system(f, basis, order, pruning)
+    _check_band(f, order)
     plan = _plan(basis, order)
-    cond = plan.condition(pruning)
+    groups, cond = plan.system(pruning)
+    rhs = _rhs(f, plan)
     # a finite condition number means each block's LU found no zero pivot,
     # so every block's solve succeeds
     x = np.empty(2 * order)
-    for index, blocks in plan.blocks(pruning):
-        x[index] = np.linalg.solve(blocks, system.rhs[index][..., None])[..., 0]
+    for index, blocks in groups:
+        x[index] = np.linalg.solve(blocks, rhs[index][..., None])[..., 0]
     notes = ()
     if cond > CONDITION_WARN_LIMIT:
         notes = (

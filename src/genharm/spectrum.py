@@ -31,19 +31,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedSpectrum:
-    """Per-frequency component energies of a decomposition, plus c0 squared."""
+    """Per-frequency component energies of a decomposition, plus c0 squared.
+
+    ``entries`` holds (k, energy) for k = 1..N exactly once each, given as
+    any (N, 2) sequence or array and kept as a tuple of tuples.
+    """
 
     entries: tuple
     c0_sq: float
 
     def __post_init__(self):
-        cleaned = tuple((int(k), float(e)) for k, e in self.entries)
-        ks = [k for k, _ in cleaned]
-        if ks != list(range(1, len(cleaned) + 1)):
+        table = np.array(self.entries, dtype=float)
+        if table.shape == (0,):
+            table = table.reshape(0, 2)
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise ConfigurationError("spectrum entries must be (k, energy) pairs")
+        order = len(table)
+        if not np.array_equal(table[:, 0], np.arange(1, order + 1)):
             raise ConfigurationError("spectrum entries must cover k = 1..N exactly once")
-        if not all(0.0 <= e < math.inf for e in (self.c0_sq, *(e for _, e in cleaned))):
+        energies = np.append(table[:, 1], self.c0_sq)
+        if not ((0.0 <= energies) & (energies < math.inf)).all():
             raise ConfigurationError("energies must be finite and nonnegative")
-        object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "entries", tuple(zip(range(1, order + 1), table[:, 1].tolist())))
         object.__setattr__(self, "c0_sq", float(self.c0_sq))
 
     def total(self) -> float:
@@ -85,7 +94,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
         c0_sq = d.c0 ** 2
     except OverflowError:
         c0_sq = math.inf  # refused with the other non-finite energies
-    return GeneralizedSpectrum(tuple(zip(range(1, d.order + 1), energies)), c0_sq)
+    return GeneralizedSpectrum(np.column_stack([np.arange(1, d.order + 1), energies]), c0_sq)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:

@@ -1,5 +1,6 @@
 """Direct and indirect analysis, pruning, reconstruction, serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from genharm.decompose import (
     PRUNING_RULES,
     _condition_number,
     _gram_blocks,
+    _plan,
 )
 
 from conftest import in_span_signal, phi_gram, random_bandlimited, two_segment_schedule
@@ -597,7 +599,8 @@ def test_condition_of_interleaved_blocks_is_the_dense_condition():
     matrix = _interleaved(blocks, 8)
     exact = np.linalg.norm(matrix, 1) * np.linalg.norm(np.linalg.inv(matrix), 1)
     assert _condition_number(matrix) == pytest.approx(exact, rel=1e-12)
-    groups = _gram_blocks(matrix)
+    rows, cols = np.nonzero(matrix)
+    groups = _gram_blocks(len(matrix), rows, cols, matrix[rows, cols])
     assert [index.shape for index, _ in groups] == [(2, 1), (3, 2), (2, 3), (1, 5)]
     for index, stacked in groups:
         assert np.array_equal(stacked, matrix[index[:, :, None], index[:, None, :]])
@@ -634,6 +637,39 @@ def test_the_direct_method_never_factors_the_whole_system(monkeypatch):
     matrices = [shape for shape in shapes if len(shape) >= 2]
     assert matrices, "no matrix reached numpy.linalg"
     assert all(shape[-2] != 800 for shape in matrices), sorted(set(matrices))
+
+
+@pytest.mark.parametrize("pruning", PRUNING_RULES)
+def test_the_direct_method_never_builds_the_dense_system(pruning):
+    order = 1000
+    f = random_bandlimited(np.random.default_rng(8), order, 4096)
+    basis = builtin_basis("square_saw")  # a new basis, so a new plan
+    tracemalloc.start()
+    try:
+        analyze_direct(f, basis, order, pruning)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_gram = 8 * (2 * order) ** 2  # one float64 2N x 2N matrix, 30.5 MiB
+    assert peak < dense_gram, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("order,n", [(7, 64), (48, 512), (400, 1024)])
+def test_plan_blocks_are_the_blocks_of_the_dense_system(order, n):
+    f = random_bandlimited(np.random.default_rng(order + 2), order, n)
+    kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
+    cases = [(kind, builtin_basis(kind)) for kind in kinds] + [("schedule", two_segment_schedule())]
+    for name, basis in cases:
+        for pruning in PRUNING_RULES:
+            matrix = build_gram_system(f, basis, order, pruning).matrix
+            rows, cols = np.nonzero(matrix)
+            want = _gram_blocks(len(matrix), rows, cols, matrix[rows, cols])
+            got = _plan(basis, order).system(pruning)[0]
+            assert len(got) == len(want), (name, pruning)
+            for pair_got, pair_want in zip(got, want):
+                for part_got, part_want in zip(pair_got, pair_want):
+                    assert part_got.shape == part_want.shape, (name, pruning)
+                    assert part_got.tobytes() == part_want.tobytes(), (name, pruning)
 
 
 @pytest.mark.parametrize("cap", [7, 40])

@@ -62,7 +62,7 @@ def test_a_reused_plan_keeps_the_condition_warning():
 def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
     builds = {}
     grams = []
-    original_entries, original_gram = decompose._synthesis_entries, decompose._family_gram
+    original_entries, original_gram = decompose._synthesis_entries, decompose._gram_entries
 
     def counted_entries(basis, order, cap):
         builds[order, cap] = builds.get((order, cap), 0) + 1
@@ -73,7 +73,7 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
         return original_gram(basis, order)
 
     monkeypatch.setattr(decompose, "_synthesis_entries", counted_entries)
-    monkeypatch.setattr(decompose, "_family_gram", counted_gram)
+    monkeypatch.setattr(decompose, "_gram_entries", counted_gram)
     pair = builtin_basis("square_saw")
     rng = np.random.default_rng(10)
     for _ in range(10):

@@ -76,6 +76,10 @@ def test_generalized_spectrum_validation():
         GeneralizedSpectrum(((1, -0.5),), 0.0)
     with pytest.raises(ConfigurationError):
         GeneralizedSpectrum(((2, 0.5),), 0.0)
+    with pytest.raises(ConfigurationError):  # a non-integral k is refused, not truncated to 1
+        GeneralizedSpectrum(((1.5, 0.5),), 0.0)
+    with pytest.raises(ConfigurationError):
+        GeneralizedSpectrum(((1, 0.5, 0.5),), 0.0)
     with pytest.raises(ConfigurationError):
         GeneralizedSpectrum(((1, np.inf),), 0.0)
     # finite decompositions whose energies overflow: the mean, then a component
