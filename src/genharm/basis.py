@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .files import read_json, write_json
-from .signals import FourierSpectrum, analyze_fourier, sample_closed_form
+from .signals import FourierSpectrum, _frozen, analyze_fourier, sample_closed_form
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -90,16 +90,6 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not float(value).is_integer():
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """values seen through a read-only buffer, so no caller can make the array writeable again.
-
-    Analysis plans are cached by basis identity, so the arrays of a basis and
-    of a plan must never change once built.
-    """
-    values = np.ascontiguousarray(values)
-    return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,26 +435,26 @@ def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, k, q.
 
     Row and column layout are those of ``synthesis_operator``. No (row, col)
-    pair repeats: member (S,k) reaches each harmonic q*k once.
+    pair repeats: member (S,k) reaches each harmonic q*k once. A member's
+    zero coefficients give no entries (a square wave's cosine series has
+    only zeros), so every sum over the entries skips them.
     """
     if order < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
-    # 32-bit indices whenever they fit, as scipy would store them anyway: this
-    # spares a converted copy of every index array at build time
-    index = np.int32 if 2 * max(cap, order) <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = [], [], []
     for start, end, pair in _segment_runs(basis, order):
-        k = np.arange(start, end + 1)[:, None]
+        k = np.arange(start, end + 1)
         for first_col, member in ((0, pair.S), (order, pair.R)):
-            harmonic = k * np.arange(1, member.depth + 1)
-            keep = harmonic <= cap
-            h = (harmonic[keep] - 1).astype(index)
-            col = np.broadcast_to((first_col + k - 1).astype(index), harmonic.shape)[keep]
+            count = np.minimum(member.depth, cap // k)  # q*k <= cap holds for q = 1..count
+            q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # q - 1
+            h = np.repeat(k, count) * (q + 1) - 1
+            col = np.repeat(k + (first_col - 1), count)
             rows += [h, cap + h]
             cols += [col, col]
-            for coeffs in (member.cos_coeffs, member.sin_coeffs):
-                vals.append(np.broadcast_to(coeffs, harmonic.shape)[keep])
-    return tuple(np.concatenate(parts) for parts in (rows, cols, vals))
+            vals += [member.cos_coeffs[q], member.sin_coeffs[q]]
+    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+    nonzero = vals != 0
+    return rows[nonzero], cols[nonzero], vals[nonzero]
 
 
 def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
@@ -486,10 +476,11 @@ def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
 def _undilated(pair: BasisPair) -> np.ndarray:
     """The pair's Phi at order 1 with no harmonic dropped, as a dense (2Q, 2) array."""
     depth = _depth(pair)
-    rows, cols, vals = _synthesis_entries(pair, 1, depth)
-    phi = np.zeros((2 * depth, 2))
-    phi[rows, cols] = vals
-    return phi
+    phi = np.zeros((2, depth, 2))  # (cos or sin, q - 1, S or R)
+    for col, member in enumerate((pair.S, pair.R)):
+        phi[0, : member.depth, col] = member.cos_coeffs
+        phi[1, : member.depth, col] = member.sin_coeffs
+    return phi.reshape(2 * depth, 2)
 
 
 def _gram_entries(basis, order: int) -> tuple:
@@ -516,11 +507,17 @@ def _gram_entries(basis, order: int) -> tuple:
         row[:, :depth][inside] = member.cos_coeffs[taken]
         row[:, depth:][inside] = member.sin_coeffs[taken]
     flat = series.reshape(-1, 2 * depth)
-    table = (0.5 * (flat @ flat.T)).reshape(len(members), span, len(members), span)
+    table = 0.5 * (flat @ flat.T)  # rows (member p, a - 1), columns (member p', b - 1)
 
-    a, b = (axis.ravel() for axis in np.indices((span, span)) + 1)
-    coprime = np.gcd(a, b) == 1
-    a, b = a[coprime], b[coprime]
+    # the coprime (a, b): clear the pairs that share a prime p, sieving p on the way
+    coprime = np.ones((span, span), dtype=bool)
+    composite = np.zeros(span + 1, dtype=bool)
+    for p in range(2, span + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            coprime[p - 1 :: p, p - 1 :: p] = False
+    a, b = np.nonzero(coprime)
+    a, b = a + 1, b + 1
     count = order // np.maximum(a, b)
     g = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
     a, b = np.repeat(a, count), np.repeat(b, count)
@@ -532,7 +529,9 @@ def _gram_entries(basis, order: int) -> tuple:
     x = np.arange(2)[:, None, None]  # 0 for S, 1 for R
     y = x.transpose(1, 0, 2)
     rows, cols = x * order + k - 1, y * order + m - 1
-    vals = table[member_k + x, a - 1, member_m + y, b - 1]
+    width = len(members) * span
+    cell = (member_k * span + a - 1) * width + member_m * span + b - 1
+    vals = np.take(table, cell + (x * width + y) * span)
     nonzero = vals != 0
     return tuple(np.broadcast_to(part, vals.shape)[nonzero] for part in (rows, cols, vals))
 

@@ -16,41 +16,45 @@ k under a schedule. Everything below reads off Phi:
   G = (1/2) Phi^T Phi, optionally pruned; its coefficients depend on N.
   Members that share no harmonic are orthogonal, so G is block diagonal up
   to a permutation: its blocks are the connected components of the nonzero
-  entries ``basis._gram_entries`` lists; blocks of one size share one batched LU.
-  ``build_gram_system`` returns the dense system, for inspection only.
-* ``analyze_indirect``: Phi's first N harmonic rows.
-  Member (S,k) reaches harmonic n = q*k only when k divides n, and a proper
-  divisor is at most n/2, so the harmonics of a level [L, 2L) depend only on
-  harmonics below L. A level-scheduled forward substitution solves the
-  levels 1, 2, 4, ... in turn: each subtracts what the lower levels put into
-  its rows, then solves every harmonic's 2x2 fundamental block at once.
-  Coefficients never change when N grows, and the residual after order N has
-  no content below N+1.
+  entries ``basis._gram_entries`` lists, and blocks of one size share one
+  batched inverse. Each block B solves as y = B^-1 r, refined once:
+  x = y + B^-1 (r - B y). ``build_gram_system`` returns the dense system,
+  for inspection only.
+* ``analyze_indirect``: T x = [b; a] on T, Phi's first N harmonic rows.
+  Member (S,k) reaches harmonic n = q*k only when k divides n, so T is
+  block lower triangular in the divisor order, and so is its inverse X,
+  built once (``_triangular_inverse``). The solve is x = X [b; a], refined
+  once: x += X ([b; a] - T x). Coefficients never change when N grows, and
+  the residual after order N has no content below N+1.
 
 Both methods take a pair or a schedule, since only Phi's columns depend on
-which it is.
+which it is, and both report the exact 1-norm condition number of the
+system they solve: kappa_1(T) = ||T||_1 ||X||_1, or ||G||_1 ||G^-1||_1.
 
 Everything above but the signal's spectrum depends only on (basis, order),
 so it is built once, as the plan of that (basis, order), and reused by every
-later call: Phi's entries at the last band cap asked for, the indirect
-method's level subsets with their 2x2 blocks and determinants, per pruning
-rule the pruned Gram matrix's diagonal blocks and condition number, and each
-segment's undilated Phi for ``spectrum.generalized_spectrum``. A call then
-does only per-signal work: one rfft, then the level substitution, or the
-right-hand side and one ``np.linalg.solve`` per block size, or one bincount
-for Phi @ [A; B]. The arithmetic is the one a fresh build would do, so a
-reused plan gives bit-for-bit the results of a new one.
+later call: Phi's entries at the last band cap asked for, T's and X's
+entries, per pruning rule the pruned Gram matrix's diagonal blocks with
+their inverses and condition number, and each segment's undilated Phi for
+``spectrum.generalized_spectrum``. A call then does only per-signal work:
+the signal's rfft, computed once per signal and kept with it, then three
+gather-and-bincount passes over X's and T's entries, or the right-hand side
+and three batched matmuls per block size, or one bincount for Phi @ [A; B].
+The arithmetic is the one a fresh build would do, so a reused plan gives
+bit-for-bit the results of a new one.
 
 Plans are keyed by the basis object's identity, not its values: a rebuilt
 equal basis gets a plan of its own, and basis arrays cannot be made
 writeable, so a basis never changes under its plan. The cache keeps the
 ``_PLAN_CACHE_SIZE`` = 8 plans used last and never keeps a basis alive: the
 plans of a garbage-collected basis are dropped. A plan at order N with depth
-Q holds Phi's entries, up to 16 bytes per (member, k, q <= Q) with q*k within
-the cap (0.2 MiB at N = 48, Q = 64 on a 4096-sample grid), and, per pruning
-rule the direct method has used, the Gram matrix's diagonal blocks and their
-indices (for the depth-64 builtins, at most 25 KiB at N = 48, 0.8 MiB at
-N = 400 and 9 MiB at N = 2000).
+Q holds Phi's entries, 24 bytes per (member, k, q <= Q) with q*k within the
+cap (0.26 MiB at N = 48, Q = 64 on a 4096-sample grid); T's and X's nonzero
+entries, 24 bytes each (for the depth-64 builtins at most 15 KiB at N = 48,
+0.15 MiB at N = 400 and 0.8 MiB at N = 2000); and, per pruning rule the
+direct method has used, the Gram matrix's diagonal blocks, their indices and
+their inverses (at most 49 KiB at N = 48, 1.6 MiB at N = 400 and 18 MiB at
+N = 2000).
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ from .basis import (
     pair_to_dict,
     schedule_from_dict,
     schedule_to_dict,
+    _depth,
     _family_gram,
-    _frozen,
     _gram_entries,
     _integer,
     _segment_runs,
@@ -91,6 +95,7 @@ from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
+    _frozen,
     analyze_fourier,
     synthesize_fourier,
 )
@@ -128,10 +133,13 @@ class Decomposition:
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
     any (N, 3) sequence or array and kept as a tuple of tuples (and, for the
     spectrum sums, as a private read-only float array ``_table``). The basis
-    field is the pair or schedule the analysis ran with; direct results also
-    record the pruning rule and ``condition_estimate``, the exact 1-norm
-    condition number ||G||_1 ||G^-1||_1 of the system G they solved, since
-    their coefficients are tied to the order and system they came from.
+    field is the pair or schedule the analysis ran with. ``condition_estimate``
+    is the exact 1-norm condition number of the system the analysis solved:
+    kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
+    indirect results, ||G||_1 ||G^-1||_1 of the Gram system G for direct
+    ones, which also record the pruning rule, since their coefficients are
+    tied to the order and system they came from. Above
+    ``CONDITION_WARN_LIMIT`` either method attaches a warning.
     """
 
     c0: float
@@ -221,18 +229,20 @@ class _Plan:
     """What the analyses of one (basis, order) need before they see a signal.
 
     Each part is built on its first use and kept; every array handed out is
-    ``_frozen``. Per pruning rule the direct method keeps the diagonal
-    blocks of the pruned Gram matrix G (see ``_gram_blocks``), cut from G's
-    entry list without building G, and the condition number read off them.
-    A singular G keeps nothing, so it raises on every call.
+    ``_frozen``. The indirect method keeps the entries of T, Phi's first N
+    harmonic rows, and of its inverse X (see ``_triangular_inverse``), with
+    kappa_1(T). Per pruning rule the direct method keeps the diagonal blocks
+    of the pruned Gram matrix G (see ``_gram_blocks``), cut from G's entry
+    list without building G, their inverses and the condition number read
+    off them. A singular T or G keeps nothing, so it raises on every call.
     """
 
     def __init__(self, basis, order: int):
         self._basis = weakref.ref(basis)  # the cache must not keep the basis alive
         self.order = order
         self._entries = (None, ())  # (cap, Phi's entries at that cap)
-        self._levels = None
-        self._systems = {}  # pruning -> (pruned G's diagonal blocks, its condition number)
+        self._inverse = None
+        self._systems = {}  # pruning -> (pruned G's blocks with their inverses, its condition number)
         self._undilated = None
 
     @property
@@ -247,41 +257,33 @@ class _Plan:
             self._entries = (cap, entries)
         return entries
 
-    def levels(self) -> tuple:
-        """The indirect method's forward substitution on Phi's first N harmonic rows.
+    def inverse(self) -> tuple:
+        """T's entries, X = T^-1's entries, each as (rows, cols, vals), and kappa_1(T).
 
-        Per level [L, 2L): its harmonics as a slice, the (rows, cols, vals)
-        of the off-diagonal entries that land in its rows, and the adjugate
-        entries s1, r1, s'1, r'1 and determinant of each harmonic's 2x2
-        diagonal block C_1(n) = [[s1, r1], [s'1, r'1]].
+        T is Phi at cap = order. kappa_1(T) = ||T||_1 ||X||_1 is exact: the
+        largest column sum of |T| times that of |X|, read off the entries.
         """
-        if self._levels is None:
+        if self._inverse is None:
             order = self.order
-            rows, cols, vals = _synthesis_entries(self.basis, order, order)
-            harmonic = rows % order + 1
-            diagonal = harmonic == cols % order + 1
-            c1 = np.zeros((2, 2, order))
-            c1[rows[diagonal] // order, cols[diagonal] // order, harmonic[diagonal] - 1] = vals[diagonal]
-            (s1, r1), (sp1, rp1) = c1
-            blocks = _frozen(np.stack([s1, r1, sp1, rp1, s1 * rp1 - r1 * sp1]))
-            levels = []
-            for level in range(order.bit_length()):
-                lo, hi = 1 << level, min(2 << level, order + 1)
-                into = ~diagonal & (lo <= harmonic) & (harmonic < hi)
-                n = slice(lo - 1, hi - 1)
-                into_entries = tuple(_frozen(part[into]) for part in (rows, cols, vals))
-                levels.append((n, *into_entries, *blocks[:, n]))
-            self._levels = tuple(levels)
-        return self._levels
+            triangular = _synthesis_entries(self.basis, order, order)
+            inverse = _triangular_inverse(triangular, order, _depth(self.basis))
+            with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+                cond = float(
+                    np.bincount(triangular[1], np.abs(triangular[2])).max()
+                    * np.bincount(inverse[1], np.abs(inverse[2])).max()
+                )
+            if not math.isfinite(cond):
+                raise AnalysisError("indirect system is numerically singular")
+            self._inverse = (tuple(map(_frozen, triangular)), tuple(map(_frozen, inverse)), cond)
+        return self._inverse
 
     def system(self, pruning: str) -> tuple:
-        """The pruned G's ``_gram_blocks`` and its exact 1-norm condition number."""
+        """The pruned G's ``_gram_blocks`` with each size's inverses, and its condition number."""
         if pruning not in self._systems:
             rows, cols, vals = _gram_entries(self.basis, self.order)
             kept = _kept(rows % self.order + 1, cols % self.order + 1, self.order, pruning)
             groups = _gram_blocks(2 * self.order, rows[kept], cols[kept], vals[kept])
-            groups = tuple(tuple(map(_frozen, group)) for group in groups)
-            self._systems[pruning] = (groups, _blockwise_condition(groups))
+            self._systems[pruning] = _blockwise_inverse(groups)
         return self._systems[pruning]
 
     def undilated(self) -> tuple:
@@ -341,25 +343,102 @@ def _check_band(f: PeriodicSignal, order: int) -> None:
         raise DimensionError(f"order {order} exceeds the representable band {band} at n={f.n}")
 
 
-def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
-    """Forward substitution on Phi's first N harmonic rows; returns [A_1..A_N, B_1..B_N].
+def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
+    """The entries (rows, cols, vals) of X = T^-1 from those of T, Phi's first N harmonic rows.
 
-    Harmonic n depends on components k | n, k < n, through Phi's entries with
-    q = n/k >= 2, and a proper divisor is at most n/2. So the harmonics of
-    the level [L, 2L) depend only on those below L: each level subtracts what
-    the levels below put into its rows, then solves every 2x2 diagonal block
-    C_1(n) = [[s1, r1], [s'1, r'1]] of the pair active at n through its
-    adjugate and determinant.
+    T's 2x2 block (n, k), from member k to harmonic n, is nonzero only when
+    k | n and q = n/k is at most the basis depth: it holds the coefficients
+    q of the pair active at k. The divisor relation is closed under
+    composition, so X has the same pattern, and T X = I gives its block
+    (n, j), from harmonic j to member n:
+
+        X(n, n) = C_1(n)^-1,
+        X(n, j) = sum over j | k | n, k < n, of -C_1(n)^-1 T(n, k) X(k, j),
+
+    C_1(n) = T(n, n) being the fundamental block of the pair active at n.
+    For a single pair X(n, j) depends on n/j alone: it is the
+    Dirichlet-convolution inverse behind the Arithmetic Fourier Transform.
+    Blocks of T and X are numbered by quotient m = n/j, then by j. Block
+    (n, j) draws on the blocks of quotients a = k/j, which divide m and so
+    are at most m/2: the blocks of the quotients [L, 2L) form one level that
+    depends only on the levels below it. Each level is one gather, the 2x2
+    products as (2, 2, terms) arrays and one ``np.bincount``. Exactly zero
+    entries are dropped.
     """
-    spec = analyze_fourier(f, order)
+    # block (m, j), m * j <= N, numbered by m then j; quotient m starts at first[m - 1]
+    per_m = order // np.arange(1, order + 1)
+    first = np.concatenate(([0], np.cumsum(per_m)))
+    m = np.repeat(np.arange(1, order + 1), per_m)
+    j = np.arange(first[-1]) - first[m - 1] + 1
+    # T's blocks as four components [[cos S, cos R], [sin S, sin R]]
+    rows, cols, vals = triangular
+    n, k = rows % order + 1, cols % order + 1
+    t = np.zeros((4, len(m)))
+    t[2 * (rows // order) + cols // order, first[n // k - 1] + k - 1] = vals
+    s1, r1, sp1, rp1 = t[:, :order]  # C_1(n), n = 1..N
+    c1_inverse = np.stack([rp1, -r1, -sp1, s1]) / (s1 * rp1 - r1 * sp1)
+    # the proper divisors a of each quotient m with q = m/a <= depth, sorted by the level of m
+    a = np.arange(1, order // 2 + 1)
+    per_a = np.maximum(np.minimum(depth, order // a) - 1, 0)
+    a = np.repeat(a, per_a)
+    q = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a) + 2
+    level = np.frexp(a * q)[1].astype(np.uint8)  # the bit length of m
+    by_level = np.argsort(level, kind="stable")
+    a, q, level = a[by_level], q[by_level], level[by_level]
+    # one term per divisor and j = 1..N/m: X(n, j) gets -C_1(n)^-1 T(n, k) X(k, j), k = a j
+    per_d = order // (a * q)
+    term_cuts = np.concatenate(([0], np.cumsum(per_d)))
+    jt = np.arange(term_cuts[-1]) - np.repeat(term_cuts[:-1], per_d) + 1
+    source = np.repeat(first[a - 1] - 1, per_d) + jt
+    block = np.repeat(first[a * q - 1] - 1, per_d) + jt
+    k, qt = np.repeat(a, per_d) * jt, np.repeat(q, per_d)
+    t_k = np.take(t, first[qt - 1] + k - 1, axis=1).reshape(2, 2, -1)
+    c_n = np.take(-c1_inverse, k * qt - 1, axis=1).reshape(2, 2, -1)
+    step = c_n[:, :1] * t_k[None, 0] + c_n[:, 1:] * t_k[None, 1]
+    left, right = step[:, :1], step[:, 1:]
+    x = np.zeros((4, len(m)))  # rows X(n, j)[0, 0], [0, 1], [1, 0], [1, 1]
+    x[:, :order] = c1_inverse  # quotient 1: X(n, n) = C_1(n)^-1
+    bits = np.arange(int(order).bit_length() + 1)
+    block_cuts = first[np.minimum(1 << bits, order + 1) - 1].tolist()
+    term_cuts = term_cuts[np.searchsorted(level, bits + 1)].tolist()
+    for lo, hi, t_lo, t_hi in zip(block_cuts[1:], block_cuts[2:], term_cuts[1:], term_cuts[2:]):
+        known = np.take(x, source[t_lo:t_hi], axis=1).reshape(2, 2, -1)
+        products = left[..., t_lo:t_hi] * known[None, 0] + right[..., t_lo:t_hi] * known[None, 1]
+        at = block[t_lo:t_hi] - lo + (hi - lo) * np.arange(4)[:, None]
+        x[:, lo:hi] = np.bincount(at.ravel(), products.ravel(), minlength=4 * (hi - lo)).reshape(4, -1)
+    # X(n, j) maps (cos j, sin j) to (S n, R n)
+    member, harmonic = m * j - 1, j - 1
+    x_rows = np.concatenate([member, member, member + order, member + order])
+    x_cols = np.concatenate([harmonic, harmonic + order, harmonic, harmonic + order])
+    x = x.ravel()
+    nonzero = x != 0
+    return x_rows[nonzero], x_cols[nonzero], x[nonzero]
+
+
+def _indirect_coeffs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
+    """[A_1..A_N, B_1..B_N] = X [b; a] with one step of iterative refinement.
+
+    T x = [b; a] is solved by the plan's exact inverse X = T^-1, then once
+    more for the residual: x += X ([b; a] - T x). Each product is one
+    gather and one ``np.bincount`` over the entries.
+    """
+    (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = plan.inverse()
+    size = 2 * plan.order
+    spec = analyze_fourier(f, plan.order)
     rhs = np.concatenate([spec.b, spec.a])
-    x = np.zeros(2 * order)
-    for n, rows, cols, vals, s1, r1, sp1, rp1, det in _plan(basis, order).levels():
-        rhs -= np.bincount(rows, vals * x[cols], minlength=2 * order)
-        c, s = rhs[n], rhs[order:][n]
-        x[n] = (rp1 * c - r1 * s) / det
-        x[order:][n] = (s1 * s - sp1 * c) / det
-    return x
+    x = np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
+    rhs -= np.bincount(t_rows, t_vals * x[t_cols], minlength=size)
+    return x + np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
+
+
+def _condition_notes(cond: float) -> tuple:
+    """The warning of a condition number above ``CONDITION_WARN_LIMIT``, if any."""
+    if cond > CONDITION_WARN_LIMIT:
+        return (
+            f"condition estimate {cond:.3e} exceeds {CONDITION_WARN_LIMIT:.0e}; "
+            "coefficients may be unreliable",
+        )
+    return ()
 
 
 def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, *provenance):
@@ -377,16 +456,21 @@ def analyze_indirect(
 ) -> Decomposition:
     """Frequency-by-frequency analysis of f over a basis pair or schedule.
 
-    Walks k = 1..order, at each step matching the signal's (a_k, b_k) after
-    subtracting what lower components already contribute at harmonic k via
-    their divisors. Under a schedule each correction reads the stored
-    (A_k, B_k) against the pair that produced them. The resulting residual has
-    zero Fourier content at every harmonic up to the order, and the
-    coefficients do not depend on the order.
+    Solves T x = [b; a] on Phi's first N harmonic rows: harmonic k's (a_k,
+    b_k) are matched after subtracting what lower components already
+    contribute there via their divisors. Under a schedule each correction
+    reads the stored (A_k, B_k) against the pair that produced them. The
+    resulting residual has zero Fourier content at every harmonic up to the
+    order, and the coefficients do not depend on the order. The result
+    carries T's exact 1-norm condition number; values above
+    ``CONDITION_WARN_LIMIT`` attach a warning instead of failing.
     """
     _check_band(f, order)
     _require_solvable(basis, eps_independence)
-    return _decomposition(f, basis, _indirect_coeffs(f, basis, order), "indirect")
+    plan = _plan(basis, order)
+    x = _indirect_coeffs(f, plan)
+    cond = plan.inverse()[2]
+    return _decomposition(f, basis, x, "indirect", None, cond, _condition_notes(cond))
 
 
 def analyze_multiband(
@@ -471,49 +555,60 @@ def _gram_blocks(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
     outside them. Per block size s, from the smallest: the rows of its b
     blocks as a (b, s) index array, each block's rows ascending and the
     blocks in the order of their first row, and the blocks themselves as one
-    (b, s, s) stack.
+    (b, s, s) stack, all read-only.
     """
     labels = _components(size, rows, cols)
-    members = np.argsort(labels, kind="stable")  # by block, each block's rows ascending
     row_sizes = np.bincount(labels)[labels]  # each row's block size
-    place = np.empty(size, dtype=np.intp)  # each row's place in the index array of its block size
+    # rows by block size, then by block, each block's rows ascending
+    members = np.lexsort((labels, row_sizes))
+    place = np.empty(size, dtype=np.intp)  # each row's place in members
+    place[members] = np.arange(size)
+    # the stacks of all sizes, one after another in one flat array
+    row_counts = np.bincount(row_sizes, minlength=size + 1)  # rows in blocks of each size
+    stack_sizes = row_counts * np.arange(size + 1)
+    first_row = np.cumsum(row_counts) - row_counts
+    first_value = np.cumsum(stack_sizes) - stack_sizes
+    size_at = row_sizes[rows]  # each entry's block size
+    first_at = first_row[size_at]
+    stacks = np.zeros(stack_sizes.sum())
+    stacks[first_value[size_at] + (place[rows] - first_at) * size_at + (place[cols] - first_at) % size_at] = vals
+    members, stacks = _frozen(members), _frozen(stacks)
     groups = []
-    for s in np.unique(row_sizes).tolist():
-        index = members[row_sizes[members] == s].reshape(-1, s)
-        place[index] = np.arange(index.size).reshape(index.shape)
-        inside = row_sizes[rows] == s
-        stacked = np.zeros((len(index), s, s))  # as one (b*s, s) matrix, row r is its row place[r]
-        stacked.reshape(-1, s)[place[rows[inside]], place[cols[inside]] % s] = vals[inside]
-        groups.append((index, stacked))
+    for s in np.flatnonzero(row_counts).tolist():
+        lo, count, at = first_row[s], row_counts[s], first_value[s]
+        groups.append((members[lo : lo + count].reshape(-1, s), stacks[at : at + count * s].reshape(-1, s, s)))
     return tuple(groups)
 
 
-def _blockwise_condition(groups) -> float:
-    """||G||_1 ||G^-1||_1 of the block-diagonal G with the blocks of ``_gram_blocks``.
+def _blockwise_inverse(groups) -> tuple:
+    """The (index, blocks) groups of ``_gram_blocks`` with each size's inverses, and ||G||_1 ||G^-1||_1.
 
-    Every column of G, and of G^-1, is a column of one block or of its
-    inverse padded with zeros, so both norms are the largest over the
-    blocks. Each block size takes one batched ``np.linalg.inv``.
+    Every column of the block-diagonal G, and of G^-1, is a column of one
+    block or of its inverse padded with zeros, so both norms are the largest
+    over the blocks. Each block size takes one batched ``np.linalg.inv``,
+    whose result is kept read-only as (index, blocks, inverses).
     """
+    inverted = []
     gram_norm = inverse_norm = 0.0
-    for _, blocks in groups:
-        try:
-            inverses = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError("gram system is exactly singular") from exc
-        with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+    with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+        for index, blocks in groups:
+            try:
+                inverses = np.linalg.inv(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise AnalysisError("gram system is exactly singular") from exc
+            inverted.append((index, blocks, _frozen(inverses)))
             gram_norm = max(gram_norm, float(np.abs(blocks).sum(axis=-2).max()))
             inverse_norm = max(inverse_norm, float(np.abs(inverses).sum(axis=-2).max()))
     cond = gram_norm * inverse_norm
     if not math.isfinite(cond):
         raise AnalysisError("gram system is numerically singular")
-    return cond
+    return tuple(inverted), cond
 
 
 def _condition_number(matrix: np.ndarray) -> float:
     """The exact 1-norm condition number ||G||_1 ||G^-1||_1, refusing a singular G."""
     rows, cols = np.nonzero(matrix)
-    return _blockwise_condition(_gram_blocks(len(matrix), rows, cols, matrix[rows, cols]))
+    return _blockwise_inverse(_gram_blocks(len(matrix), rows, cols, matrix[rows, cols]))[1]
 
 
 def analyze_direct(
@@ -526,27 +621,23 @@ def analyze_direct(
     """One-shot analysis of f by solving the (pruned) Gram system.
 
     Unlike the indirect method, the coefficients depend on the order: adding
-    components redistributes weight across the non-orthogonal family. The
-    result carries the system's exact 1-norm condition number; values above
-    ``CONDITION_WARN_LIMIT`` attach a warning instead of failing.
+    components redistributes weight across the non-orthogonal family. Each
+    block B solves as y = B^-1 r from the plan's inverses, refined once:
+    x = y + B^-1 (r - B y). The result carries the system's exact 1-norm
+    condition number; values above ``CONDITION_WARN_LIMIT`` attach a
+    warning instead of failing.
     """
     _require_solvable(basis, eps_independence)
     _check_band(f, order)
     plan = _plan(basis, order)
     groups, cond = plan.system(pruning)
     rhs = _rhs(f, plan)
-    # a finite condition number means each block's LU found no zero pivot,
-    # so every block's solve succeeds
     x = np.empty(2 * order)
-    for index, blocks in groups:
-        x[index] = np.linalg.solve(blocks, rhs[index][..., None])[..., 0]
-    notes = ()
-    if cond > CONDITION_WARN_LIMIT:
-        notes = (
-            f"condition estimate {cond:.3e} exceeds {CONDITION_WARN_LIMIT:.0e}; "
-            "coefficients may be unreliable",
-        )
-    return _decomposition(f, basis, x, "direct", pruning, cond, notes)
+    for index, blocks, inverses in groups:
+        r = rhs[index][..., None]
+        y = inverses @ r
+        x[index] = (y + inverses @ (r - blocks @ y))[..., 0]
+    return _decomposition(f, basis, x, "direct", pruning, cond, _condition_notes(cond))
 
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,6 +36,16 @@ __all__ = [
 ]
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """values seen through a read-only buffer, so no caller can make the array writeable again.
+
+    Analysis plans are cached by basis identity and a signal's transform is
+    kept with the signal, so these arrays must never change once built.
+    """
+    values = np.ascontiguousarray(values)
+    return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
+
+
 def _check_sample_count(n: int) -> None:
     if n < 4 or n % 2 != 0:
         raise InvalidSignalError(f"sample count must be even and >= 4, got {n}")
@@ -45,7 +56,9 @@ class PeriodicSignal:
     """One period of a real signal, sampled at x_j = j/n for j = 0..n-1.
 
     The sample array is copied and frozen on construction; instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads. The signal's ``np.fft.rfft``
+    is computed on first use and kept, read-only, so every analysis of one
+    signal shares one transform.
     """
 
     samples: np.ndarray
@@ -69,6 +82,11 @@ class PeriodicSignal:
     def grid(self) -> np.ndarray:
         """Sample abscissae x_j = j/n."""
         return np.arange(self.n) / self.n
+
+    @cached_property
+    def _rfft(self) -> np.ndarray:
+        """The samples' ``np.fft.rfft`` bins 0..n/2."""
+        return _frozen(np.fft.rfft(self.samples))
 
 
 def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicSignal:
@@ -150,7 +168,7 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
         raise AliasingError(
             f"max harmonic {max_harmonic} exceeds representable band {nyquist_band} at n={f.n}"
         )
-    bins = np.fft.rfft(f.samples)
+    bins = f._rfft
     c0 = bins[0].real / f.n
     a = -2.0 / f.n * bins.imag[1 : max_harmonic + 1]
     b = 2.0 / f.n * bins.real[1 : max_harmonic + 1]

@@ -114,6 +114,12 @@ def test_rotated_trig_pair_reduces_to_plain_fourier():
         assert B == pytest.approx(s * spec.b[k - 1] + c * spec.a[k - 1], abs=1e-12)
 
 
+def test_indirect_takes_a_numpy_integer_order():
+    f = random_bandlimited(np.random.default_rng(22), 12, 64)
+    basis = builtin_basis("square_saw", depth=5)
+    assert analyze_indirect(f, basis, np.int64(12)).coeffs == analyze_indirect(f, basis, 12).coeffs
+
+
 def test_lopsided_member_scales_raise_the_conditioning_error():
     # R is so small next to S that the 2x2 determinant is negligible against
     # the fundamental magnitudes
@@ -126,9 +132,8 @@ def test_lopsided_member_scales_raise_the_conditioning_error():
         analyze_indirect(hand_signal(), pair, 2)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_indirect_annihilates_the_analyzed_band(seed):
+def _random_pair_case(seed):
+    """(pair, f) as the random-pair tests draw them, or None where the margin filter refuses the pair."""
     rng = np.random.default_rng(seed)
     depth = int(rng.integers(1, 4))
     S = BasisFunction(rng.normal(size=depth), rng.normal(size=depth))
@@ -137,21 +142,56 @@ def test_indirect_annihilates_the_analyzed_band(seed):
     from genharm import check_independence
 
     report = check_independence(pair)
-    assume(report.passed and report.margin > 1e-3)
-    f = random_bandlimited(rng, 12, 256)
+    if not (report.passed and report.margin > 1e-3):
+        return None
+    return pair, random_bandlimited(rng, 12, 256)
+
+
+def _annihilation_units(pair, f):
+    """The indirect residual's largest analyzed-band coefficient, in units of eps * (|Phi_N||x| + |[b; a]|)."""
     d = analyze_indirect(f, pair, 8)
     res_spec = analyze_fourier(residual(f, d), 8)
-    # The margin filter still admits pairs whose coefficients grow to 1e9 and
-    # beyond, so the in-band floor is float64 rounding of Phi_N x - [b; a],
-    # relative to the magnitudes summed, not an absolute constant. Seeds
-    # 0..15999 reached at most 9.3 of these units; 128 leaves 13x headroom.
     spec = analyze_fourier(f, 8)
     x = np.array(d.coeffs)[:, 1:].T.ravel()
     phi = abs(synthesis_operator(pair, 8, 8).toarray())
     terms = phi @ np.abs(x) + np.abs(np.concatenate([spec.b, spec.a]))
-    bound = 128 * np.finfo(float).eps * (np.max(terms) + np.max(np.abs(f.samples)))
-    assert np.max(np.abs(res_spec.a)) <= bound
-    assert np.max(np.abs(res_spec.b)) <= bound
+    unit = np.finfo(float).eps * (np.max(terms) + np.max(np.abs(f.samples)))
+    return max(np.max(np.abs(res_spec.a)), np.max(np.abs(res_spec.b))) / unit
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_indirect_annihilates_the_analyzed_band(seed):
+    case = _random_pair_case(seed)
+    assume(case is not None)
+    # The margin filter still admits pairs whose coefficients grow to 1e9 and
+    # beyond, so the in-band floor is float64 rounding of Phi_N x - [b; a],
+    # relative to the magnitudes summed, not an absolute constant. Seeds
+    # 0..15999 reached at most 8.4 of these units; 128 leaves 15x headroom.
+    assert _annihilation_units(*case) <= 128
+
+
+def test_indirect_refinement_keeps_an_ill_conditioned_pair_at_the_float_floor():
+    # seed 3054 draws a pair (condition 1.4e8) whose X [b; a] alone leaves 36
+    # units in the band; one step of refinement brings it to 0.35
+    case = _random_pair_case(3054)
+    assert case is not None
+    assert _annihilation_units(*case) <= 16
+
+
+def test_direct_refinement_keeps_an_ill_conditioned_system_at_the_float_floor():
+    # seed 196 under paper pruning has condition 2.3e6: B^-1 r alone leaves a
+    # normal-equation residual of 157 units, one refinement step 0.33
+    case = _random_pair_case(196)
+    assert case is not None
+    pair, f = case
+    system = build_gram_system(f, pair, 8, "paper")
+    d = analyze_direct(f, pair, 8, "paper")
+    assert d.condition_estimate > 1e6
+    x = np.array(d.coeffs)[:, 1:].T.ravel()
+    gram, rhs = system.matrix, system.rhs
+    unit = np.finfo(float).eps * (np.max(np.abs(gram) @ np.abs(x)) + np.max(np.abs(rhs)))
+    assert np.max(np.abs(gram @ x - rhs)) <= 8 * unit
 
 
 @given(alpha=st.floats(-4, 4), beta=st.floats(-4, 4), seed=st.integers(0, 2**32 - 1))
@@ -509,6 +549,30 @@ def test_indirect_matches_a_dense_solve_on_phi(basis_kind, order):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("order", [7, 48, 400])
+def test_indirect_condition_is_the_exact_one_norm_condition_of_phi_n(order):
+    f = random_bandlimited(np.random.default_rng(order), order, 1024)
+    kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
+    cases = [(kind, builtin_basis(kind)) for kind in kinds] + [("schedule", two_segment_schedule())]
+    for name, basis in cases:
+        phi = synthesis_operator(basis, order, order).toarray()
+        exact = np.linalg.norm(phi, 1) * np.linalg.norm(np.linalg.inv(phi), 1)
+        d = analyze_indirect(f, basis, order)
+        assert d.condition_estimate == pytest.approx(exact, rel=1e-12), name
+        assert d.warnings == ()
+
+
+@pytest.mark.parametrize("seed,cond", [(364261742, 1.03e14), (2404208098, 4.40e12), (3993120746, 3.63e12)])
+def test_indirect_results_of_a_growing_pair_carry_a_condition_warning(seed, cond):
+    # random pairs that pass the margin filter yet grow a unit signal's
+    # coefficients to 1e11 - 1e13
+    pair, f = _random_pair_case(seed)
+    d = analyze_indirect(f, pair, 8)
+    assert d.condition_estimate == pytest.approx(cond, rel=5e-3)
+    assert len(d.warnings) == 1
+    assert "condition" in d.warnings[0]
+
+
 def _direct_systems(f, order):
     """(name, basis, rule, Gram from Phi, rhs) for every builtin and a schedule, each rule."""
     kinds = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
@@ -666,10 +730,12 @@ def test_plan_blocks_are_the_blocks_of_the_dense_system(order, n):
             want = _gram_blocks(len(matrix), rows, cols, matrix[rows, cols])
             got = _plan(basis, order).system(pruning)[0]
             assert len(got) == len(want), (name, pruning)
-            for pair_got, pair_want in zip(got, want):
-                for part_got, part_want in zip(pair_got, pair_want):
+            for (index, blocks, inverses), (want_index, want_blocks) in zip(got, want):
+                for part_got, part_want in ((index, want_index), (blocks, want_blocks)):
                     assert part_got.shape == part_want.shape, (name, pruning)
                     assert part_got.tobytes() == part_want.tobytes(), (name, pruning)
+                # the inverses the solve uses are those the condition number reads
+                assert inverses.tobytes() == np.linalg.inv(want_blocks).tobytes(), (name, pruning)
 
 
 @pytest.mark.parametrize("cap", [7, 40])

@@ -10,8 +10,10 @@ import pytest
 from genharm import (
     BasisFunction,
     BasisPair,
+    BasisSchedule,
     analyze_direct,
     analyze_indirect,
+    analyze_multiband,
     build_gram_system,
     builtin_basis,
     generalized_spectrum,
@@ -85,6 +87,26 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
     assert grams == [16]
 
 
+def test_one_rfft_per_signal_across_the_analyses(monkeypatch):
+    calls = []
+    original = np.fft.rfft
+
+    def counted(samples, *args, **kwargs):
+        calls.append(len(samples))
+        return original(samples, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    pair = builtin_basis("square_saw")
+    schedule = BasisSchedule(((1, pair), (9, builtin_basis("triangle"))))
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        f = random_bandlimited(rng, 16, 128)
+        analyze_indirect(f, pair, 16)
+        analyze_direct(f, pair, 16, "paper")
+        analyze_multiband(f, schedule, 16)
+    assert calls == [128, 128, 128]  # one per signal, whichever analysis comes first
+
+
 def test_more_bases_than_the_bound_leave_the_cache_at_its_bound():
     f = random_bandlimited(np.random.default_rng(1), 4, 32)
     bases = [builtin_basis("square", depth=4) for _ in range(_PLAN_CACHE_SIZE + 3)]
@@ -112,9 +134,11 @@ def test_plan_arrays_cannot_be_made_writeable():
     f = random_bandlimited(np.random.default_rng(2), 6, 64)
     system = build_gram_system(f, pair, 6, "lcm")
     analyze_indirect(f, pair, 6)
+    analyze_direct(f, pair, 6, "lcm")
     plan = _plan(pair, 6)
-    arrays = [system.matrix, system.pruned_mask, system.rhs, *plan.entries(31)]
-    arrays += [part for level in plan.levels() for part in level[1:]]
+    triangular, inverse, _ = plan.inverse()
+    arrays = [system.matrix, system.pruned_mask, system.rhs, *plan.entries(31), *triangular, *inverse]
+    arrays += [part for group in plan.system("lcm")[0] for part in group]
     for array in arrays:
         with pytest.raises(ValueError):
             array.setflags(write=True)

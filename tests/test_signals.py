@@ -45,6 +45,17 @@ def test_signal_samples_are_defensive_and_read_only():
         f.samples[0] = 0.0
 
 
+def test_cached_transform_is_the_rfft_and_cannot_be_made_writeable():
+    f = PeriodicSignal(np.random.default_rng(4).normal(size=16))
+    bins = f._rfft
+    assert bins is f._rfft  # computed once, then kept
+    assert np.array_equal(bins, np.fft.rfft(f.samples))
+    with pytest.raises(ValueError):
+        bins[1] = 0.0
+    with pytest.raises(ValueError):
+        bins.setflags(write=True)
+
+
 def test_grid_is_j_over_n():
     f = PeriodicSignal(np.zeros(8))
     assert np.array_equal(f.grid, np.arange(8) / 8)
