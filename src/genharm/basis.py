@@ -7,11 +7,12 @@ samples. Dilating a member by k moves coefficient q to harmonic q*k.
 ``_synthesis_entries`` writes that index arithmetic down once, as the
 (rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
 reconstruction, the indirect solve and spectra use the entries as they are.
-The Gram matrix (1/2) Phi^T Phi behind the checks below and the direct method
-is listed entry by entry in closed form from the members' coefficients, with
-no sample-domain quadrature. ``synthesis_operator`` is Phi as a scipy CSR
-matrix, for callers that want it; it is the only code that imports scipy, an
-optional dependency, on its first call.
+The Gram matrix G = (1/2) Phi^T Phi is stated once too: ``_gram_entries``
+lists its nonzero entries in closed form from the members' coefficients, with
+no sample-domain quadrature, and ``_gram_blocks`` cuts them into the diagonal
+blocks of G, which is block diagonal up to a permutation. The frame bounds
+and orthogonality classes below and the direct method all read G through
+these two; no dense copy of G is built. The module runs on numpy alone.
 
 Two conditions make a pair usable for analysis:
 
@@ -31,16 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _frozen, analyze_fourier, sample_closed_form
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "BasisFunction",
@@ -58,7 +56,6 @@ __all__ = [
     "ORTHOGONALITY_TOL",
     "builtin_basis",
     "dilate",
-    "synthesis_operator",
     "check_independence",
     "check_convergence",
     "classify_orthogonality",
@@ -181,7 +178,7 @@ class BasisSchedule:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Smallest/largest eigenvalue estimates of the dilated family's Gram matrix."""
+    """Smallest and largest eigenvalues of the dilated family's Gram matrix, exact up to roundoff."""
 
     lower: float
     upper: float
@@ -434,10 +431,14 @@ def _segment_runs(basis, order: int) -> list:
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, k, q.
 
-    Row and column layout are those of ``synthesis_operator``. No (row, col)
-    pair repeats: member (S,k) reaches each harmonic q*k once. A member's
-    zero coefficients give no entries (a square wave's cosine series has
-    only zeros), so every sum over the entries skips them.
+    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
+    Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
+    the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
+    Gram matrix of the family. For a schedule, column k comes from the pair
+    active at k. Harmonics above ``cap`` are dropped, never folded back.
+    No (row, col) pair repeats: member (S,k) reaches each harmonic q*k once.
+    A member's zero coefficients give no entries (a square wave's cosine
+    series has only zeros), so every sum over the entries skips them.
     """
     if order < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
@@ -455,22 +456,6 @@ def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     nonzero = vals != 0
     return rows[nonzero], cols[nonzero], vals[nonzero]
-
-
-def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
-    """The synthesis operator Phi of the dilated family {S(kx), R(kx)}, k = 1..order.
-
-    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
-    Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
-    the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
-    Gram matrix of the family. For a schedule, column k comes from the pair
-    active at k. Harmonics above ``cap`` are dropped, never folded back.
-    Needs scipy, an optional dependency (the ``sparse`` extra), imported here.
-    """
-    from scipy import sparse
-
-    rows, cols, vals = _synthesis_entries(basis, order, cap)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * cap, 2 * order))
 
 
 def _undilated(pair: BasisPair) -> np.ndarray:
@@ -536,12 +521,59 @@ def _gram_entries(basis, order: int) -> tuple:
     return tuple(np.broadcast_to(part, vals.shape)[nonzero] for part in (rows, cols, vals))
 
 
-def _family_gram(basis, order: int) -> np.ndarray:
-    """(1/2) Phi^T Phi of a pair or schedule as a dense array: ``_gram_entries`` scattered."""
-    rows, cols, vals = _gram_entries(basis, order)
-    gram = np.zeros((2 * order, 2 * order))
-    gram[rows, cols] = vals
-    return gram
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's connected component in the graph of edges (rows, cols), labelled by its least row.
+
+    Min-label propagation with pointer jumping: every row takes the least
+    label among its neighbours, in either direction, and hands it on to the
+    row its own label names; then labels follow labels until they stop
+    moving. A label is always a row of the same component, never larger
+    than the row it labels, and the rounds end when no edge joins two labels.
+    """
+    ends, other_ends = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    labels = np.arange(size)
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, ends, labels[other_ends])
+        np.minimum.at(low, labels[ends], labels[other_ends])
+        while not np.array_equal(low, jumped := low[low]):
+            low = jumped
+        if np.array_equal(low, labels):
+            return labels
+        labels = low
+
+
+def _gram_blocks(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
+    """The diagonal blocks of the size x size matrix with nonzero entries (rows, cols, vals).
+
+    Up to a permutation of rows and columns the matrix is block diagonal,
+    its blocks the connected components of the entries, so no entry lies
+    outside them. Per block size s, from the smallest: the rows of its b
+    blocks as a (b, s) index array, each block's rows ascending and the
+    blocks in the order of their first row, and the blocks themselves as one
+    (b, s, s) stack, all read-only.
+    """
+    labels = _components(size, rows, cols)
+    row_sizes = np.bincount(labels)[labels]  # each row's block size
+    # rows by block size, then by block, each block's rows ascending
+    members = np.lexsort((labels, row_sizes))
+    place = np.empty(size, dtype=np.intp)  # each row's place in members
+    place[members] = np.arange(size)
+    # the stacks of all sizes, one after another in one flat array
+    row_counts = np.bincount(row_sizes, minlength=size + 1)  # rows in blocks of each size
+    stack_sizes = row_counts * np.arange(size + 1)
+    first_row = np.cumsum(row_counts) - row_counts
+    first_value = np.cumsum(stack_sizes) - stack_sizes
+    size_at = row_sizes[rows]  # each entry's block size
+    first_at = first_row[size_at]
+    stacks = np.zeros(stack_sizes.sum())
+    stacks[first_value[size_at] + (place[rows] - first_at) * size_at + (place[cols] - first_at) % size_at] = vals
+    members, stacks = _frozen(members), _frozen(stacks)
+    groups = []
+    for s in np.flatnonzero(row_counts).tolist():
+        lo, count, at = first_row[s], row_counts[s], first_value[s]
+        groups.append((members[lo : lo + count].reshape(-1, s), stacks[at : at + count * s].reshape(-1, s, s)))
+    return tuple(groups)
 
 
 def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
@@ -597,15 +629,17 @@ def classify_orthogonality(
 
     Horizontal: <S(kx), R(kx)> = 0 at every common index k <= k_max.
     Vertical: every inner product between members at distinct indices
-    k != m <= k_max vanishes. Both are read off (1/2) Phi^T Phi with no
-    dilation truncated, so the verdicts are exact up to roundoff.
+    k != m <= k_max vanishes. Both maxima are read straight off the entries
+    of (1/2) Phi^T Phi with no dilation truncated, so the verdicts are exact
+    up to roundoff.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    gram = _family_gram(pair, k_max)
-    same_k = np.tile(np.eye(k_max, dtype=bool), (2, 2))
-    max_horizontal = float(np.max(np.abs(np.diag(gram, k_max))))
-    max_vertical = float(np.max(np.abs(gram[~same_k]), initial=0.0))
+    rows, cols, vals = _gram_entries(pair, k_max)
+    same_k = rows % k_max == cols % k_max
+    magnitude = np.abs(vals)
+    max_horizontal = float(np.max(magnitude[same_k & (rows != cols)], initial=0.0))
+    max_vertical = float(np.max(magnitude[~same_k], initial=0.0))
     return OrthogonalityReport(
         horizontal=max_horizontal <= tol,
         vertical=max_vertical <= tol,
@@ -616,17 +650,22 @@ def classify_orthogonality(
 
 
 def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
-    """Estimate frame bounds of {S(kx), R(kx)}_{k <= order} via the Gram matrix.
+    """The frame bounds of {S(kx), R(kx)}_{k <= order}: the Gram matrix's extreme eigenvalues.
 
-    The 2N x 2N Gram matrix (1/2) Phi^T Phi, rows ordered (S,1)..(S,N),
-    (R,1)..(R,N), is taken un-pruned with no dilation truncated, and its
-    extreme eigenvalues are returned. A numerically singular family reports
-    lower = 0.
+    The 2N x 2N Gram matrix (1/2) Phi^T Phi is taken un-pruned with no
+    dilation truncated. It is block diagonal up to a permutation, and every
+    eigenvalue of a block-diagonal matrix is an eigenvalue of one of its
+    blocks, so one batched ``np.linalg.eigvalsh`` per block size over
+    ``_gram_blocks`` gives the exact extremes. A numerically singular family
+    reports lower = 0.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    eigs = np.linalg.eigvalsh(_family_gram(pair, order))
-    return FrameBounds(max(0.0, float(eigs[0])), float(eigs[-1]), order)
+    groups = _gram_blocks(2 * order, *_gram_entries(pair, order))
+    eigs = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
+    lower = min(float(each[:, 0].min()) for each in eigs)
+    upper = max(float(each[:, -1].max()) for each in eigs)
+    return FrameBounds(max(0.0, lower), upper, order)
 
 
 # --- JSON interchange --------------------------------------------------------

@@ -125,8 +125,8 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     pair = _load_basis(args)
     independence = check_independence(pair, args.eps_ind)
     convergence = check_convergence(pair, args.eps_conv)
-    ortho = classify_orthogonality(pair, min(args.order, 16))
-    bounds = frame_bounds(pair, min(args.order, 16))
+    ortho = classify_orthogonality(pair, args.order)
+    bounds = frame_bounds(pair, args.order)
     label = pair.label or "unlabeled"
     print(f"basis: {label}")
     print(

@@ -4,22 +4,22 @@ Both methods express a signal as
 
     f(x) ~ c0 + sum_{k=1..N} A_k S(kx) + B_k R(kx)
 
-and both are linear algebra on the synthesis operator Phi of
-``basis.synthesis_operator``: rows are harmonics (cos 1..cap, then sin
+and both are linear algebra on the synthesis operator Phi, whose entries
+``basis._synthesis_entries`` lists: rows are harmonics (cos 1..cap, then sin
 1..cap), columns are dilated members ((S,1)..(S,N), then (R,1)..(R,N)), and
 column (S,k) holds S's coefficient q at harmonic q*k, from the pair active at
-k under a schedule. Everything below reads off Phi:
+k under a schedule. Everything below reads off Phi, with numpy alone:
 
 * ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band,
   summed straight from Phi's entries.
 * ``analyze_direct``: the 2N x 2N system G x = (1/2) Phi^T [b; a] with
   G = (1/2) Phi^T Phi, optionally pruned; its coefficients depend on N.
   Members that share no harmonic are orthogonal, so G is block diagonal up
-  to a permutation: its blocks are the connected components of the nonzero
-  entries ``basis._gram_entries`` lists, and blocks of one size share one
-  batched inverse. Each block B solves as y = B^-1 r, refined once:
-  x = y + B^-1 (r - B y). ``build_gram_system`` returns the dense system,
-  for inspection only.
+  to a permutation: ``basis._gram_blocks`` cuts its blocks, the connected
+  components of the nonzero entries ``basis._gram_entries`` lists, and
+  blocks of one size share one batched inverse. Each block B solves as
+  y = B^-1 r, refined once: x = y + B^-1 (r - B y). ``build_gram_system``
+  scatters the entries into the dense system, for inspection only.
 * ``analyze_indirect``: T x = [b; a] on T, Phi's first N harmonic rows.
   Member (S,k) reaches harmonic n = q*k only when k divides n, so T is
   block lower triangular in the divisor order, and so is its inverse X,
@@ -76,7 +76,7 @@ from .basis import (
     schedule_from_dict,
     schedule_to_dict,
     _depth,
-    _family_gram,
+    _gram_blocks,
     _gram_entries,
     _integer,
     _segment_runs,
@@ -520,64 +520,11 @@ def build_gram_system(
     _check_band(f, order)
     k = np.arange(1, order + 1)
     pruned = ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
-    gram = _family_gram(basis, order)
+    rows, cols, vals = _gram_entries(basis, order)
+    gram = np.zeros((2 * order, 2 * order))
+    gram[rows, cols] = vals
     gram[pruned] = 0.0
     return GramSystem(_frozen(gram), _rhs(f, _plan(basis, order)), _frozen(pruned), order, pruning)
-
-
-def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each row's connected component in the graph of edges (rows, cols), labelled by its least row.
-
-    Min-label propagation with pointer jumping: every row takes the least
-    label among its neighbours, in either direction, and hands it on to the
-    row its own label names; then labels follow labels until they stop
-    moving. A label is always a row of the same component, never larger
-    than the row it labels, and the rounds end when no edge joins two labels.
-    """
-    ends, other_ends = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    labels = np.arange(size)
-    while True:
-        low = labels.copy()
-        np.minimum.at(low, ends, labels[other_ends])
-        np.minimum.at(low, labels[ends], labels[other_ends])
-        while not np.array_equal(low, jumped := low[low]):
-            low = jumped
-        if np.array_equal(low, labels):
-            return labels
-        labels = low
-
-
-def _gram_blocks(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
-    """The diagonal blocks of the size x size matrix with nonzero entries (rows, cols, vals).
-
-    Up to a permutation of rows and columns the matrix is block diagonal,
-    its blocks the connected components of the entries, so no entry lies
-    outside them. Per block size s, from the smallest: the rows of its b
-    blocks as a (b, s) index array, each block's rows ascending and the
-    blocks in the order of their first row, and the blocks themselves as one
-    (b, s, s) stack, all read-only.
-    """
-    labels = _components(size, rows, cols)
-    row_sizes = np.bincount(labels)[labels]  # each row's block size
-    # rows by block size, then by block, each block's rows ascending
-    members = np.lexsort((labels, row_sizes))
-    place = np.empty(size, dtype=np.intp)  # each row's place in members
-    place[members] = np.arange(size)
-    # the stacks of all sizes, one after another in one flat array
-    row_counts = np.bincount(row_sizes, minlength=size + 1)  # rows in blocks of each size
-    stack_sizes = row_counts * np.arange(size + 1)
-    first_row = np.cumsum(row_counts) - row_counts
-    first_value = np.cumsum(stack_sizes) - stack_sizes
-    size_at = row_sizes[rows]  # each entry's block size
-    first_at = first_row[size_at]
-    stacks = np.zeros(stack_sizes.sum())
-    stacks[first_value[size_at] + (place[rows] - first_at) * size_at + (place[cols] - first_at) % size_at] = vals
-    members, stacks = _frozen(members), _frozen(stacks)
-    groups = []
-    for s in np.flatnonzero(row_counts).tolist():
-        lo, count, at = first_row[s], row_counts[s], first_value[s]
-        groups.append((members[lo : lo + count].reshape(-1, s), stacks[at : at + count * s].reshape(-1, s, s)))
-    return tuple(groups)
 
 
 def _blockwise_inverse(groups) -> tuple:
@@ -603,12 +550,6 @@ def _blockwise_inverse(groups) -> tuple:
     if not math.isfinite(cond):
         raise AnalysisError("gram system is numerically singular")
     return tuple(inverted), cond
-
-
-def _condition_number(matrix: np.ndarray) -> float:
-    """The exact 1-norm condition number ||G||_1 ||G^-1||_1, refusing a singular G."""
-    rows, cols = np.nonzero(matrix)
-    return _blockwise_inverse(_gram_blocks(len(matrix), rows, cols, matrix[rows, cols]))[1]
 
 
 def analyze_direct(

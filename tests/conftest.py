@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from genharm import (
     BasisFunction,
@@ -10,9 +11,9 @@ from genharm import (
     FourierSpectrum,
     builtin_basis,
     dilate,
-    synthesis_operator,
     synthesize_fourier,
 )
+from genharm.basis import _synthesis_entries
 
 _ACCEPTANCE_RESULTS = []
 
@@ -52,6 +53,18 @@ def two_segment_schedule():
         "short",
     )
     return BasisSchedule(((1, builtin_basis("square_saw", depth=5)), (3, short)))
+
+
+def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
+    """The synthesis operator Phi of {S(kx), R(kx)}, k = 1..order, as a scipy CSR matrix.
+
+    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N);
+    column (S,k) holds S's coefficient q at harmonic q*k, and harmonics above
+    ``cap`` are dropped. scipy builds it from ``_synthesis_entries``, so it is
+    an oracle apart from the library's own gather-and-bincount sums.
+    """
+    rows, cols, vals = _synthesis_entries(basis, order, cap)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * cap, 2 * order))
 
 
 def phi_gram(basis, order: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -66,6 +67,16 @@ def test_check_basis_passing_pair(workdir, capsys):
     assert report["independence"]["passed"] is True
     assert report["convergence"]["passed"] is True
     assert report["frame_bounds"]["lower"] > 0
+
+
+def test_check_basis_reports_at_the_requested_order(workdir, capsys):
+    code = main(["check-basis", "--basis", "square_saw", "--order", "40",
+                 "--json-out", str(workdir / "r.json")])
+    assert code == 0
+    assert "frame bounds (N=40)" in capsys.readouterr().out
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["frame_bounds"]["order"] == 40
+    assert report["orthogonality"]["k_max"] == 40
 
 
 def test_check_basis_failing_pair_exits_two(workdir, capsys):
@@ -268,6 +279,19 @@ def test_no_command_loads_scipy(workdir):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] [] []"
     assert (workdir / "recon.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
+    # nor does any module of the library, even lazily inside a function
+    importers = []
+    for source in sorted(Path(genharm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in modules):
+                importers.append(f"{source.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_compare_columns_match_for_orthogonal_basis(workdir, capsys):

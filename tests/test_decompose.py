@@ -32,18 +32,23 @@ from genharm import (
     reconstruct,
     residual,
     save_decomposition,
-    synthesis_operator,
     synthesize_fourier,
 )
+from genharm.basis import _gram_blocks
 from genharm.decompose import (
     CONDITION_WARN_LIMIT,
     PRUNING_RULES,
-    _condition_number,
-    _gram_blocks,
+    _blockwise_inverse,
     _plan,
 )
 
-from conftest import in_span_signal, phi_gram, random_bandlimited, two_segment_schedule
+from conftest import (
+    in_span_signal,
+    phi_gram,
+    random_bandlimited,
+    synthesis_operator,
+    two_segment_schedule,
+)
 
 
 def hand_pair():
@@ -613,6 +618,13 @@ def test_condition_estimate_is_the_exact_one_norm_condition():
         assert got >= (1.0 - 1e-12) / rcond, (name, pruning)
 
 
+def _blockwise_condition(matrix) -> float:
+    """||G||_1 ||G^-1||_1 of a dense matrix, through the blocks and inverses the direct method uses."""
+    matrix = np.asarray(matrix)
+    rows, cols = np.nonzero(matrix)
+    return _blockwise_inverse(_gram_blocks(len(matrix), rows, cols, matrix[rows, cols]))[1]
+
+
 @pytest.mark.parametrize("matrix,reason", [
     ([[1.0, 2.0], [2.0, 4.0]], "exactly singular"),  # elimination leaves a zero pivot
     ([[1.0, 0.0], [0.0, 1e-310]], "numerically singular"),  # 1/1e-310 overflows
@@ -623,7 +635,7 @@ def test_singular_systems_raise_an_analysis_error(matrix, reason):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AnalysisError, match=reason):
-            _condition_number(np.array(matrix))
+            _blockwise_condition(np.array(matrix))
 
 
 @pytest.mark.parametrize("order,n", [(48, 512), (400, 4096)])
@@ -662,7 +674,7 @@ def test_condition_of_interleaved_blocks_is_the_dense_condition():
     blocks += [np.array([[2.0, 1.0], [0.0, 2.0]]), np.array([[2.0, 0.0], [1.0, 2.0]])]
     matrix = _interleaved(blocks, 8)
     exact = np.linalg.norm(matrix, 1) * np.linalg.norm(np.linalg.inv(matrix), 1)
-    assert _condition_number(matrix) == pytest.approx(exact, rel=1e-12)
+    assert _blockwise_condition(matrix) == pytest.approx(exact, rel=1e-12)
     rows, cols = np.nonzero(matrix)
     groups = _gram_blocks(len(matrix), rows, cols, matrix[rows, cols])
     assert [index.shape for index, _ in groups] == [(2, 1), (3, 2), (2, 3), (1, 5)]
@@ -680,7 +692,7 @@ def test_one_singular_block_among_regular_ones_is_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AnalysisError, match="exactly singular"):
-            _condition_number(_interleaved(blocks, 9))
+            _blockwise_condition(_interleaved(blocks, 9))
 
 
 def test_the_direct_method_never_factors_the_whole_system(monkeypatch):

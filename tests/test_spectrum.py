@@ -21,12 +21,11 @@ from genharm import (
     parseval_power,
     reconstruct,
     residual,
-    synthesis_operator,
     synthesize_fourier,
     write_spectrum_csv,
 )
 
-from conftest import in_span_signal, random_bandlimited, two_segment_schedule
+from conftest import in_span_signal, random_bandlimited, synthesis_operator, two_segment_schedule
 
 
 def hand_pair():
