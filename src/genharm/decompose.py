@@ -95,8 +95,9 @@ from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
+    _adopt,
+    _fourier_coeffs,
     _frozen,
-    analyze_fourier,
     synthesize_fourier,
 )
 
@@ -131,8 +132,11 @@ class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
-    any (N, 3) sequence or array and kept as a tuple of tuples (and, for the
-    spectrum sums, as a private read-only float array ``_table``). The basis
+    any (N, 3) sequence or array and kept as a tuple of (int, float, float)
+    tuples, derived from a private read-only (N, 3) float array ``_table``
+    that the spectrum sums and reconstruction read. The constructor copies
+    what it is given; the analyses build ``_table`` themselves and hand it
+    over without a copy, and both paths run the same checks. The basis
     field is the pair or schedule the analysis ran with. ``condition_estimate``
     is the exact 1-norm condition number of the system the analysis solved:
     kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
@@ -151,6 +155,13 @@ class Decomposition:
     warnings: tuple = ()
 
     def __post_init__(self):
+        table = np.array(self.coeffs, dtype=float)
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        object.__setattr__(self, "coeffs", table)
+        self._validate()
+
+    def _validate(self):
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.basis, (BasisPair, BasisSchedule)):
@@ -159,17 +170,16 @@ class Decomposition:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
             raise ConfigurationError("condition estimate must be finite")
-        table = np.array(self.coeffs, dtype=float)
-        if table.shape == (0,):
-            table = table.reshape(0, 3)
+        table = self.coeffs
         if table.ndim != 2 or table.shape[1] != 3:
             raise ConfigurationError("coefficients must be (k, A_k, B_k) triples")
-        order = len(table)
-        if not np.array_equal(table[:, 0], np.arange(1, order + 1)):
+        ks, a, b = table.T.tolist()
+        harmonics = range(1, len(ks) + 1)
+        if ks != list(harmonics):
             raise ConfigurationError("coefficients must cover k = 1..N exactly once, ascending")
-        if not (math.isfinite(self.c0) and np.isfinite(table[:, 1:]).all()):
+        if not (math.isfinite(self.c0) and np.isfinite(table).all()):
             raise ConfigurationError("decomposition values must all be finite")
-        cleaned = tuple(zip(range(1, order + 1), table[:, 1].tolist(), table[:, 2].tolist()))
+        cleaned = tuple(zip(harmonics, a, b))
         warnings = tuple(self.warnings)
         if not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
@@ -424,8 +434,7 @@ def _indirect_coeffs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
     """
     (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = plan.inverse()
     size = 2 * plan.order
-    spec = analyze_fourier(f, plan.order)
-    rhs = np.concatenate([spec.b, spec.a])
+    rhs = _fourier_coeffs(f, plan.order)[1]
     x = np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
     rhs -= np.bincount(t_rows, t_vals * x[t_cols], minlength=size)
     return x + np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
@@ -441,11 +450,22 @@ def _condition_notes(cond: float) -> tuple:
     return ()
 
 
-def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, *provenance):
+def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, pruning, cond: float):
     """f's mean and x = [A_1..A_N, B_1..B_N] as a result with (k, A_k, B_k) triples."""
     order = len(x) // 2
-    coeffs = np.column_stack([np.arange(1, order + 1), x[:order], x[order:]])
-    return Decomposition(float(np.mean(f.samples)), coeffs, basis, method, *provenance)
+    table = np.empty((order, 3))
+    table[:, 0] = np.arange(1, order + 1)
+    table[:, 1:] = x.reshape(2, order).T
+    return _adopt(
+        Decomposition,
+        c0=f._mean,
+        coeffs=table,
+        basis=basis,
+        method=method,
+        pruning=pruning,
+        condition_estimate=cond,
+        warnings=_condition_notes(cond),
+    )
 
 
 def analyze_indirect(
@@ -470,7 +490,7 @@ def analyze_indirect(
     plan = _plan(basis, order)
     x = _indirect_coeffs(f, plan)
     cond = plan.inverse()[2]
-    return _decomposition(f, basis, x, "indirect", None, cond, _condition_notes(cond))
+    return _decomposition(f, basis, x, "indirect", None, cond)
 
 
 def analyze_multiband(
@@ -498,9 +518,8 @@ def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
 def _rhs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
     """(1/2) Phi^T [b; a], with [b; a] f's spectrum up to its band."""
     band = f.n // 2 - 1
-    f_spec = analyze_fourier(f, band)
+    b_a = _fourier_coeffs(f, band)[1]
     rows, cols, vals = plan.entries(band)
-    b_a = np.concatenate([f_spec.b, f_spec.a])
     return 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * plan.order)
 
 
@@ -578,7 +597,7 @@ def analyze_direct(
         r = rhs[index][..., None]
         y = inverses @ r
         x[index] = (y + inverses @ (r - blocks @ y))[..., 0]
-    return _decomposition(f, basis, x, "direct", pruning, cond, _condition_notes(cond))
+    return _decomposition(f, basis, x, "direct", pruning, cond)
 
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
@@ -586,7 +605,7 @@ def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     weights = d._table[:, 1:].T.ravel()  # [A; B]
     rows, cols, vals = _plan(d.basis, d.order).entries(band_cap)
     cos_sin = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
-    return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
+    return _adopt(FourierSpectrum, c0=d.c0, a=cos_sin[band_cap:], b=cos_sin[:band_cap])
 
 
 def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
@@ -604,7 +623,7 @@ def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
             f"decomposition of order {d.order} is not representable at n={f.n}"
         )
     approx = reconstruct(d, f.n)
-    return PeriodicSignal(f.samples - approx.samples)
+    return _adopt(PeriodicSignal, samples=f.samples - approx.samples)
 
 
 # --- JSON interchange --------------------------------------------------------

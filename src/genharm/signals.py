@@ -39,11 +39,27 @@ __all__ = [
 def _frozen(values: np.ndarray) -> np.ndarray:
     """values seen through a read-only buffer, so no caller can make the array writeable again.
 
-    Analysis plans are cached by basis identity and a signal's transform is
-    kept with the signal, so these arrays must never change once built.
+    Analysis plans are cached by basis identity, a signal's transform is kept
+    with the signal, and results share their arrays with no one, so these
+    arrays must never change once built.
     """
     values = np.ascontiguousarray(values)
     return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
+
+
+def _adopt(cls, **fields):
+    """An instance of the dataclass ``cls`` built around ``fields`` without copying them.
+
+    The library's own producers hand in arrays they have just computed and
+    that nothing else references; ``cls._validate`` runs the checks the
+    public constructor runs and freezes those arrays in place. The public
+    constructor copies what the caller handed in, then runs the same
+    validator, so a caller's array is never adopted.
+    """
+    result = object.__new__(cls)
+    vars(result).update(fields)
+    result._validate()
+    return result
 
 
 def _check_sample_count(n: int) -> None:
@@ -55,23 +71,27 @@ def _check_sample_count(n: int) -> None:
 class PeriodicSignal:
     """One period of a real signal, sampled at x_j = j/n for j = 0..n-1.
 
-    The sample array is copied and frozen on construction; instances are
+    The sample array is copied and frozen on construction (the library's own
+    producers hand in a fresh array, frozen without a copy); instances are
     immutable and safe to share across threads. The signal's ``np.fft.rfft``
-    is computed on first use and kept, read-only, so every analysis of one
+    and its mean are computed on first use and kept, so every analysis of one
     signal shares one transform.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float, copy=True)
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=float, copy=True))
+        self._validate()
+
+    def _validate(self):
+        samples = self.samples
         if samples.ndim != 1:
             raise InvalidSignalError("samples must be a one-dimensional sequence")
         _check_sample_count(samples.size)
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise InvalidSignalError("samples contain non-finite values")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _frozen(samples))
 
     @property
     def n(self) -> int:
@@ -88,6 +108,11 @@ class PeriodicSignal:
         """The samples' ``np.fft.rfft`` bins 0..n/2."""
         return _frozen(np.fft.rfft(self.samples))
 
+    @cached_property
+    def _mean(self) -> float:
+        """The samples' mean, c0 of every analysis of the signal."""
+        return float(np.mean(self.samples))
+
 
 def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicSignal:
     """Sample ``evaluator`` at the n uniform grid points of [0, 1).
@@ -100,7 +125,7 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidSignalError(f"evaluator returned a non-finite value at x={bad}/{n}")
-    return PeriodicSignal(values)
+    return _adopt(PeriodicSignal, samples=values)
 
 
 def inner_product(f: PeriodicSignal, g: PeriodicSignal) -> float:
@@ -133,17 +158,19 @@ class FourierSpectrum:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float, copy=True)
-        b = np.array(self.b, dtype=float, copy=True)
+        object.__setattr__(self, "a", np.array(self.a, dtype=float, copy=True))
+        object.__setattr__(self, "b", np.array(self.b, dtype=float, copy=True))
+        self._validate()
+
+    def _validate(self):
+        a, b = self.a, self.b
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
             raise DimensionError("sine and cosine coefficient arrays must be 1-d and equal length")
-        if not (np.isfinite(self.c0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(self.c0) and np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidSignalError("spectrum contains non-finite coefficients")
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "b", _frozen(b))
 
     @property
     def max_harmonic(self) -> int:
@@ -168,11 +195,25 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
         raise AliasingError(
             f"max harmonic {max_harmonic} exceeds representable band {nyquist_band} at n={f.n}"
         )
+    c0, b_a = _fourier_coeffs(f, max_harmonic)
+    return _adopt(FourierSpectrum, c0=c0, a=b_a[max_harmonic:], b=b_a[:max_harmonic])
+
+
+def _fourier_coeffs(f: PeriodicSignal, max_harmonic: int) -> tuple:
+    """f's mean c0 and [b_1..b_m, a_1..a_m], m = max_harmonic, read off its rfft.
+
+    The coefficients come as one fresh array. Finite samples can still
+    overflow in the transform, so a non-finite c0 or coefficient raises
+    :class:`InvalidSignalError` here, before any analysis uses it.
+    """
     bins = f._rfft
     c0 = bins[0].real / f.n
-    a = -2.0 / f.n * bins.imag[1 : max_harmonic + 1]
-    b = 2.0 / f.n * bins.real[1 : max_harmonic + 1]
-    return FourierSpectrum(c0, a, b)
+    b_a = np.empty(2 * max_harmonic)
+    np.multiply(2.0 / f.n, bins.real[1 : max_harmonic + 1], out=b_a[:max_harmonic])
+    np.multiply(-2.0 / f.n, bins.imag[1 : max_harmonic + 1], out=b_a[max_harmonic:])
+    if not (math.isfinite(c0) and np.isfinite(b_a).all()):
+        raise InvalidSignalError("spectrum contains non-finite coefficients")
+    return c0, b_a
 
 
 def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
@@ -185,7 +226,7 @@ def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
     bins = np.zeros(n // 2 + 1, dtype=complex)
     bins[0] = n * spec.c0
     bins[1 : spec.max_harmonic + 1] = 0.5 * n * (spec.b - 1j * spec.a)
-    return PeriodicSignal(np.fft.irfft(bins, n))
+    return _adopt(PeriodicSignal, samples=np.fft.irfft(bins, n))
 
 
 def spectral_inner(s: FourierSpectrum, t: FourierSpectrum) -> float:

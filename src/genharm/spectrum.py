@@ -18,7 +18,7 @@ import numpy as np
 from .decompose import Decomposition, _plan
 from .errors import ConfigurationError
 from .files import write_csv
-from .signals import FourierSpectrum
+from .signals import FourierSpectrum, _adopt
 
 __all__ = [
     "GeneralizedSpectrum",
@@ -44,15 +44,21 @@ class GeneralizedSpectrum:
         table = np.array(self.entries, dtype=float)
         if table.shape == (0,):
             table = table.reshape(0, 2)
+        object.__setattr__(self, "entries", table)
+        self._validate()
+
+    def _validate(self):
+        table = self.entries
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigurationError("spectrum entries must be (k, energy) pairs")
-        order = len(table)
-        if not np.array_equal(table[:, 0], np.arange(1, order + 1)):
+        ks, energies = table.T.tolist()
+        harmonics = range(1, len(ks) + 1)
+        if ks != list(harmonics):
             raise ConfigurationError("spectrum entries must cover k = 1..N exactly once")
-        energies = np.append(table[:, 1], self.c0_sq)
-        if not ((0.0 <= energies) & (energies < math.inf)).all():
+        column = table[:, 1]
+        if not (0.0 <= self.c0_sq < math.inf and ((0.0 <= column) & (column < math.inf)).all()):
             raise ConfigurationError("energies must be finite and nonnegative")
-        object.__setattr__(self, "entries", tuple(zip(range(1, order + 1), table[:, 1].tolist())))
+        object.__setattr__(self, "entries", tuple(zip(harmonics, energies)))
         object.__setattr__(self, "c0_sq", float(self.c0_sq))
 
     def total(self) -> float:
@@ -85,7 +91,9 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     counted.
     """
     ab = d._table[:, 1:]
-    energies = np.empty(d.order)
+    table = np.empty((d.order, 2))
+    table[:, 0] = np.arange(1, d.order + 1)
+    energies = table[:, 1]
     for start, end, phi in _plan(d.basis, d.order).undilated():
         a, b = ab[start - 1 : end].T
         mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
@@ -94,7 +102,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
         c0_sq = d.c0 ** 2
     except OverflowError:
         c0_sq = math.inf  # refused with the other non-finite energies
-    return GeneralizedSpectrum(np.column_stack([np.arange(1, d.order + 1), energies]), c0_sq)
+    return _adopt(GeneralizedSpectrum, entries=table, c0_sq=c0_sq)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:
@@ -108,18 +116,18 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
         raise ConfigurationError(
             f"band [{keep_from}, {keep_to}] is empty or outside 1..{d.order}"
         )
-    kept = tuple(
-        (k, a_k, b_k) if keep_from <= k <= keep_to else (k, 0.0, 0.0)
-        for k, a_k, b_k in d.coeffs
-    )
-    return Decomposition(
-        0.0,
-        kept,
-        d.basis,
-        d.method,
-        d.pruning,
-        d.condition_estimate,
-        d.warnings,
+    table = d._table.copy()
+    table[: keep_from - 1, 1:] = 0.0
+    table[keep_to:, 1:] = 0.0
+    return _adopt(
+        Decomposition,
+        c0=0.0,
+        coeffs=table,
+        basis=d.basis,
+        method=d.method,
+        pruning=d.pruning,
+        condition_estimate=d.condition_estimate,
+        warnings=d.warnings,
     )
 
 

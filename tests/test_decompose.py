@@ -20,6 +20,8 @@ from genharm import (
     FourierSpectrum,
     GramSystem,
     IllConditionedBasisError,
+    InvalidSignalError,
+    PeriodicSignal,
     analyze_direct,
     analyze_fourier,
     analyze_indirect,
@@ -576,6 +578,38 @@ def test_indirect_results_of_a_growing_pair_carry_a_condition_warning(seed, cond
     assert d.condition_estimate == pytest.approx(cond, rel=5e-3)
     assert len(d.warnings) == 1
     assert "condition" in d.warnings[0]
+
+
+@pytest.mark.parametrize("seed", [364261742, 2404208098, 3993120746])
+def test_indirect_growth_is_large_and_within_the_inverse_norm(seed):
+    # growth = ||x||_1 / ||[b; a]||_1 of an indirect solve: 1.7e12, 4.2e10 and
+    # 9.5e10 on these seeds. x = X [b; a] up to the refinement step, so it is
+    # at most ||X||_1 = kappa_1(T) / ||T||_1.
+    pair, f = _random_pair_case(seed)
+    d = analyze_indirect(f, pair, 8)
+    spec = analyze_fourier(f, 8)
+    growth = np.abs(d._table[:, 1:]).sum() / np.abs(np.concatenate([spec.b, spec.a])).sum()
+    inverse_norm = d.condition_estimate / np.linalg.norm(synthesis_operator(pair, 8, 8).toarray(), 1)
+    assert growth >= 1e10
+    assert growth <= inverse_norm * (1 + 1e-12)
+
+
+def test_a_spectrum_that_overflows_raises_an_invalid_signal_error():
+    pair = builtin_basis("square_saw")
+    schedule = BasisSchedule(((1, pair), (5, builtin_basis("triangle"))))
+    f = PeriodicSignal(np.tile([1.5e308, -1.5e308], 32))  # finite samples, overflowing rfft
+    analyses = [
+        lambda: analyze_indirect(f, pair, 8),
+        lambda: analyze_direct(f, pair, 8),
+        lambda: analyze_multiband(f, schedule, 8),
+    ]
+    with np.errstate(all="ignore"):
+        for analysis in analyses:
+            with pytest.raises(InvalidSignalError, match="spectrum contains non-finite coefficients"):
+                analysis()
+        d = Decomposition(1e308, tuple((k, 0.0, 0.0) for k in range(1, 9)), pair, "indirect")
+        with pytest.raises(InvalidSignalError, match="samples contain non-finite values"):
+            residual(PeriodicSignal(np.full(64, 1e300)), d)
 
 
 def _direct_systems(f, order):

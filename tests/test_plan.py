@@ -11,12 +11,20 @@ from genharm import (
     BasisFunction,
     BasisPair,
     BasisSchedule,
+    Decomposition,
+    FourierSpectrum,
+    GeneralizedSpectrum,
+    PeriodicSignal,
     analyze_direct,
+    analyze_fourier,
     analyze_indirect,
     analyze_multiband,
+    band_filter,
     build_gram_system,
     builtin_basis,
+    combined_spectrum,
     generalized_spectrum,
+    reconstruct,
     residual,
 )
 from genharm import decompose
@@ -139,6 +147,12 @@ def test_plan_arrays_cannot_be_made_writeable():
     triangular, inverse, _ = plan.inverse()
     arrays = [system.matrix, system.pruned_mask, system.rhs, *plan.entries(31), *triangular, *inverse]
     arrays += [part for group in plan.system("lcm")[0] for part in group]
+    # results adopt the arrays the library computed for them, and freeze them the same way
+    d = analyze_indirect(f, pair, 6)
+    spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
+    arrays += [f.samples, d._table, analyze_direct(f, pair, 6, "lcm")._table, band_filter(d, 2, 4)._table]
+    arrays += [spectrum.a, spectrum.b, fourier.a, fourier.b]
+    arrays += [reconstruct(d, 64).samples, residual(f, d).samples]
     for array in arrays:
         with pytest.raises(ValueError):
             array.setflags(write=True)
@@ -173,3 +187,74 @@ def test_threads_sharing_the_cache_get_the_single_thread_results():
     assert errors == []
     assert got == {i: {coeffs} for i, coeffs in enumerate(want)}
     assert len(decompose._plans) <= _PLAN_CACHE_SIZE
+
+
+def _same_decomposition(d, rebuilt):
+    assert type(d.c0) is float and d.c0 == rebuilt.c0
+    assert d.coeffs == rebuilt.coeffs
+    assert all(type(k) is int and type(a) is float and type(b) is float for k, a, b in d.coeffs)
+    assert d._table.tobytes() == rebuilt._table.tobytes()
+    assert d.basis is rebuilt.basis
+    assert (d.method, d.pruning, d.condition_estimate) == (rebuilt.method, rebuilt.pruning, rebuilt.condition_estimate)
+    assert d.warnings == rebuilt.warnings
+
+
+@pytest.mark.parametrize("kind", KINDS + ("schedule",))
+def test_adopted_results_equal_their_rebuild_through_the_public_constructors(kind):
+    basis = two_segment_schedule() if kind == "schedule" else builtin_basis(kind)
+    order = 7 if kind == "schedule" else 24
+    f = random_bandlimited(np.random.default_rng(20 + len(kind)), order, 256)
+    results = [analyze_indirect(f, basis, order)]
+    results += [analyze_direct(f, basis, order, pruning) for pruning in PRUNING_RULES]
+    for d in results:
+        fields = (d.basis, d.method, d.pruning, d.condition_estimate, d.warnings)
+        _same_decomposition(d, Decomposition(d.c0, d.coeffs, *fields))
+        # band_filter's table is the per-harmonic rule it replaced
+        kept = tuple((k, a, b) if 2 <= k <= order - 1 else (k, 0.0, 0.0) for k, a, b in d.coeffs)
+        _same_decomposition(band_filter(d, 2, order - 1), Decomposition(0.0, kept, *fields))
+        spectrum = generalized_spectrum(d)
+        rebuilt = GeneralizedSpectrum(spectrum.entries, spectrum.c0_sq)
+        assert (spectrum.entries, spectrum.c0_sq) == (rebuilt.entries, rebuilt.c0_sq)
+        assert all(type(k) is int and type(energy) is float for k, energy in spectrum.entries)
+        combined = combined_spectrum(d, 127)
+        rebuilt = FourierSpectrum(combined.c0, combined.a, combined.b)
+        assert (combined.a.tobytes(), combined.b.tobytes()) == (rebuilt.a.tobytes(), rebuilt.b.tobytes())
+        expected = f.samples - reconstruct(d, f.n).samples
+        assert residual(f, d).samples.tobytes() == expected.tobytes()
+
+
+def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(monkeypatch):
+    pair = builtin_basis("square_saw")
+    schedule = BasisSchedule(((1, pair), (9, builtin_basis("triangle"))))
+    samples = random_bandlimited(np.random.default_rng(13), 16, 128).samples.copy()
+    analyze_multiband(PeriodicSignal(samples), schedule, 16)  # plans are built before counting
+    analyze_direct(PeriodicSignal(samples), pair, 16, "paper")
+    copied, validated = {}, {}
+
+    def counting(counts, cls, method):
+        original = getattr(cls, method)
+
+        def counted(self, *args):
+            counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    for cls in (PeriodicSignal, FourierSpectrum, Decomposition, GeneralizedSpectrum):
+        counting(copied, cls, "__post_init__")
+        counting(validated, cls, "_validate")
+
+    def no_column_stack(*args, **kwargs):
+        raise AssertionError("np.column_stack on the analysis path")
+
+    monkeypatch.setattr(np, "column_stack", no_column_stack)
+    f = PeriodicSignal(samples)
+    d_ind = analyze_indirect(f, pair, 16)
+    d_dir = analyze_direct(f, pair, 16, "paper")
+    residual(f, d_ind)
+    residual(f, d_dir)
+    generalized_spectrum(d_ind)
+    analyze_multiband(f, schedule, 16)
+    assert copied == {"PeriodicSignal": 1}
+    # each residual: the synthesized reconstruction and the difference, over one combined spectrum
+    assert validated == {"PeriodicSignal": 5, "FourierSpectrum": 2, "Decomposition": 3, "GeneralizedSpectrum": 1}
