@@ -32,37 +32,37 @@ which it is, and both report the exact 1-norm condition number of the
 system they solve: kappa_1(T) = ||T||_1 ||X||_1, or ||G||_1 ||G^-1||_1.
 
 Everything above but the signal's spectrum depends only on (basis, order),
-so it is built once, as the plan of that (basis, order), and reused by every
-later call: Phi's entries at the last band cap asked for, T's and X's
-entries, per pruning rule the pruned Gram matrix's diagonal blocks with
-their inverses and condition number, and each segment's undilated Phi for
-``spectrum.generalized_spectrum``. A call then does only per-signal work:
+so it is built once and reused by every later call. Each part has its own
+memoized builder: ``_phi`` (Phi's entries at a band cap), ``_indirect_plan``
+(T's and X's entries with kappa_1(T)), ``_direct_plan`` (per pruning rule
+the pruned Gram matrix's diagonal blocks with their inverses and condition
+number) and ``_undilated_runs`` (each segment's undilated Phi for
+``spectrum.generalized_spectrum``). A call then does only per-signal work:
 the signal's rfft, computed once per signal and kept with it, then three
 gather-and-bincount passes over X's and T's entries, or the right-hand side
 and three batched matmuls per block size, or one bincount for Phi @ [A; B].
-The arithmetic is the one a fresh build would do, so a reused plan gives
+The arithmetic is the one a fresh build would do, so a reused part gives
 bit-for-bit the results of a new one.
 
-Plans are keyed by the basis object's identity, not its values: a rebuilt
-equal basis gets a plan of its own, and basis arrays cannot be made
-writeable, so a basis never changes under its plan. The cache keeps the
-``_PLAN_CACHE_SIZE`` = 8 plans used last and never keeps a basis alive: the
-plans of a garbage-collected basis are dropped. A plan at order N with depth
-Q holds Phi's entries, 24 bytes per (member, k, q <= Q) with q*k within the
-cap (0.26 MiB at N = 48, Q = 64 on a 4096-sample grid); T's and X's nonzero
-entries, 24 bytes each (for the depth-64 builtins at most 15 KiB at N = 48,
-0.15 MiB at N = 400 and 0.8 MiB at N = 2000); and, per pruning rule the
-direct method has used, the Gram matrix's diagonal blocks, their indices and
-their inverses (at most 49 KiB at N = 48, 1.6 MiB at N = 400 and 18 MiB at
-N = 2000).
+Each builder is a ``functools.lru_cache`` of ``_PLAN_CACHE_SIZE`` = 8
+entries, the least recently used dropped first. Bases hash and compare by
+identity, not by value: a rebuilt equal basis gets parts of its own, and
+basis arrays cannot be made writeable, so a basis never changes under its
+parts. A cache holds strong references, so a dropped basis is freed once
+every builder has dropped its entries, after at most 8 newer keys each. A
+builder that raises stores nothing. At order N with depth Q, Phi's entries
+take 24 bytes per (member, k, q <= Q) with q*k within the cap (0.26 MiB at
+N = 48, Q = 64 on a 4096-sample grid); T's and X's nonzero entries, 24 bytes
+each (for the depth-64 builtins at most 15 KiB at N = 48, 0.15 MiB at
+N = 400 and 0.8 MiB at N = 2000); and one pruning rule's Gram blocks, their
+indices and their inverses at most 49 KiB at N = 48, 1.6 MiB at N = 400
+and 18 MiB at N = 2000.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +121,9 @@ __all__ = [
 
 PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
-# (basis, order) plans kept, the least recently used dropped first: a workload
-# cycling through more bases than this rebuilds a plan on every call, as if
-# there were no cache
+# entries each plan builder keeps, the least recently used dropped first: a
+# workload cycling through more bases than this rebuilds its parts on every
+# call, as if there were no cache
 _PLAN_CACHE_SIZE = 8
 
 
@@ -206,9 +206,9 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    Read-only inputs of the right dtype are kept as they are
-    (``build_gram_system`` hands in frozen arrays); any other input is
-    copied, so a caller's array is never frozen.
+    The constructor copies what it is given; ``build_gram_system`` hands
+    over the arrays it built without a copy, and both paths run the same
+    checks and freeze the arrays.
     """
 
     matrix: np.ndarray
@@ -218,117 +218,69 @@ class GramSystem:
     pruning: str
 
     def __post_init__(self):
-        matrix = _read_only(self.matrix, float)
-        rhs = _read_only(self.rhs, float)
-        mask = _read_only(self.pruned_mask, bool)
+        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=float, copy=True))
+        object.__setattr__(self, "rhs", np.array(self.rhs, dtype=float, copy=True))
+        object.__setattr__(self, "pruned_mask", np.array(self.pruned_mask, dtype=bool, copy=True))
+        self._validate()
+
+    def _validate(self):
+        matrix, rhs, mask = self.matrix, self.rhs, self.pruned_mask
         two_n = 2 * self.order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "pruned_mask", mask)
+        object.__setattr__(self, "matrix", _frozen(matrix))
+        object.__setattr__(self, "rhs", _frozen(rhs))
+        object.__setattr__(self, "pruned_mask", _frozen(mask))
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype: kept if it already is one, else a frozen copy."""
-    array = np.asarray(values, dtype=dtype)
-    return _frozen(array.copy()) if array.flags.writeable else array
+# The plan: what the analyses of one (basis, order) need before they see a
+# signal, one memoized builder per part. Every array handed out is _frozen. A
+# singular T or G raises, stores nothing, and so raises on every call.
 
 
-class _Plan:
-    """What the analyses of one (basis, order) need before they see a signal.
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _phi(basis, order: int, cap: int) -> tuple:
+    """Phi's (rows, cols, vals) at ``cap``."""
+    return tuple(map(_frozen, _synthesis_entries(basis, order, cap)))
 
-    Each part is built on its first use and kept; every array handed out is
-    ``_frozen``. The indirect method keeps the entries of T, Phi's first N
-    harmonic rows, and of its inverse X (see ``_triangular_inverse``), with
-    kappa_1(T). Per pruning rule the direct method keeps the diagonal blocks
-    of the pruned Gram matrix G (see ``_gram_blocks``), cut from G's entry
-    list without building G, their inverses and the condition number read
-    off them. A singular T or G keeps nothing, so it raises on every call.
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _indirect_plan(basis, order: int) -> tuple:
+    """T's entries, X = T^-1's entries, each as (rows, cols, vals), and kappa_1(T).
+
+    T is Phi at cap = order, and X comes from ``_triangular_inverse``.
+    kappa_1(T) = ||T||_1 ||X||_1 is exact: the largest column sum of |T|
+    times that of |X|, read off the entries.
     """
-
-    def __init__(self, basis, order: int):
-        self._basis = weakref.ref(basis)  # the cache must not keep the basis alive
-        self.order = order
-        self._entries = (None, ())  # (cap, Phi's entries at that cap)
-        self._inverse = None
-        self._systems = {}  # pruning -> (pruned G's blocks with their inverses, its condition number)
-        self._undilated = None
-
-    @property
-    def basis(self):
-        return self._basis()
-
-    def entries(self, cap: int) -> tuple:
-        """Phi's (rows, cols, vals) at ``cap``; only the last cap asked for is kept."""
-        held, entries = self._entries
-        if held != cap:
-            entries = tuple(map(_frozen, _synthesis_entries(self.basis, self.order, cap)))
-            self._entries = (cap, entries)
-        return entries
-
-    def inverse(self) -> tuple:
-        """T's entries, X = T^-1's entries, each as (rows, cols, vals), and kappa_1(T).
-
-        T is Phi at cap = order. kappa_1(T) = ||T||_1 ||X||_1 is exact: the
-        largest column sum of |T| times that of |X|, read off the entries.
-        """
-        if self._inverse is None:
-            order = self.order
-            triangular = _synthesis_entries(self.basis, order, order)
-            inverse = _triangular_inverse(triangular, order, _depth(self.basis))
-            with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
-                cond = float(
-                    np.bincount(triangular[1], np.abs(triangular[2])).max()
-                    * np.bincount(inverse[1], np.abs(inverse[2])).max()
-                )
-            if not math.isfinite(cond):
-                raise AnalysisError("indirect system is numerically singular")
-            self._inverse = (tuple(map(_frozen, triangular)), tuple(map(_frozen, inverse)), cond)
-        return self._inverse
-
-    def system(self, pruning: str) -> tuple:
-        """The pruned G's ``_gram_blocks`` with each size's inverses, and its condition number."""
-        if pruning not in self._systems:
-            rows, cols, vals = _gram_entries(self.basis, self.order)
-            kept = _kept(rows % self.order + 1, cols % self.order + 1, self.order, pruning)
-            groups = _gram_blocks(2 * self.order, rows[kept], cols[kept], vals[kept])
-            self._systems[pruning] = _blockwise_inverse(groups)
-        return self._systems[pruning]
-
-    def undilated(self) -> tuple:
-        """(first_k, last_k, undilated Phi) of each segment run."""
-        if self._undilated is None:
-            self._undilated = tuple(
-                (start, end, _frozen(_undilated(pair)))
-                for start, end, pair in _segment_runs(self.basis, self.order)
-            )
-        return self._undilated
+    triangular = _synthesis_entries(basis, order, order)
+    inverse = _triangular_inverse(triangular, order, _depth(basis))
+    with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+        cond = float(
+            np.bincount(triangular[1], np.abs(triangular[2])).max()
+            * np.bincount(inverse[1], np.abs(inverse[2])).max()
+        )
+    if not math.isfinite(cond):
+        raise AnalysisError("indirect system is numerically singular")
+    return tuple(map(_frozen, triangular)), tuple(map(_frozen, inverse)), cond
 
 
-_plans = OrderedDict()  # (weak reference to basis, order) -> _Plan, least recent first
-_plans_lock = threading.Lock()
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _direct_plan(basis, order: int, pruning: str) -> tuple:
+    """The pruned G's ``_gram_blocks`` with each size's inverses, and its condition number.
 
-
-def _plan(basis, order: int) -> _Plan:
-    """The plan of (basis, order), built on a miss.
-
-    Bases compare by identity, and a live weak reference compares as its
-    object, so the key stands for the basis object without keeping it alive.
-    A dead reference equals only itself: its plan is dropped at the next miss.
+    The blocks are cut from G's entry list without building G.
     """
-    key = (weakref.ref(basis), order)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
-        for dead in [held for held in _plans if held[0]() is None]:
-            del _plans[dead]
-        plan = _plans[key] = _Plan(basis, order)
-        if len(_plans) > _PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
-    return plan
+    rows, cols, vals = _gram_entries(basis, order)
+    kept = _kept(rows % order + 1, cols % order + 1, order, pruning)
+    return _blockwise_inverse(_gram_blocks(2 * order, rows[kept], cols[kept], vals[kept]))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _undilated_runs(basis, order: int) -> tuple:
+    """(first_k, last_k, undilated Phi) of each segment run."""
+    return tuple(
+        (start, end, _frozen(_undilated(pair))) for start, end, pair in _segment_runs(basis, order)
+    )
 
 
 def _require_solvable(basis, eps: float) -> None:
@@ -425,16 +377,16 @@ def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
     return x_rows[nonzero], x_cols[nonzero], x[nonzero]
 
 
-def _indirect_coeffs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
+def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     """[A_1..A_N, B_1..B_N] = X [b; a] with one step of iterative refinement.
 
     T x = [b; a] is solved by the plan's exact inverse X = T^-1, then once
     more for the residual: x += X ([b; a] - T x). Each product is one
     gather and one ``np.bincount`` over the entries.
     """
-    (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = plan.inverse()
-    size = 2 * plan.order
-    rhs = _fourier_coeffs(f, plan.order)[1]
+    (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = _indirect_plan(basis, order)
+    size = 2 * order
+    rhs = _fourier_coeffs(f, order)[1]
     x = np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
     rhs -= np.bincount(t_rows, t_vals * x[t_cols], minlength=size)
     return x + np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
@@ -487,10 +439,8 @@ def analyze_indirect(
     """
     _check_band(f, order)
     _require_solvable(basis, eps_independence)
-    plan = _plan(basis, order)
-    x = _indirect_coeffs(f, plan)
-    cond = plan.inverse()[2]
-    return _decomposition(f, basis, x, "indirect", None, cond)
+    x = _indirect_coeffs(f, basis, order)
+    return _decomposition(f, basis, x, "indirect", None, _indirect_plan(basis, order)[2])
 
 
 def analyze_multiband(
@@ -515,12 +465,12 @@ def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
     return k // np.gcd(k, m) * m <= order
 
 
-def _rhs(f: PeriodicSignal, plan: _Plan) -> np.ndarray:
+def _rhs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     """(1/2) Phi^T [b; a], with [b; a] f's spectrum up to its band."""
     band = f.n // 2 - 1
     b_a = _fourier_coeffs(f, band)[1]
-    rows, cols, vals = plan.entries(band)
-    return 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * plan.order)
+    rows, cols, vals = _phi(basis, order, band)
+    return 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * order)
 
 
 def build_gram_system(
@@ -543,7 +493,9 @@ def build_gram_system(
     gram = np.zeros((2 * order, 2 * order))
     gram[rows, cols] = vals
     gram[pruned] = 0.0
-    return GramSystem(_frozen(gram), _rhs(f, _plan(basis, order)), _frozen(pruned), order, pruning)
+    return _adopt(
+        GramSystem, matrix=gram, rhs=_rhs(f, basis, order), pruned_mask=pruned, order=order, pruning=pruning
+    )
 
 
 def _blockwise_inverse(groups) -> tuple:
@@ -587,11 +539,10 @@ def analyze_direct(
     condition number; values above ``CONDITION_WARN_LIMIT`` attach a
     warning instead of failing.
     """
-    _require_solvable(basis, eps_independence)
     _check_band(f, order)
-    plan = _plan(basis, order)
-    groups, cond = plan.system(pruning)
-    rhs = _rhs(f, plan)
+    _require_solvable(basis, eps_independence)
+    groups, cond = _direct_plan(basis, order, pruning)
+    rhs = _rhs(f, basis, order)
     x = np.empty(2 * order)
     for index, blocks, inverses in groups:
         r = rhs[index][..., None]
@@ -603,7 +554,7 @@ def analyze_direct(
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
     weights = d._table[:, 1:].T.ravel()  # [A; B]
-    rows, cols, vals = _plan(d.basis, d.order).entries(band_cap)
+    rows, cols, vals = _phi(d.basis, d.order, band_cap)
     cos_sin = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
     return _adopt(FourierSpectrum, c0=d.c0, a=cos_sin[band_cap:], b=cos_sin[:band_cap])
 
@@ -661,6 +612,9 @@ def decomposition_from_dict(data) -> Decomposition:
             (_integer(item["k"], "k"), float(item["A"]), float(item["B"]))
             for item in data["coefficients"]
         )
+        warnings = data.get("warnings", [])
+        if not isinstance(warnings, list):
+            raise ConfigurationError("warnings must be a list of strings")
         return Decomposition(
             float(data["c0"]),
             coeffs,
@@ -668,7 +622,7 @@ def decomposition_from_dict(data) -> Decomposition:
             str(data["method"]),
             data.get("pruning"),
             data.get("condition_estimate"),
-            tuple(data.get("warnings", ())),
+            tuple(warnings),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed decomposition data: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition, _plan
+from .decompose import Decomposition, _undilated_runs
 from .errors import ConfigurationError
 from .files import write_csv
 from .signals import FourierSpectrum, _adopt
@@ -94,7 +94,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     table = np.empty((d.order, 2))
     table[:, 0] = np.arange(1, d.order + 1)
     energies = table[:, 1]
-    for start, end, phi in _plan(d.basis, d.order).undilated():
+    for start, end, phi in _undilated_runs(d.basis, d.order):
         a, b = ab[start - 1 : end].T
         mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
         energies[start - 1 : end] = 0.5 * np.einsum("kq,kq->k", mix, mix)

@@ -17,8 +17,10 @@ from genharm import (
     BasisFunction,
     BasisPair,
     BasisSchedule,
+    ConfigurationError,
     Decomposition,
     builtin_basis,
+    decomposition_from_dict,
     load_decomposition,
     read_signal_csv,
     save_basis,
@@ -239,6 +241,27 @@ def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (workdir / "out.json").exists()
+
+
+@pytest.mark.parametrize("warnings", ["abc", {"x": 1}, [1]])
+def test_warnings_other_than_a_list_of_strings_exit_one_without_traceback(workdir, warnings):
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "4", "--out", str(workdir / "dec.json")])
+    data = json.loads((workdir / "dec.json").read_text())
+    data["warnings"] = warnings
+    with pytest.raises(ConfigurationError, match="warnings must be"):
+        decomposition_from_dict(data)
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genharm.cli", "spectrum", "--in", str(bad),
+         "--out", str(workdir / "spec.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (workdir / "spec.csv").exists()
 
 
 _NO_SCIPY_SCRIPT = """

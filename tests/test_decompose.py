@@ -41,7 +41,7 @@ from genharm.decompose import (
     CONDITION_WARN_LIMIT,
     PRUNING_RULES,
     _blockwise_inverse,
-    _plan,
+    _direct_plan,
 )
 
 from conftest import (
@@ -101,6 +101,16 @@ def test_indirect_rejects_order_beyond_the_band():
     f = hand_signal(n=16)
     with pytest.raises(DimensionError):
         analyze_indirect(f, hand_pair(), 8)
+
+
+@pytest.mark.parametrize("analyze", [analyze_indirect, analyze_direct])
+def test_an_order_beyond_the_band_is_refused_before_the_basis_is_checked(analyze):
+    f = random_bandlimited(np.random.default_rng(23), 4, 16)
+    dependent = builtin_basis("square", phase_s=0)
+    with pytest.raises(IllConditionedBasisError):
+        analyze(f, dependent, 7)
+    with pytest.raises(DimensionError):
+        analyze(f, dependent, 10)
 
 
 def test_dependent_pair_is_refused():
@@ -522,17 +532,24 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
     assert Decomposition(0.0, (), pair, "indirect").order == 0
 
 
-def test_gram_system_copies_only_writeable_inputs():
-    frozen = build_gram_system(hand_signal(), hand_pair(), 2, "none")
-    # build_gram_system's read-only arrays are held as they are, not copied
-    again = GramSystem(frozen.matrix, frozen.rhs, frozen.pruned_mask, 2, "none")
-    assert again.matrix is frozen.matrix and again.pruned_mask is frozen.pruned_mask
-    # a caller's writeable array is copied, and stays writeable
-    matrix = np.array(frozen.matrix)
-    system = GramSystem(matrix, frozen.rhs, frozen.pruned_mask, 2, "none")
+def test_gram_system_copies_its_inputs_and_build_gram_system_adopts_its_own(monkeypatch):
+    def copying(self):
+        raise AssertionError("build_gram_system went through the copying constructor")
+
+    monkeypatch.setattr(GramSystem, "__post_init__", copying)
+    built = build_gram_system(hand_signal(), hand_pair(), 2, "none")
+    monkeypatch.undo()
+    assert not any(a.flags.writeable for a in (built.matrix, built.rhs, built.pruned_mask))
+    # a caller's array is copied, frozen or not, and stays writeable
+    matrix = np.array(built.matrix)
+    system = GramSystem(matrix, built.rhs, built.pruned_mask, 2, "none")
+    assert system.matrix is not matrix and system.rhs is not built.rhs
+    assert system.pruned_mask is not built.pruned_mask and system.pruned_mask.dtype == bool
     assert matrix.flags.writeable and not system.matrix.flags.writeable
     matrix[0, 0] = 7.0
-    assert system.matrix[0, 0] == frozen.matrix[0, 0]
+    assert system.matrix[0, 0] == built.matrix[0, 0]
+    with pytest.raises(DimensionError):
+        GramSystem(built.matrix, built.rhs, built.pruned_mask, 3, "none")
 
 
 # --- kernels against the sparse operator -----------------------------------------
@@ -774,7 +791,7 @@ def test_plan_blocks_are_the_blocks_of_the_dense_system(order, n):
             matrix = build_gram_system(f, basis, order, pruning).matrix
             rows, cols = np.nonzero(matrix)
             want = _gram_blocks(len(matrix), rows, cols, matrix[rows, cols])
-            got = _plan(basis, order).system(pruning)[0]
+            got = _direct_plan(basis, order, pruning)[0]
             assert len(got) == len(want), (name, pruning)
             for (index, blocks, inverses), (want_index, want_blocks) in zip(got, want):
                 for part_got, part_want in ((index, want_index), (blocks, want_blocks)):

@@ -1,5 +1,6 @@
 """Analysis plans: built once per (basis, order), reused across signals, bounded."""
 
+import gc
 import sys
 import threading
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from genharm import (
+    AnalysisError,
     BasisFunction,
     BasisPair,
     BasisSchedule,
@@ -28,11 +30,19 @@ from genharm import (
     residual,
 )
 from genharm import decompose
-from genharm.decompose import PRUNING_RULES, _PLAN_CACHE_SIZE, _plan
+from genharm.decompose import (
+    PRUNING_RULES,
+    _PLAN_CACHE_SIZE,
+    _direct_plan,
+    _indirect_plan,
+    _phi,
+    _undilated_runs,
+)
 
 from conftest import random_bandlimited, two_segment_schedule
 
 KINDS = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
+BUILDERS = (_phi, _indirect_plan, _direct_plan, _undilated_runs)
 
 
 def _results(f, basis, order):
@@ -115,26 +125,57 @@ def test_one_rfft_per_signal_across_the_analyses(monkeypatch):
     assert calls == [128, 128, 128]  # one per signal, whichever analysis comes first
 
 
+def _use_every_part(f, basis, order):
+    d = analyze_indirect(f, basis, order)
+    analyze_direct(f, basis, order)
+    residual(f, d)  # Phi at the band cap, as analyze_direct's right-hand side
+    generalized_spectrum(d)
+
+
 def test_more_bases_than_the_bound_leave_the_cache_at_its_bound():
     f = random_bandlimited(np.random.default_rng(1), 4, 32)
     bases = [builtin_basis("square", depth=4) for _ in range(_PLAN_CACHE_SIZE + 3)]
     for basis in bases:
-        analyze_indirect(f, basis, 4)
-    assert len(decompose._plans) == _PLAN_CACHE_SIZE
-    # the least recently used went first
-    assert [key[0]() for key in decompose._plans] == bases[3:]
+        _use_every_part(f, basis, 4)
+    assert [builder.cache_info().currsize for builder in BUILDERS] == [_PLAN_CACHE_SIZE] * 4
+    # the least recently used went first: the last bases hit, the first misses
+    misses = [builder.cache_info().misses for builder in BUILDERS]
+    for basis in bases[3:]:
+        _use_every_part(f, basis, 4)
+    assert [builder.cache_info().misses for builder in BUILDERS] == misses
+    _use_every_part(f, bases[0], 4)
+    assert [builder.cache_info().misses for builder in BUILDERS] == [m + 1 for m in misses]
 
 
-def test_the_cache_keeps_no_basis_alive():
+def test_a_dropped_basis_is_collected_once_the_bound_of_other_bases_is_analyzed():
     f = random_bandlimited(np.random.default_rng(1), 4, 32)
     pair = builtin_basis("square", depth=4)
-    analyze_direct(f, pair, 4)
+    _use_every_part(f, pair, 4)
     gone = weakref.ref(pair)
     del pair
+    for _ in range(_PLAN_CACHE_SIZE - 1):
+        _use_every_part(f, builtin_basis("square", depth=4), 4)
+    gc.collect()
+    assert gone() is not None  # the caches hold their keys strongly
+    _use_every_part(f, builtin_basis("square", depth=4), 4)
+    gc.collect()
     assert gone() is None
-    kept = builtin_basis("square", depth=4)
-    analyze_indirect(f, kept, 4)  # a miss drops the plans of dead bases
-    assert all(key[0]() is not None for key in decompose._plans)
+
+
+def test_a_singular_system_raises_on_every_call_and_stores_nothing():
+    # the singular pair of test_cli: the first-harmonic check passes, G is singular
+    pair = BasisPair(
+        BasisFunction([1.0, 0.5], [0.0, 0.0]),
+        BasisFunction([0.0, 1.0, 0.0, 0.5], [1e-8, 0.0, 0.0, 0.0]),
+        "near-copy",
+    )
+    f = random_bandlimited(np.random.default_rng(4), 2, 64)
+    _direct_plan.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(AnalysisError, match="gram system is exactly singular"):
+            analyze_direct(f, pair, 2, "none")
+        info = _direct_plan.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
 
 
 def test_plan_arrays_cannot_be_made_writeable():
@@ -143,10 +184,10 @@ def test_plan_arrays_cannot_be_made_writeable():
     system = build_gram_system(f, pair, 6, "lcm")
     analyze_indirect(f, pair, 6)
     analyze_direct(f, pair, 6, "lcm")
-    plan = _plan(pair, 6)
-    triangular, inverse, _ = plan.inverse()
-    arrays = [system.matrix, system.pruned_mask, system.rhs, *plan.entries(31), *triangular, *inverse]
-    arrays += [part for group in plan.system("lcm")[0] for part in group]
+    triangular, inverse, _ = _indirect_plan(pair, 6)
+    arrays = [system.matrix, system.pruned_mask, system.rhs, *_phi(pair, 6, 31), *triangular, *inverse]
+    arrays += [part for group in _direct_plan(pair, 6, "lcm")[0] for part in group]
+    arrays += [phi for _, _, phi in _undilated_runs(pair, 6)]
     # results adopt the arrays the library computed for them, and freeze them the same way
     d = analyze_indirect(f, pair, 6)
     spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
@@ -186,7 +227,7 @@ def test_threads_sharing_the_cache_get_the_single_thread_results():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert got == {i: {coeffs} for i, coeffs in enumerate(want)}
-    assert len(decompose._plans) <= _PLAN_CACHE_SIZE
+    assert [builder.cache_info().currsize for builder in (_phi, _direct_plan)] == [_PLAN_CACHE_SIZE] * 2
 
 
 def _same_decomposition(d, rebuilt):
