@@ -66,8 +66,6 @@ __all__ = [
     "schedule_from_dict",
     "save_basis",
     "load_basis",
-    "save_schedule",
-    "load_schedule",
 ]
 
 EPS_INDEPENDENCE = 1e-9
@@ -410,26 +408,28 @@ def _segments(basis) -> tuple:
     return basis.segments if isinstance(basis, BasisSchedule) else ((1, basis),)
 
 
-def _depth(basis) -> int:
-    """Largest member depth of a pair or schedule."""
-    return max(max(pair.S.depth, pair.R.depth) for _, pair in _segments(basis))
+def _layout(basis) -> tuple:
+    """(starts, table): every segment's first k, and its members' coefficients.
 
-
-def _segment_runs(basis, order: int) -> list:
-    """(first_k, last_k, pair) runs of a pair or schedule, clipped at k = order.
-
-    A run starting beyond the order comes out empty, as (order + 1, order).
+    ``table[i, x, c, q - 1]`` holds coefficient q of segment i's member x
+    (0 for S, 1 for R), cosine (c = 0) or sine (c = 1), zero-padded to the
+    basis's largest depth, so each member's cosine and sine series are
+    contiguous rows. A pair is one segment starting at k = 1. Starts are
+    clipped to the int64 range, which no order reaches, so a start past it
+    stays inactive.
     """
     segments = _segments(basis)
-    ends = [start - 1 for start, _ in segments[1:]] + [order]
-    return [
-        (min(start, order + 1), min(end, order), pair)
-        for (start, pair), end in zip(segments, ends)
-    ]
+    depth = max(max(pair.S.depth, pair.R.depth) for _, pair in segments)
+    table = np.zeros((len(segments), 2, 2, depth))
+    for i, (_, pair) in enumerate(segments):
+        for x, member in enumerate((pair.S, pair.R)):
+            table[i, x, 0, : member.depth] = member.cos_coeffs
+            table[i, x, 1, : member.depth] = member.sin_coeffs
+    return np.array([min(start, (1 << 63) - 1) for start, _ in segments]), table
 
 
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:
-    """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, k, q.
+    """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, cos/sin, k, q.
 
     Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
     Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
@@ -438,34 +438,29 @@ def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     active at k. Harmonics above ``cap`` are dropped, never folded back.
     No (row, col) pair repeats: member (S,k) reaches each harmonic q*k once.
     A member's zero coefficients give no entries (a square wave's cosine
-    series has only zeros), so every sum over the entries skips them.
+    series has only zeros, and ``_layout`` pads with zeros), so every sum
+    over the entries skips them.
     """
     if order < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
+    starts, table = _layout(basis)
+    k = np.arange(1, order + 1)
+    count = np.minimum(table.shape[-1], cap // k)  # q*k <= cap holds for q = 1..count
+    first = np.cumsum(count) - count
+    q = np.arange(count.sum()) - np.repeat(first, count)  # q - 1
+    h = np.repeat(k, count) * (q + 1) - 1
+    col = np.repeat(k - 1, count)
+    # segment i's entries start with those of its first k
+    cuts = np.append(first, q.size)[np.minimum(starts, order + 1) - 1].tolist() + [q.size]
     rows, cols, vals = [], [], []
-    for start, end, pair in _segment_runs(basis, order):
-        k = np.arange(start, end + 1)
-        for first_col, member in ((0, pair.S), (order, pair.R)):
-            count = np.minimum(member.depth, cap // k)  # q*k <= cap holds for q = 1..count
-            q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # q - 1
-            h = np.repeat(k, count) * (q + 1) - 1
-            col = np.repeat(k + (first_col - 1), count)
-            rows += [h, cap + h]
-            cols += [col, col]
-            vals += [member.cos_coeffs[q], member.sin_coeffs[q]]
+    for members, lo, hi in zip(table, cuts, cuts[1:]):
+        for first_col, (cos_c, sin_c) in zip((0, order), members):
+            rows += [h[lo:hi], cap + h[lo:hi]]
+            cols += [col[lo:hi] + first_col] * 2
+            vals += [cos_c[q[lo:hi]], sin_c[q[lo:hi]]]
     rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     nonzero = vals != 0
     return rows[nonzero], cols[nonzero], vals[nonzero]
-
-
-def _undilated(pair: BasisPair) -> np.ndarray:
-    """The pair's Phi at order 1 with no harmonic dropped, as a dense (2Q, 2) array."""
-    depth = _depth(pair)
-    phi = np.zeros((2, depth, 2))  # (cos or sin, q - 1, S or R)
-    for col, member in enumerate((pair.S, pair.R)):
-        phi[0, : member.depth, col] = member.cos_coeffs
-        phi[1, : member.depth, col] = member.sin_coeffs
-    return phi.reshape(2 * depth, 2)
 
 
 def _gram_entries(basis, order: int) -> tuple:
@@ -479,18 +474,16 @@ def _gram_entries(basis, order: int) -> tuple:
     min(depth, order) for every two members of every segment; each coprime
     (a, b) then fills the cells (k, m) = (g*b, g*a), g <= order / max(a, b).
     """
-    runs = _segment_runs(basis, order)
-    depth = _depth(basis)
+    starts, layout = _layout(basis)
+    depth = layout.shape[-1]
     span = min(depth, order)
-    # series[p, a-1] holds member p's coefficients t*a, t = 1..depth, cos then sin
+    # series[p, a-1] holds member p's coefficients t*a, t = 1..depth, cos then sin;
+    # segment i's S and R are members 2i and 2i + 1
     harmonic = np.arange(1, span + 1)[:, None] * np.arange(1, depth + 1)
-    members = [member for _, _, pair in runs for member in (pair.S, pair.R)]
-    series = np.zeros((len(members), span, 2 * depth))
-    for row, member in zip(series, members):
-        inside = harmonic <= member.depth
-        taken = harmonic[inside] - 1
-        row[:, :depth][inside] = member.cos_coeffs[taken]
-        row[:, depth:][inside] = member.sin_coeffs[taken]
+    inside = harmonic <= depth
+    members = layout.reshape(-1, 2, depth)
+    series = np.zeros((len(members), span, 2, depth))
+    series.transpose(0, 2, 1, 3)[:, :, inside] = members[:, :, harmonic[inside] - 1]
     flat = series.reshape(-1, 2 * depth)
     table = 0.5 * (flat @ flat.T)  # rows (member p, a - 1), columns (member p', b - 1)
 
@@ -507,8 +500,6 @@ def _gram_entries(basis, order: int) -> tuple:
     g = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
     a, b = np.repeat(a, count), np.repeat(b, count)
     k, m = g * b, g * a
-    # segment i's S and R are members 2i and 2i + 1
-    starts = np.array([start for start, _, _ in runs])
     member_k = 2 * (np.searchsorted(starts, k, side="right") - 1)
     member_m = 2 * (np.searchsorted(starts, m, side="right") - 1)
     x = np.arange(2)[:, None, None]  # 0 for S, 1 for R
@@ -610,7 +601,7 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     block by block keeps a cross term that cancels within every harmonic
     exactly zero. Passes iff Q's smallest eigenvalue exceeds eps.
     """
-    cos_sin = _undilated(pair).reshape(2, -1, 2)
+    cos_sin = np.ascontiguousarray(_layout(pair)[1][0].transpose(1, 2, 0))  # (cos/sin, q - 1, S/R)
     blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
     form = 2.0 * blocks[0] - blocks.sum(axis=0)
     q00, q01, q11 = float(form[0, 0]), float(form[0, 1]), float(form[1, 1])
@@ -730,17 +721,22 @@ def schedule_from_dict(data) -> BasisSchedule:
         raise ConfigurationError(f"malformed schedule data: {exc}") from exc
 
 
-def save_basis(pair: BasisPair, path) -> None:
-    write_json(pair_to_dict(pair), path)
+def _basis_to_dict(basis) -> dict:
+    """A pair's or a schedule's dict."""
+    return schedule_to_dict(basis) if isinstance(basis, BasisSchedule) else pair_to_dict(basis)
 
 
-def load_basis(path) -> BasisPair:
-    return pair_from_dict(read_json(path))
+def _basis_from_dict(data):
+    """The schedule that a dict with ``segments`` holds, else the pair."""
+    is_schedule = isinstance(data, dict) and "segments" in data
+    return (schedule_from_dict if is_schedule else pair_from_dict)(data)
 
 
-def save_schedule(schedule: BasisSchedule, path) -> None:
-    write_json(schedule_to_dict(schedule), path)
+def save_basis(basis, path) -> None:
+    """Write a pair or a schedule as JSON."""
+    write_json(_basis_to_dict(basis), path)
 
 
-def load_schedule(path) -> BasisSchedule:
-    return schedule_from_dict(read_json(path))
+def load_basis(path):
+    """The pair or schedule in a JSON file; an object with ``segments`` is a schedule."""
+    return _basis_from_dict(read_json(path))

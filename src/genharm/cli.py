@@ -8,7 +8,8 @@ form).
 Handlers read the parsed arguments directly, once ``_validate`` has checked
 the run shape and tolerances. Exit codes: 0 success; 1 unreadable or
 unparseable inputs; 2 domain failures (failed basis checks, dependent basis,
-empty band, invalid run shape, phase or tolerance).
+empty band, invalid run shape, phase or tolerance, or a run shape too large
+to allocate).
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .basis import (
     EPS_CONVERGENCE,
     EPS_INDEPENDENCE,
     MAX_DEPTH,
+    BasisPair,
     builtin_basis,
     check_convergence,
     check_independence,
     classify_orthogonality,
     frame_bounds,
     load_basis,
-    load_schedule,
 )
 from .decompose import (
     PRUNING_RULES,
@@ -98,9 +99,7 @@ def _load(what: str, loader, path):
 
 
 def _load_basis(args: argparse.Namespace):
-    """The schedule, builtin pair or basis file that the arguments name."""
-    if "schedule" in args and args.schedule is not None:
-        return _load("schedule", load_schedule, args.schedule)
+    """The builtin pair, or the pair or schedule in the JSON file, that --basis names."""
     if args.basis is None:
         raise _LoadError("a basis is required: --basis <builtin name or JSON path>")
     if args.basis in BUILTIN_KINDS:
@@ -123,6 +122,8 @@ def _require_out(args: argparse.Namespace) -> str:
 
 def _run_check_basis(args: argparse.Namespace) -> int:
     pair = _load_basis(args)
+    if not isinstance(pair, BasisPair):
+        raise _LoadError(f"check-basis takes a basis pair, and {args.basis!r} holds a schedule")
     independence = check_independence(pair, args.eps_ind)
     convergence = check_convergence(pair, args.eps_conv)
     ortho = classify_orthogonality(pair, args.order)
@@ -227,6 +228,9 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     print(f"rms residual (direct, N={args.order}): {rms_dir!r}")
     print(f"rms residual (indirect, N={args.order}): {rms_ind!r}")
+    for d in (d_dir, d_ind):
+        for note in d.warnings:
+            print(f"warning ({d.method}): {note}")
     if args.json_out is not None:
         write_json(
             {
@@ -260,8 +264,7 @@ _OPTIONS = {
     "out": ("--out", {"help": "primary output path"}),
     "json-out": ("--json-out", {"help": "JSON report path"}),
     "recon-out": ("--recon-out", {"help": "also write the reconstruction CSV"}),
-    "basis": ("--basis", {"help": "builtin basis name or basis JSON path"}),
-    "schedule": ("--schedule", {"help": "schedule JSON path"}),
+    "basis": ("--basis", {"help": "builtin basis name, or JSON path of a pair or schedule"}),
     "phase-s": ("--phase-s", {"type": float, "help": "S phase shift in turns (builtin bases)"}),
     "phase-r": ("--phase-r", {"type": float, "help": "R phase shift in turns (builtin bases)"}),
     "depth": ("--depth", {"type": int, "default": DEFAULT_DEPTH,
@@ -286,7 +289,7 @@ _COMMANDS = {
     "check-basis": (_run_check_basis, "run validity checks on a basis pair",
                     f"{_BASIS} eps-conv order json-out"),
     "analyze": (_run_analyze, "decompose a signal CSV over a basis or schedule",
-                f"signal {_BASIS} schedule method pruning order samples out recon-out "
+                f"signal {_BASIS} method pruning order samples out recon-out "
                 "residual-tol"),
     "reconstruct": (_run_reconstruct, "sample a decomposition JSON to a signal CSV",
                     "decomposition samples out"),
@@ -295,7 +298,7 @@ _COMMANDS = {
     "filter": (_run_filter, "keep a band of components, zeroing the rest",
                "decomposition keep-from keep-to samples out recon-out"),
     "compare": (_run_compare, "direct vs indirect coefficients on one signal",
-                f"signal {_BASIS} schedule pruning order samples out json-out"),
+                f"signal {_BASIS} pruning order samples out json-out"),
     "fourier": (_run_fourier, "plain sine/cosine coefficients of a signal CSV",
                 "signal order out"),
 }
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
     except _LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GenharmError as exc:
+    except (GenharmError, MemoryError) as exc:  # MemoryError: a run shape past memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

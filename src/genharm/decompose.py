@@ -28,16 +28,17 @@ k under a schedule. Everything below reads off Phi, with numpy alone:
   the residual after order N has no content below N+1.
 
 Both methods take a pair or a schedule, since only Phi's columns depend on
-which it is, and both report the exact 1-norm condition number of the
-system they solve: kappa_1(T) = ||T||_1 ||X||_1, or ||G||_1 ||G^-1||_1.
+which it is, and only ``basis.py`` tells the two apart: its layout, Phi, Gram
+entries and JSON helpers take either. Both methods report the exact 1-norm
+condition number of the system they solve: kappa_1(T) = ||T||_1 ||X||_1, or
+||G||_1 ||G^-1||_1.
 
 Everything above but the signal's spectrum depends only on (basis, order),
 so it is built once and reused by every later call. Each part has its own
 memoized builder: ``_phi`` (Phi's entries at a band cap), ``_indirect_plan``
-(T's and X's entries with kappa_1(T)), ``_direct_plan`` (per pruning rule
-the pruned Gram matrix's diagonal blocks with their inverses and condition
-number) and ``_undilated_runs`` (each segment's undilated Phi for
-``spectrum.generalized_spectrum``). A call then does only per-signal work:
+(T's and X's entries with kappa_1(T)) and ``_direct_plan`` (per pruning
+rule the pruned Gram matrix's diagonal blocks with their inverses and
+condition number). A call then does only per-signal work:
 the signal's rfft, computed once per signal and kept with it, then three
 gather-and-bincount passes over X's and T's entries, or the right-hand side
 and three batched matmuls per block size, or one bincount for Phi @ [A; B].
@@ -71,18 +72,14 @@ from .basis import (
     BasisPair,
     BasisSchedule,
     EPS_INDEPENDENCE,
-    pair_from_dict,
-    pair_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
-    _depth,
+    _basis_from_dict,
+    _basis_to_dict,
     _gram_blocks,
     _gram_entries,
     _integer,
-    _segment_runs,
+    _layout,
     _segments,
     _synthesis_entries,
-    _undilated,
     check_independence,
 )
 from .errors import (
@@ -253,8 +250,8 @@ def _indirect_plan(basis, order: int) -> tuple:
     times that of |X|, read off the entries.
     """
     triangular = _synthesis_entries(basis, order, order)
-    inverse = _triangular_inverse(triangular, order, _depth(basis))
-    with np.errstate(over="ignore"):  # a column sum past the float range is an infinite norm
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves kappa_1 non-finite
+        inverse = _triangular_inverse(triangular, order, _layout(basis)[1].shape[-1])
         cond = float(
             np.bincount(triangular[1], np.abs(triangular[2])).max()
             * np.bincount(inverse[1], np.abs(inverse[2])).max()
@@ -273,14 +270,6 @@ def _direct_plan(basis, order: int, pruning: str) -> tuple:
     rows, cols, vals = _gram_entries(basis, order)
     kept = _kept(rows % order + 1, cols % order + 1, order, pruning)
     return _blockwise_inverse(_gram_blocks(2 * order, rows[kept], cols[kept], vals[kept]))
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _undilated_runs(basis, order: int) -> tuple:
-    """(first_k, last_k, undilated Phi) of each segment run."""
-    return tuple(
-        (start, end, _frozen(_undilated(pair))) for start, end, pair in _segment_runs(basis, order)
-    )
 
 
 def _require_solvable(basis, eps: float) -> None:
@@ -581,16 +570,12 @@ def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:
-    if isinstance(d.basis, BasisSchedule):
-        basis_data = schedule_to_dict(d.basis)
-    else:
-        basis_data = pair_to_dict(d.basis)
     out = {
         "method": d.method,
         "order": d.order,
         "c0": d.c0,
         "coefficients": [{"k": k, "A": a_k, "B": b_k} for k, a_k, b_k in d.coeffs],
-        "basis": basis_data,
+        "basis": _basis_to_dict(d.basis),
     }
     if d.pruning is not None:
         out["pruning"] = d.pruning
@@ -603,11 +588,7 @@ def decomposition_to_dict(d: Decomposition) -> dict:
 
 def decomposition_from_dict(data) -> Decomposition:
     try:
-        basis_data = data["basis"]
-        if "segments" in basis_data:
-            basis = schedule_from_dict(basis_data)
-        else:
-            basis = pair_from_dict(basis_data)
+        basis = _basis_from_dict(data["basis"])
         coeffs = tuple(
             (_integer(item["k"], "k"), float(item["A"]), float(item["B"]))
             for item in data["coefficients"]

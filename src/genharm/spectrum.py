@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition, _undilated_runs
+from .basis import _layout
+from .decompose import Decomposition
 from .errors import ConfigurationError
 from .files import write_csv
 from .signals import FourierSpectrum, _adopt
@@ -90,14 +91,16 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     the signal power; in general the cross terms between components are not
     counted.
     """
-    ab = d._table[:, 1:]
     table = np.empty((d.order, 2))
     table[:, 0] = np.arange(1, d.order + 1)
     energies = table[:, 1]
-    for start, end, phi in _undilated_runs(d.basis, d.order):
-        a, b = ab[start - 1 : end].T
-        mix = a[:, None] * phi[:, 0] + b[:, None] * phi[:, 1]
-        energies[start - 1 : end] = 0.5 * np.einsum("kq,kq->k", mix, mix)
+    starts, layout = _layout(d.basis)
+    cuts = [min(start, d.order + 1) - 1 for start in starts.tolist()] + [d.order]
+    for members, lo, hi in zip(layout, cuts, cuts[1:]):
+        s, r = members.reshape(2, -1)  # the undilated Phi's columns: cos then sin, q = 1..Q
+        a, b = d._table[lo:hi, 1:].T
+        mix = a[:, None] * s + b[:, None] * r
+        energies[lo:hi] = 0.5 * np.einsum("kq,kq->k", mix, mix)
     try:
         c0_sq = d.c0 ** 2
     except OverflowError:

@@ -25,11 +25,9 @@ from genharm import (
     dilate,
     frame_bounds,
     load_basis,
-    load_schedule,
     pair_from_dict,
     pair_to_dict,
     save_basis,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -630,8 +628,8 @@ def test_schedule_round_trip_with_builtin_segments(tmp_path, builtin_pairs):
         ((1, builtin_pairs["square_saw"]), (8, builtin_pairs["sine_cosine"]))
     )
     path = tmp_path / "sched.json"
-    save_schedule(sched, path)
-    back = load_schedule(path)
+    save_basis(sched, path)
+    back = load_basis(path)
     assert len(back.segments) == 2
     assert back.segments[1][0] == 8
     assert np.array_equal(back.segments[0][1].S.cos_coeffs, sched.segments[0][1].S.cos_coeffs)
@@ -658,7 +656,7 @@ def test_malformed_json_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigurationError):
         load_basis(path)
     with pytest.raises(ConfigurationError):
-        load_schedule(path)
+        load_basis(path)
     path.write_text('{"S": {"cos": [1.0]}}')
     with pytest.raises(ConfigurationError):
         load_basis(path)

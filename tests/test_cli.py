@@ -25,7 +25,6 @@ from genharm import (
     read_signal_csv,
     save_basis,
     save_decomposition,
-    save_schedule,
     write_signal_csv,
 )
 from genharm.cli import main
@@ -45,7 +44,7 @@ def workdir(tmp_path, builtin_pairs):
         BasisFunction([0.0], [1.0]),
         "diverging",
     )
-    save_schedule(
+    save_basis(
         BasisSchedule(((1, diverging), (4, builtin_pairs["sine_cosine"]))),
         tmp_path / "schedule.json",
     )
@@ -122,7 +121,7 @@ def test_analyze_over_schedule(workdir, capsys):
     f = random_bandlimited(rng, 8, 512, c0=0.0)
     write_signal_csv(f, workdir / "wide.csv")
     code = main(
-        ["analyze", "--in", str(workdir / "wide.csv"), "--schedule",
+        ["analyze", "--in", str(workdir / "wide.csv"), "--basis",
          str(workdir / "schedule.json"), "--order", "8",
          "--out", str(workdir / "md.json")]
     )
@@ -131,7 +130,7 @@ def test_analyze_over_schedule(workdir, capsys):
 
 
 def test_schedule_runs_the_direct_method_and_compare(workdir, capsys):
-    common = ["--in", str(workdir / "signal.csv"), "--schedule",
+    common = ["--in", str(workdir / "signal.csv"), "--basis",
               str(workdir / "schedule.json"), "--order", "8"]
     code = main(["analyze", *common, "--method", "direct", "--out", str(workdir / "x.json")])
     assert code == 0
@@ -274,7 +273,7 @@ signal = ["--in", f"{work}/signal.csv", "--basis", "square_saw", "--order", "8",
 runs = [
     ["analyze", *signal, "--out", f"{work}/dec.json", "--recon-out", f"{work}/recon.csv"],
     ["analyze", *signal, "--method", "direct", "--out", f"{work}/direct.json"],
-    ["analyze", "--in", f"{work}/signal.csv", "--schedule", f"{work}/schedule.json",
+    ["analyze", "--in", f"{work}/signal.csv", "--basis", f"{work}/schedule.json",
      "--order", "8", "--method", "direct", "--pruning", "none", "--out", f"{work}/sd.json"],
     ["compare", *signal, "--out", f"{work}/cmp.csv", "--json-out", f"{work}/cmp.json"],
     ["check-basis", "--basis", "square_saw", "--order", "8", "--json-out", f"{work}/check.json"],
@@ -393,13 +392,13 @@ def test_load_phase_failures_exit_one(workdir, capsys):
         # field past the csv module's size limit
         ["reconstruct", "--in", str(workdir / "latin1.json"), *out],
         ["check-basis", "--basis", str(workdir / "latin1.json")],
-        ["analyze", "--in", signal, "--schedule", str(workdir / "latin1.json"), *out],
+        ["analyze", "--in", signal, "--basis", str(workdir / "latin1.json"), *out],
         ["spectrum", "--in", str(workdir / "deep.json"), *out],
         ["analyze", "--in", str(workdir / "latin1.csv"), "--basis", "square_saw", *out],
         ["fourier", "--in", str(workdir / "long.csv"), *out],
         # a builtin depth past MAX_DEPTH, whose member and Phi arrays could
         # exhaust memory
-        ["analyze", "--in", signal, "--schedule", str(workdir / "deep_builtin.json"), *out],
+        ["analyze", "--in", signal, "--basis", str(workdir / "deep_builtin.json"), *out],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -421,7 +420,7 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
         (workdir / name).write_text(
             '{"segments": [{"start_k": 1, "basis": {"builtin": "square_saw"}}, ' + second + "]}"
         )
-        assert main(["analyze", "--in", signal, "--schedule", str(workdir / name), *out]) == 1
+        assert main(["analyze", "--in", signal, "--basis", str(workdir / name), *out]) == 1
         assert capsys.readouterr().err.startswith("error: "), name
 
 
@@ -444,7 +443,7 @@ def test_fractional_schedule_depth_is_refused(workdir, capsys):
     (workdir / "depth.json").write_text(
         '{"segments": [{"start_k": 1, "basis": {"builtin": "square_saw", "depth": 4.7}}]}'
     )
-    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--schedule",
+    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--basis",
             str(workdir / "depth.json"), "--out", str(workdir / "x.json")]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -470,6 +469,56 @@ def test_singular_direct_system_is_an_error_not_a_traceback(workdir):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: gram system is exactly singular\n"
+
+
+def test_condition_warnings_are_printed_by_analyze_and_compare(workdir, capsys):
+    # R is S dilated by two plus a barely-there fundamental: G is near-singular
+    pair = BasisPair(
+        BasisFunction([1.0, 0.5], [0.0, 0.0]),
+        BasisFunction([0.0, 1.0, 0.0, 0.5], [1e-7, 0.0, 0.0, 0.0]),
+        "near-singular",
+    )
+    save_basis(pair, workdir / "near.json")
+    common = ["--in", str(workdir / "signal.csv"), "--basis", str(workdir / "near.json"),
+              "--order", "2", "--pruning", "none"]
+    assert main(["analyze", *common, "--method", "direct", "--out", str(workdir / "d.json")]) == 0
+    warned = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning")]
+    assert len(warned) == 1 and warned[0].startswith("warning: condition estimate ")
+    assert warned[0].endswith(" exceeds 1e+12; coefficients may be unreliable")
+    assert main(["compare", *common, "--out", str(workdir / "cmp.csv")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the indirect system at this order is well conditioned: only the direct result warns
+    assert [line for line in out if line.startswith("warning")] == [
+        warned[0].replace("warning: ", "warning (direct): ")
+    ]
+
+
+def test_check_basis_refuses_a_schedule_file(workdir, capsys):
+    assert main(["check-basis", "--basis", str(workdir / "schedule.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_run_shape_too_large_to_allocate_exits_two(workdir, capsys):
+    # numpy refuses these arrays (petabytes) at once, so nothing is allocated
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "4", "--out", str(workdir / "dec.json")])
+    capsys.readouterr()
+    for argv in (
+        ["reconstruct", "--in", str(workdir / "dec.json"), "--samples", "1000000000000000",
+         "--out", str(workdir / "r.csv")],
+        ["check-basis", "--basis", "square", "--order", "1000000000000000"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: Unable to allocate"), argv
+    assert not (workdir / "r.csv").exists()
+
+
+def test_an_unwritable_output_path_exits_one(workdir, capsys):
+    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+            "--order", "4", "--out", str(workdir / "missing" / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_whitespace_only_csv_lines_are_refused(workdir, capsys):
@@ -513,8 +562,8 @@ def fuzzdir(tmp_path_factory, builtin_pairs):
     write_signal_csv(random_bandlimited(rng, 4, 16, c0=0.5), path / "signal.csv")
     pair = builtin_basis("square_saw", depth=4)
     save_basis(pair, path / "pair.json")
-    save_schedule(BasisSchedule(((1, pair), (3, builtin_pairs["sine_cosine"]))),
-                  path / "schedule.json")
+    save_basis(BasisSchedule(((1, pair), (3, builtin_pairs["sine_cosine"]))),
+               path / "schedule.json")
     schedule = json.loads((path / "schedule.json").read_text())
     schedule["segments"][1]["basis"] = {"builtin": "triangle", "depth": 3, "phase_s": 0.5}
     (path / "schedule.json").write_text(json.dumps(schedule))
@@ -537,7 +586,7 @@ _FILE_READERS = [
      "dec.json"),
     ("check-basis --basis {input} --order 3", "pair.json"),
     ("analyze --in {signal} --basis {input} --order 4", "pair.json"),
-    ("analyze --in {signal} --schedule {input} --order 4", "schedule.json"),
+    ("analyze --in {signal} --basis {input} --order 4", "schedule.json"),
 ]
 
 

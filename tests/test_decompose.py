@@ -746,6 +746,18 @@ def test_one_singular_block_among_regular_ones_is_refused():
             _blockwise_condition(_interleaved(blocks, 9))
 
 
+def test_a_singular_indirect_system_raises_without_a_numpy_warning():
+    # det C_1 = 1e-300 passes the independence check at eps 0, but its inverse
+    # overflows while X is built and leaves kappa_1(T) non-finite
+    S = BasisFunction([1.0, 0.5], [0.0, 0.0])
+    pair = BasisPair(S, BasisFunction([0.0, 0.0], [1e-300, 1.0]))
+    f = random_bandlimited(np.random.default_rng(7), 8, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="indirect system is numerically singular"):
+            analyze_indirect(f, pair, 8, eps_independence=0.0)
+
+
 def test_the_direct_method_never_factors_the_whole_system(monkeypatch):
     shapes = []
 

@@ -36,13 +36,12 @@ from genharm.decompose import (
     _direct_plan,
     _indirect_plan,
     _phi,
-    _undilated_runs,
 )
 
 from conftest import random_bandlimited, two_segment_schedule
 
 KINDS = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
-BUILDERS = (_phi, _indirect_plan, _direct_plan, _undilated_runs)
+BUILDERS = (_phi, _indirect_plan, _direct_plan)
 
 
 def _results(f, basis, order):
@@ -137,7 +136,7 @@ def test_more_bases_than_the_bound_leave_the_cache_at_its_bound():
     bases = [builtin_basis("square", depth=4) for _ in range(_PLAN_CACHE_SIZE + 3)]
     for basis in bases:
         _use_every_part(f, basis, 4)
-    assert [builder.cache_info().currsize for builder in BUILDERS] == [_PLAN_CACHE_SIZE] * 4
+    assert [builder.cache_info().currsize for builder in BUILDERS] == [_PLAN_CACHE_SIZE] * 3
     # the least recently used went first: the last bases hit, the first misses
     misses = [builder.cache_info().misses for builder in BUILDERS]
     for basis in bases[3:]:
@@ -187,7 +186,6 @@ def test_plan_arrays_cannot_be_made_writeable():
     triangular, inverse, _ = _indirect_plan(pair, 6)
     arrays = [system.matrix, system.pruned_mask, system.rhs, *_phi(pair, 6, 31), *triangular, *inverse]
     arrays += [part for group in _direct_plan(pair, 6, "lcm")[0] for part in group]
-    arrays += [phi for _, _, phi in _undilated_runs(pair, 6)]
     # results adopt the arrays the library computed for them, and freeze them the same way
     d = analyze_indirect(f, pair, 6)
     spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
