@@ -586,7 +586,7 @@ _FILE_READERS = [
      "dec.json"),
     ("check-basis --basis {input} --order 3", "pair.json"),
     ("analyze --in {signal} --basis {input} --order 4", "pair.json"),
-    ("analyze --in {signal} --basis {input} --order 4", "schedule.json"),
+    ("analyze --basis {input} --in {signal} --order 4", "schedule.json"),
 ]
 
 
