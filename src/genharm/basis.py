@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -76,6 +76,10 @@ DEFAULT_DEPTH = 64
 # Phi up to depth entries per column, depth * order per member: this bound keeps
 # a schedule file's depth from asking for arrays past memory
 MAX_DEPTH = 1 << 16
+# entries each memoized builder keeps, here and in ``decompose``, the least
+# recently used dropped first: a workload cycling through more bases than
+# this rebuilds on every call, as if there were no cache
+_PLAN_CACHE_SIZE = 8
 
 _PROJECTION_SAMPLES = 4096
 
@@ -408,6 +412,7 @@ def _segments(basis) -> tuple:
     return basis.segments if isinstance(basis, BasisSchedule) else ((1, basis),)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _layout(basis) -> tuple:
     """(starts, table): every segment's first k, and its members' coefficients.
 
@@ -416,7 +421,8 @@ def _layout(basis) -> tuple:
     basis's largest depth, so each member's cosine and sine series are
     contiguous rows. A pair is one segment starting at k = 1. Starts are
     clipped to the int64 range, which no order reaches, so a start past it
-    stays inactive.
+    stays inactive. Built once per basis, like ``decompose``'s plan parts,
+    and read-only.
     """
     segments = _segments(basis)
     depth = max(max(pair.S.depth, pair.R.depth) for _, pair in segments)
@@ -425,7 +431,8 @@ def _layout(basis) -> tuple:
         for x, member in enumerate((pair.S, pair.R)):
             table[i, x, 0, : member.depth] = member.cos_coeffs
             table[i, x, 1, : member.depth] = member.sin_coeffs
-    return np.array([min(start, (1 << 63) - 1) for start, _ in segments]), table
+    starts = np.array([min(start, (1 << 63) - 1) for start, _ in segments])
+    return _frozen(starts), _frozen(table)
 
 
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:

@@ -10,8 +10,10 @@ and both are linear algebra on the synthesis operator Phi, whose entries
 column (S,k) holds S's coefficient q at harmonic q*k, from the pair active at
 k under a schedule. Everything below reads off Phi, with numpy alone:
 
-* ``combined_spectrum`` / ``reconstruct``: Phi @ [A; B], capped at the band,
-  summed straight from Phi's entries.
+* ``combined_spectrum`` / ``reconstruct`` / ``residual``: Phi @ [A; B],
+  capped at the band, summed straight from Phi's entries. ``_synthesis``
+  writes the sum straight into the rfft bins of one inverse FFT, so a
+  reconstruction or residual builds no spectrum on the way.
 * ``analyze_direct``: the 2N x 2N system G x = (1/2) Phi^T [b; a] with
   G = (1/2) Phi^T Phi, optionally pruned; its coefficients depend on N.
   Members that share no harmonic are orthogonal, so G is block diagonal up
@@ -38,14 +40,17 @@ so it is built once and reused by every later call. Each part has its own
 memoized builder: ``_phi`` (Phi's entries at a band cap), ``_indirect_plan``
 (T's and X's entries with kappa_1(T)) and ``_direct_plan`` (per pruning
 rule the pruned Gram matrix's diagonal blocks with their inverses and
-condition number). A call then does only per-signal work:
+condition number). ``_require_solvable`` keeps the independence verdict per
+(basis, eps) the same way, and ``basis._layout``, which every part reads, is
+memoized too. A call then does only per-signal work:
 the signal's rfft, computed once per signal and kept with it, then three
 gather-and-bincount passes over X's and T's entries, or the right-hand side
-and three batched matmuls per block size, or one bincount for Phi @ [A; B].
+and three batched matmuls per block size, or one bincount for Phi @ [A; B]
+and one inverse FFT.
 The arithmetic is the one a fresh build would do, so a reused part gives
 bit-for-bit the results of a new one.
 
-Each builder is a ``functools.lru_cache`` of ``_PLAN_CACHE_SIZE`` = 8
+Each builder is a ``functools.lru_cache`` of ``basis._PLAN_CACHE_SIZE`` = 8
 entries, the least recently used dropped first. Bases hash and compare by
 identity, not by value: a rebuilt equal basis gets parts of its own, and
 basis arrays cannot be made writeable, so a basis never changes under its
@@ -69,6 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    _PLAN_CACHE_SIZE,
     BasisPair,
     BasisSchedule,
     EPS_INDEPENDENCE,
@@ -87,15 +93,17 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     IllConditionedBasisError,
+    InvalidSignalError,
 )
 from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
     _adopt,
+    _bins,
     _fourier_coeffs,
     _frozen,
-    synthesize_fourier,
+    _TableRows,
 )
 
 __all__ = [
@@ -118,10 +126,6 @@ __all__ = [
 
 PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
-# entries each plan builder keeps, the least recently used dropped first: a
-# workload cycling through more bases than this rebuilds its parts on every
-# call, as if there were no cache
-_PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +133,12 @@ class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
-    any (N, 3) sequence or array and kept as a tuple of (int, float, float)
-    tuples, derived from a private read-only (N, 3) float array ``_table``
-    that the spectrum sums and reconstruction read. The constructor copies
-    what it is given; the analyses build ``_table`` themselves and hand it
-    over without a copy, and both paths run the same checks. The basis
+    any (N, 3) sequence or array. The result keeps it as a private read-only
+    (N, 3) float array ``_table``, which the spectrum, reconstruction and
+    ``order`` read; ``coeffs`` is built from it on first read, as a tuple of
+    (int, float, float) tuples, and kept. The constructor copies what it is
+    given; the analyses build ``_table`` themselves and hand it over without
+    a copy, and both paths run the same checks. The basis
     field is the pair or schedule the analysis ran with. ``condition_estimate``
     is the exact 1-norm condition number of the system the analysis solved:
     kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
@@ -159,6 +164,7 @@ class Decomposition:
         self._validate()
 
     def _validate(self):
+        table = vars(self).pop("coeffs")
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.basis, (BasisPair, BasisSchedule)):
@@ -167,27 +173,24 @@ class Decomposition:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
             raise ConfigurationError("condition estimate must be finite")
-        table = self.coeffs
         if table.ndim != 2 or table.shape[1] != 3:
             raise ConfigurationError("coefficients must be (k, A_k, B_k) triples")
-        ks, a, b = table.T.tolist()
-        harmonics = range(1, len(ks) + 1)
-        if ks != list(harmonics):
+        if not (table[:, 0] == np.arange(1, len(table) + 1)).all():
             raise ConfigurationError("coefficients must cover k = 1..N exactly once, ascending")
         if not (math.isfinite(self.c0) and np.isfinite(table).all()):
             raise ConfigurationError("decomposition values must all be finite")
-        cleaned = tuple(zip(harmonics, a, b))
         warnings = tuple(self.warnings)
         if not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
         object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_table", _frozen(table))  # coeffs as an (N, 3) float array
 
+    coeffs = _TableRows()
+
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self._table)
 
     def pair_at(self, k: int) -> BasisPair:
         """The basis pair associated with harmonic k."""
@@ -272,8 +275,13 @@ def _direct_plan(basis, order: int, pruning: str) -> tuple:
     return _blockwise_inverse(_gram_blocks(2 * order, rows[kept], cols[kept], vals[kept]))
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _require_solvable(basis, eps: float) -> None:
-    """Raise unless every segment passes ``check_independence`` at eps."""
+    """Raise unless every segment passes ``check_independence`` at eps.
+
+    The verdict depends on nothing else, so it is decided once per (basis,
+    eps); a basis that fails stores nothing and raises on every call.
+    """
     for start, pair in _segments(basis):
         report = check_independence(pair, eps)
         if not report:
@@ -540,12 +548,31 @@ def analyze_direct(
     return _decomposition(f, basis, x, "direct", pruning, cond)
 
 
-def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
-    """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
+def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
+    """Phi @ [A; B] truncated at ``band_cap``: the cosine then the sine coefficients, one fresh array."""
     weights = d._table[:, 1:].T.ravel()  # [A; B]
     rows, cols, vals = _phi(d.basis, d.order, band_cap)
-    cos_sin = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
+    return np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
+
+
+def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
+    """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
+    cos_sin = _cos_sin(d, band_cap)
     return _adopt(FourierSpectrum, c0=d.c0, a=cos_sin[band_cap:], b=cos_sin[:band_cap])
+
+
+def _synthesis(d: Decomposition, n: int) -> np.ndarray:
+    """d's reconstruction sampled on the n-point grid, as one fresh array.
+
+    Phi @ [A; B] at the grid's band goes straight into the rfft bins and
+    through one ``np.fft.irfft``. Finite coefficients can still overflow in
+    the sum, which raises as a non-finite spectrum would.
+    """
+    band = n // 2 - 1
+    cos_sin = _cos_sin(d, band)
+    if not np.isfinite(cos_sin).all():
+        raise InvalidSignalError("spectrum contains non-finite coefficients")
+    return np.fft.irfft(_bins(d.c0, cos_sin[:band], cos_sin[band:], n), n)
 
 
 def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
@@ -553,7 +580,7 @@ def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
 
     Each dilated member is truncated at the grid's band limit n/2 - 1.
     """
-    return synthesize_fourier(combined_spectrum(d, n // 2 - 1), n)
+    return _adopt(PeriodicSignal, samples=_synthesis(d, n))
 
 
 def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
@@ -562,8 +589,8 @@ def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
         raise DimensionError(
             f"decomposition of order {d.order} is not representable at n={f.n}"
         )
-    approx = reconstruct(d, f.n)
-    return _adopt(PeriodicSignal, samples=f.samples - approx.samples)
+    samples = _synthesis(d, f.n)
+    return _adopt(PeriodicSignal, samples=np.subtract(f.samples, samples, out=samples))
 
 
 # --- JSON interchange --------------------------------------------------------

@@ -62,6 +62,29 @@ def _adopt(cls, **fields):
     return result
 
 
+class _TableRows:
+    """A dataclass field of (k, values...) tuples, built on first read from the instance's ``_table``.
+
+    The generated ``__init__`` stores the field's value in the instance's
+    dict, where the validator takes it and keeps the private (N, m) float
+    array ``_table`` instead, its first column k = 1..N. The first read
+    turns the table's rows into tuples of Python numbers, k an ``int``, and
+    keeps them in the dict, where later reads, ``repr``, ``pickle``, ``copy``
+    and ``dataclasses.replace`` find them. Read on the class it raises
+    ``AttributeError``, so the field has no default.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)
+        table = instance._table
+        rows = vars(instance)[self.name] = tuple(zip(range(1, len(table) + 1), *table[:, 1:].T.tolist()))
+        return rows
+
+
 def _check_sample_count(n: int) -> None:
     if n < 4 or n % 2 != 0:
         raise InvalidSignalError(f"sample count must be even and >= 4, got {n}")
@@ -223,10 +246,21 @@ def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
         )
+    return _adopt(PeriodicSignal, samples=np.fft.irfft(_bins(spec.c0, spec.b, spec.a, n), n))
+
+
+def _bins(c0: float, b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """The n-point rfft bins 0..n/2 of c0 + sum_k b_k cos(2 pi k x) + a_k sin(2 pi k x).
+
+    Bin 0 is n c0 and bin k is (n/2)(b_k - i a_k), written part by part into
+    one fresh complex array; bins past the coefficients, the Nyquist bin
+    among them, are zero.
+    """
     bins = np.zeros(n // 2 + 1, dtype=complex)
-    bins[0] = n * spec.c0
-    bins[1 : spec.max_harmonic + 1] = 0.5 * n * (spec.b - 1j * spec.a)
-    return _adopt(PeriodicSignal, samples=np.fft.irfft(bins, n))
+    bins[0] = n * c0
+    np.multiply(0.5 * n, b, out=bins.real[1 : b.size + 1])
+    np.multiply(-0.5 * n, a, out=bins.imag[1 : a.size + 1])
+    return bins
 
 
 def spectral_inner(s: FourierSpectrum, t: FourierSpectrum) -> float:

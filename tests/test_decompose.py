@@ -627,6 +627,18 @@ def test_a_spectrum_that_overflows_raises_an_invalid_signal_error():
         d = Decomposition(1e308, tuple((k, 0.0, 0.0) for k in range(1, 9)), pair, "indirect")
         with pytest.raises(InvalidSignalError, match="samples contain non-finite values"):
             residual(PeriodicSignal(np.full(64, 1e300)), d)
+        # finite coefficients whose sum Phi @ [A; B] overflows
+        d = Decomposition(0.0, tuple((k, 1.5e308, 1.5e308) for k in range(1, 9)), pair, "indirect")
+        for synthesis in (lambda: reconstruct(d, 64), lambda: residual(PeriodicSignal(np.ones(64)), d)):
+            with pytest.raises(InvalidSignalError, match="spectrum contains non-finite coefficients"):
+                synthesis()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_reconstruct_refuses_a_grid_no_signal_has(n):
+    d = Decomposition(0.5, ((1, 1.0, 2.0),), builtin_basis("square"), "direct")
+    with pytest.raises(InvalidSignalError, match=f"sample count must be even and >= 4, got {n}"):
+        reconstruct(d, n)
 
 
 def _direct_systems(f, order):

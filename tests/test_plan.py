@@ -1,6 +1,9 @@
 """Analysis plans: built once per (basis, order), reused across signals, bounded."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import sys
 import threading
 import weakref
@@ -16,6 +19,7 @@ from genharm import (
     Decomposition,
     FourierSpectrum,
     GeneralizedSpectrum,
+    IllConditionedBasisError,
     PeriodicSignal,
     analyze_direct,
     analyze_fourier,
@@ -28,20 +32,23 @@ from genharm import (
     generalized_spectrum,
     reconstruct,
     residual,
+    synthesize_fourier,
 )
 from genharm import decompose
+from genharm.basis import _layout
 from genharm.decompose import (
     PRUNING_RULES,
     _PLAN_CACHE_SIZE,
     _direct_plan,
     _indirect_plan,
     _phi,
+    _require_solvable,
 )
 
 from conftest import random_bandlimited, two_segment_schedule
 
 KINDS = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
-BUILDERS = (_phi, _indirect_plan, _direct_plan)
+BUILDERS = (_phi, _indirect_plan, _direct_plan, _layout, _require_solvable)
 
 
 def _results(f, basis, order):
@@ -81,7 +88,9 @@ def test_a_reused_plan_keeps_the_condition_warning():
 def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
     builds = {}
     grams = []
+    verdicts = []
     original_entries, original_gram = decompose._synthesis_entries, decompose._gram_entries
+    original_check = decompose.check_independence
 
     def counted_entries(basis, order, cap):
         builds[order, cap] = builds.get((order, cap), 0) + 1
@@ -91,8 +100,13 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
         grams.append(order)
         return original_gram(basis, order)
 
+    def counted_check(pair, eps):
+        verdicts.append(eps)
+        return original_check(pair, eps)
+
     monkeypatch.setattr(decompose, "_synthesis_entries", counted_entries)
     monkeypatch.setattr(decompose, "_gram_entries", counted_gram)
+    monkeypatch.setattr(decompose, "check_independence", counted_check)
     pair = builtin_basis("square_saw")
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -102,6 +116,7 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
     # the indirect levels read Phi at cap = order, the direct rhs and residual at the band
     assert builds == {(16, 16): 1, (16, 63): 1}
     assert grams == [16]
+    assert verdicts == [decompose.EPS_INDEPENDENCE]  # one independence check for the pair
 
 
 def test_one_rfft_per_signal_across_the_analyses(monkeypatch):
@@ -136,7 +151,7 @@ def test_more_bases_than_the_bound_leave_the_cache_at_its_bound():
     bases = [builtin_basis("square", depth=4) for _ in range(_PLAN_CACHE_SIZE + 3)]
     for basis in bases:
         _use_every_part(f, basis, 4)
-    assert [builder.cache_info().currsize for builder in BUILDERS] == [_PLAN_CACHE_SIZE] * 3
+    assert [builder.cache_info().currsize for builder in BUILDERS] == [_PLAN_CACHE_SIZE] * len(BUILDERS)
     # the least recently used went first: the last bases hit, the first misses
     misses = [builder.cache_info().misses for builder in BUILDERS]
     for basis in bases[3:]:
@@ -177,6 +192,22 @@ def test_a_singular_system_raises_on_every_call_and_stores_nothing():
         assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
 
 
+def test_an_ill_conditioned_basis_raises_on_every_call_and_stores_nothing():
+    pair = BasisPair(BasisFunction([0.0], [1.0]), BasisFunction([0.0], [2.0]), "proportional")
+    f = random_bandlimited(np.random.default_rng(5), 2, 64)
+    _require_solvable.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
+            analyze_indirect(f, pair, 2)
+        info = _require_solvable.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
+    square = builtin_basis("square")
+    for _ in range(2):
+        analyze_indirect(f, square, 2)
+    info = _require_solvable.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)  # a passing verdict is kept
+
+
 def test_plan_arrays_cannot_be_made_writeable():
     pair = builtin_basis("sawtooth", depth=8)
     f = random_bandlimited(np.random.default_rng(2), 6, 64)
@@ -191,7 +222,7 @@ def test_plan_arrays_cannot_be_made_writeable():
     spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
     arrays += [f.samples, d._table, analyze_direct(f, pair, 6, "lcm")._table, band_filter(d, 2, 4)._table]
     arrays += [spectrum.a, spectrum.b, fourier.a, fourier.b]
-    arrays += [reconstruct(d, 64).samples, residual(f, d).samples]
+    arrays += [reconstruct(d, 64).samples, residual(f, d).samples, *_layout(pair)]
     for array in arrays:
         with pytest.raises(ValueError):
             array.setflags(write=True)
@@ -262,6 +293,72 @@ def test_adopted_results_equal_their_rebuild_through_the_public_constructors(kin
         assert residual(f, d).samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [64, 100, 4098])
+@pytest.mark.parametrize("kind", KINDS + ("schedule",))
+def test_reconstruct_and_residual_equal_the_synthesized_combined_spectrum(kind, n):
+    basis = two_segment_schedule() if kind == "schedule" else builtin_basis(kind)
+    order = 7 if kind == "schedule" else 24
+    f = random_bandlimited(np.random.default_rng(n + len(kind)), order, n)
+    results = [analyze_indirect(f, basis, order)]
+    results += [analyze_direct(f, basis, order, pruning) for pruning in PRUNING_RULES]
+    for d in results:
+        want = synthesize_fourier(combined_spectrum(d, n // 2 - 1), n).samples
+        assert reconstruct(d, n).samples.tobytes() == want.tobytes()
+        assert residual(f, d).samples.tobytes() == (f.samples - want).tobytes()
+
+
+def _old_tuples(table):
+    """The tuples the results used to build as soon as they were made."""
+    columns = table.T.tolist()
+    return tuple(zip(range(1, len(table) + 1), *columns[1:]))
+
+
+def _lazy_results():
+    """(result, name of its lazy tuple) for adopted and constructed results."""
+    basis = builtin_basis("trapezoid")
+    f = random_bandlimited(np.random.default_rng(31), 12, 64)
+    d = analyze_direct(f, basis, 12, "lcm")
+    spectrum = generalized_spectrum(d)
+    constructed = Decomposition(d.c0, d._table, basis, "direct", "lcm", d.condition_estimate, d.warnings)
+    return [
+        (analyze_indirect(f, basis, 12), "coeffs"),
+        (band_filter(d, 3, 9), "coeffs"),
+        (constructed, "coeffs"),
+        (spectrum, "entries"),
+        (GeneralizedSpectrum(spectrum._table, spectrum.c0_sq), "entries"),
+    ]
+
+
+def test_coeffs_and_entries_are_built_on_first_read_as_the_old_tuples():
+    for result, name in _lazy_results():
+        assert (result.order if name == "coeffs" else result.total()) is not None
+        assert name not in vars(result)  # neither order nor total() builds the tuple
+        built = getattr(result, name)
+        assert built == _old_tuples(result._table)
+        assert all(type(k) is int and all(type(v) is float for v in rest) for k, *rest in built)
+        assert getattr(result, name) is built  # kept after the first read
+    with pytest.raises(AttributeError):
+        Decomposition.coeffs  # noqa: B018 - the field has no class-level default
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_lazy_results_survive_repr_pickle_deepcopy_and_replace(read_first):
+    for result, name in _lazy_results():
+        if read_first:
+            getattr(result, name)
+        table, built = result._table.tobytes(), _old_tuples(result._table)
+        copies = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)]
+        field = "method" if name == "coeffs" else "c0_sq"
+        copies.append(dataclasses.replace(result, **{field: getattr(result, field)}))
+        for other in copies:
+            assert other._table.tobytes() == table
+            assert getattr(other, name) == built
+            assert repr(other) == repr(result)
+        assert f"{name}=((1, " in repr(result)
+        if name == "coeffs":  # a copy is a working result
+            assert generalized_spectrum(copies[0]).total() == generalized_spectrum(result).total()
+
+
 def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(monkeypatch):
     pair = builtin_basis("square_saw")
     schedule = BasisSchedule(((1, pair), (9, builtin_basis("triangle"))))
@@ -292,8 +389,11 @@ def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(m
     d_dir = analyze_direct(f, pair, 16, "paper")
     residual(f, d_ind)
     residual(f, d_dir)
-    generalized_spectrum(d_ind)
-    analyze_multiband(f, schedule, 16)
+    spectrum = generalized_spectrum(d_ind)
+    d_multi = analyze_multiband(f, schedule, 16)
     assert copied == {"PeriodicSignal": 1}
-    # each residual: the synthesized reconstruction and the difference, over one combined spectrum
-    assert validated == {"PeriodicSignal": 5, "FourierSpectrum": 2, "Decomposition": 3, "GeneralizedSpectrum": 1}
+    # each residual is one signal, synthesized straight from Phi @ [A; B] with no spectrum between
+    assert validated == {"PeriodicSignal": 3, "Decomposition": 3, "GeneralizedSpectrum": 1}
+    # no tuple of Python numbers is built unless a caller reads it
+    assert not any("coeffs" in vars(d) for d in (d_ind, d_dir, d_multi))
+    assert "entries" not in vars(spectrum)
