@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .files import read_json, write_json
-from .signals import FourierSpectrum, _frozen, analyze_fourier, sample_closed_form
+from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
 
 __all__ = [
     "BasisFunction",
@@ -115,6 +115,8 @@ class BasisFunction:
             raise ConfigurationError("basis function energy must be finite and positive")
         object.__setattr__(self, "cos_coeffs", _frozen(cos_c))
         object.__setattr__(self, "sin_coeffs", _frozen(sin_c))
+
+    __setstate__ = _refreeze
 
     @property
     def depth(self) -> int:

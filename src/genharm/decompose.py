@@ -103,7 +103,7 @@ from .signals import (
     _bins,
     _fourier_coeffs,
     _frozen,
-    _TableRows,
+    _refreeze,
 )
 
 __all__ = [
@@ -133,12 +133,11 @@ class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
-    any (N, 3) sequence or array. The result keeps it as a private read-only
-    (N, 3) float array ``_table``, which the spectrum, reconstruction and
-    ``order`` read; ``coeffs`` is built from it on first read, as a tuple of
-    (int, float, float) tuples, and kept. The constructor copies what it is
-    given; the analyses build ``_table`` themselves and hand it over without
-    a copy, and both paths run the same checks. The basis
+    any (N, 3) sequence or array and kept as a tuple of (int, float, float)
+    tuples, derived from a private read-only (N, 3) float array ``_table``
+    that the spectrum sums and reconstruction read. The constructor copies
+    what it is given; the analyses build ``_table`` themselves and hand it
+    over without a copy, and both paths run the same checks. The basis
     field is the pair or schedule the analysis ran with. ``condition_estimate``
     is the exact 1-norm condition number of the system the analysis solved:
     kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
@@ -164,7 +163,6 @@ class Decomposition:
         self._validate()
 
     def _validate(self):
-        table = vars(self).pop("coeffs")
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.basis, (BasisPair, BasisSchedule)):
@@ -173,24 +171,29 @@ class Decomposition:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
             raise ConfigurationError("condition estimate must be finite")
+        table = self.coeffs
         if table.ndim != 2 or table.shape[1] != 3:
             raise ConfigurationError("coefficients must be (k, A_k, B_k) triples")
-        if not (table[:, 0] == np.arange(1, len(table) + 1)).all():
+        ks, a, b = table.T.tolist()
+        harmonics = range(1, len(ks) + 1)
+        if ks != list(harmonics):
             raise ConfigurationError("coefficients must cover k = 1..N exactly once, ascending")
         if not (math.isfinite(self.c0) and np.isfinite(table).all()):
             raise ConfigurationError("decomposition values must all be finite")
+        cleaned = tuple(zip(harmonics, a, b))
         warnings = tuple(self.warnings)
         if not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
         object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_table", _frozen(table))  # coeffs as an (N, 3) float array
 
-    coeffs = _TableRows()
+    __setstate__ = _refreeze
 
     @property
     def order(self) -> int:
-        return len(self._table)
+        return len(self.coeffs)
 
     def pair_at(self, k: int) -> BasisPair:
         """The basis pair associated with harmonic k."""
@@ -231,6 +234,8 @@ class GramSystem:
         object.__setattr__(self, "matrix", _frozen(matrix))
         object.__setattr__(self, "rhs", _frozen(rhs))
         object.__setattr__(self, "pruned_mask", _frozen(mask))
+
+    __setstate__ = _refreeze
 
 
 # The plan: what the analyses of one (basis, order) need before they see a

@@ -47,6 +47,17 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
 
 
+def _refreeze(self, state: dict) -> None:
+    """``__setstate__`` of the classes that keep ``_frozen`` arrays.
+
+    ``pickle`` and ``copy.deepcopy`` hand the arrays back writeable; this
+    freezes them again, so an unpickled or copied instance is as immutable
+    as the one it came from.
+    """
+    for key, value in state.items():
+        vars(self)[key] = _frozen(value) if isinstance(value, np.ndarray) else value
+
+
 def _adopt(cls, **fields):
     """An instance of the dataclass ``cls`` built around ``fields`` without copying them.
 
@@ -60,29 +71,6 @@ def _adopt(cls, **fields):
     vars(result).update(fields)
     result._validate()
     return result
-
-
-class _TableRows:
-    """A dataclass field of (k, values...) tuples, built on first read from the instance's ``_table``.
-
-    The generated ``__init__`` stores the field's value in the instance's
-    dict, where the validator takes it and keeps the private (N, m) float
-    array ``_table`` instead, its first column k = 1..N. The first read
-    turns the table's rows into tuples of Python numbers, k an ``int``, and
-    keeps them in the dict, where later reads, ``repr``, ``pickle``, ``copy``
-    and ``dataclasses.replace`` find them. Read on the class it raises
-    ``AttributeError``, so the field has no default.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            raise AttributeError(self.name)
-        table = instance._table
-        rows = vars(instance)[self.name] = tuple(zip(range(1, len(table) + 1), *table[:, 1:].T.tolist()))
-        return rows
 
 
 def _check_sample_count(n: int) -> None:
@@ -115,6 +103,8 @@ class PeriodicSignal:
         if not np.isfinite(samples).all():
             raise InvalidSignalError("samples contain non-finite values")
         object.__setattr__(self, "samples", _frozen(samples))
+
+    __setstate__ = _refreeze
 
     @property
     def n(self) -> int:
@@ -194,6 +184,8 @@ class FourierSpectrum:
         object.__setattr__(self, "c0", float(self.c0))
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
+
+    __setstate__ = _refreeze
 
     @property
     def max_harmonic(self) -> int:

@@ -19,7 +19,7 @@ from .basis import _layout
 from .decompose import Decomposition
 from .errors import ConfigurationError
 from .files import write_csv
-from .signals import FourierSpectrum, _adopt, _frozen, _TableRows
+from .signals import FourierSpectrum, _adopt
 
 __all__ = [
     "GeneralizedSpectrum",
@@ -35,11 +35,7 @@ class GeneralizedSpectrum:
     """Per-frequency component energies of a decomposition, plus c0 squared.
 
     ``entries`` holds (k, energy) for k = 1..N exactly once each, given as
-    any (N, 2) sequence or array. The result keeps it as a private read-only
-    (N, 2) float array ``_table``, which ``total`` reads; ``entries`` is
-    built from it on first read, as a tuple of (int, float) tuples, and
-    kept. The constructor copies what it is given; ``generalized_spectrum``
-    hands its table over without a copy, and both paths run the same checks.
+    any (N, 2) sequence or array and kept as a tuple of tuples.
     """
 
     entries: tuple
@@ -53,22 +49,22 @@ class GeneralizedSpectrum:
         self._validate()
 
     def _validate(self):
-        table = vars(self).pop("entries")
+        table = self.entries
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigurationError("spectrum entries must be (k, energy) pairs")
-        if not (table[:, 0] == np.arange(1, len(table) + 1)).all():
+        ks, energies = table.T.tolist()
+        harmonics = range(1, len(ks) + 1)
+        if ks != list(harmonics):
             raise ConfigurationError("spectrum entries must cover k = 1..N exactly once")
         column = table[:, 1]
         if not (0.0 <= self.c0_sq < math.inf and ((0.0 <= column) & (column < math.inf)).all()):
             raise ConfigurationError("energies must be finite and nonnegative")
+        object.__setattr__(self, "entries", tuple(zip(harmonics, energies)))
         object.__setattr__(self, "c0_sq", float(self.c0_sq))
-        object.__setattr__(self, "_table", _frozen(table))  # entries as an (N, 2) float array
-
-    entries = _TableRows()
 
     def total(self) -> float:
-        """c0_sq plus the sum of all component energies, added in ascending k."""
-        return self.c0_sq + sum(self._table[:, 1].tolist())
+        """c0_sq plus the sum of all component energies."""
+        return self.c0_sq + sum(e for _, e in self.entries)
 
 
 def parseval_power(spec: FourierSpectrum) -> float:

@@ -223,6 +223,12 @@ def test_plan_arrays_cannot_be_made_writeable():
     arrays += [f.samples, d._table, analyze_direct(f, pair, 6, "lcm")._table, band_filter(d, 2, 4)._table]
     arrays += [spectrum.a, spectrum.b, fourier.a, fourier.b]
     arrays += [reconstruct(d, 64).samples, residual(f, d).samples, *_layout(pair)]
+    # pickle and deepcopy hand arrays back writeable; the copies freeze them again,
+    # so a copied basis cannot change under the parts cached for it
+    for clone in (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy):
+        p, g, e, s, gram = map(clone, (pair, f, d, spectrum, system))
+        arrays += [p.S.cos_coeffs, p.S.sin_coeffs, p.R.cos_coeffs, p.R.sin_coeffs, g.samples, g._rfft]
+        arrays += [e._table, s.a, s.b, gram.matrix, gram.rhs, gram.pruned_mask]
     for array in arrays:
         with pytest.raises(ValueError):
             array.setflags(write=True)
@@ -307,14 +313,8 @@ def test_reconstruct_and_residual_equal_the_synthesized_combined_spectrum(kind, 
         assert residual(f, d).samples.tobytes() == (f.samples - want).tobytes()
 
 
-def _old_tuples(table):
-    """The tuples the results used to build as soon as they were made."""
-    columns = table.T.tolist()
-    return tuple(zip(range(1, len(table) + 1), *columns[1:]))
-
-
-def _lazy_results():
-    """(result, name of its lazy tuple) for adopted and constructed results."""
+def _adopted_and_constructed_results():
+    """(result, name of its tuple field) for results the library built and ones a caller built."""
     basis = builtin_basis("trapezoid")
     f = random_bandlimited(np.random.default_rng(31), 12, 64)
     d = analyze_direct(f, basis, 12, "lcm")
@@ -325,37 +325,23 @@ def _lazy_results():
         (band_filter(d, 3, 9), "coeffs"),
         (constructed, "coeffs"),
         (spectrum, "entries"),
-        (GeneralizedSpectrum(spectrum._table, spectrum.c0_sq), "entries"),
+        (GeneralizedSpectrum(np.array(spectrum.entries), spectrum.c0_sq), "entries"),
     ]
 
 
-def test_coeffs_and_entries_are_built_on_first_read_as_the_old_tuples():
-    for result, name in _lazy_results():
-        assert (result.order if name == "coeffs" else result.total()) is not None
-        assert name not in vars(result)  # neither order nor total() builds the tuple
-        built = getattr(result, name)
-        assert built == _old_tuples(result._table)
-        assert all(type(k) is int and all(type(v) is float for v in rest) for k, *rest in built)
-        assert getattr(result, name) is built  # kept after the first read
-    with pytest.raises(AttributeError):
-        Decomposition.coeffs  # noqa: B018 - the field has no class-level default
-
-
-@pytest.mark.parametrize("read_first", [False, True])
-def test_lazy_results_survive_repr_pickle_deepcopy_and_replace(read_first):
-    for result, name in _lazy_results():
-        if read_first:
-            getattr(result, name)
-        table, built = result._table.tobytes(), _old_tuples(result._table)
+def test_results_survive_repr_pickle_deepcopy_and_replace():
+    for result, name in _adopted_and_constructed_results():
+        rows = getattr(result, name)
+        assert all(type(k) is int and all(type(v) is float for v in rest) for k, *rest in rows)
         copies = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)]
         field = "method" if name == "coeffs" else "c0_sq"
         copies.append(dataclasses.replace(result, **{field: getattr(result, field)}))
         for other in copies:
-            assert other._table.tobytes() == table
-            assert getattr(other, name) == built
+            assert getattr(other, name) == rows
             assert repr(other) == repr(result)
         assert f"{name}=((1, " in repr(result)
         if name == "coeffs":  # a copy is a working result
+            assert all(other._table.tobytes() == result._table.tobytes() for other in copies)
             assert generalized_spectrum(copies[0]).total() == generalized_spectrum(result).total()
 
 
@@ -389,11 +375,8 @@ def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(m
     d_dir = analyze_direct(f, pair, 16, "paper")
     residual(f, d_ind)
     residual(f, d_dir)
-    spectrum = generalized_spectrum(d_ind)
-    d_multi = analyze_multiband(f, schedule, 16)
+    generalized_spectrum(d_ind)
+    analyze_multiband(f, schedule, 16)
     assert copied == {"PeriodicSignal": 1}
     # each residual is one signal, synthesized straight from Phi @ [A; B] with no spectrum between
     assert validated == {"PeriodicSignal": 3, "Decomposition": 3, "GeneralizedSpectrum": 1}
-    # no tuple of Python numbers is built unless a caller reads it
-    assert not any("coeffs" in vars(d) for d in (d_ind, d_dir, d_multi))
-    assert "entries" not in vars(spectrum)
