@@ -99,7 +99,6 @@ from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
-    _adopt,
     _bins,
     _fourier_coeffs,
     _frozen,
@@ -128,18 +127,39 @@ PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
 
 
+def _rows(rows, width: int, what: str, shape: str) -> tuple:
+    """``rows`` of (k, values...) as a frozen (N, width) float table and a tuple of tuples with int k.
+
+    Any (N, width) sequence or array is accepted; anything else, ragged or
+    non-numeric rows among it, raises ``ConfigurationError("{what} must be
+    {shape}")``, and k other than 1..N exactly once, ascending, raises too.
+    """
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be {shape}") from exc
+    if table.shape == (0,):
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ConfigurationError(f"{what} must be {shape}")
+    ks, *values = table.T.tolist()
+    harmonics = range(1, len(ks) + 1)
+    if ks != list(harmonics):
+        raise ConfigurationError(f"{what} must cover k = 1..N exactly once, ascending")
+    return _frozen(table), tuple(zip(harmonics, *values))
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
     ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
     any (N, 3) sequence or array and kept as a tuple of (int, float, float)
-    tuples, derived from a private read-only (N, 3) float array ``_table``
-    that the spectrum sums and reconstruction read. The constructor copies
-    what it is given; the analyses build ``_table`` themselves and hand it
-    over without a copy, and both paths run the same checks. The basis
-    field is the pair or schedule the analysis ran with. ``condition_estimate``
-    is the exact 1-norm condition number of the system the analysis solved:
+    tuples, next to a private read-only (N, 3) float copy ``_table`` that
+    the spectrum sums and reconstruction read; the analyses build their
+    results through this constructor like any caller. The basis field is
+    the pair or schedule the analysis ran with. ``condition_estimate`` is
+    the exact 1-norm condition number of the system the analysis solved:
     kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
     indirect results, ||G||_1 ||G^-1||_1 of the Gram system G for direct
     ones, which also record the pruning rule, since their coefficients are
@@ -156,13 +176,6 @@ class Decomposition:
     warnings: tuple = ()
 
     def __post_init__(self):
-        table = np.array(self.coeffs, dtype=float)
-        if table.shape == (0,):
-            table = table.reshape(0, 3)
-        object.__setattr__(self, "coeffs", table)
-        self._validate()
-
-    def _validate(self):
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.basis, (BasisPair, BasisSchedule)):
@@ -171,23 +184,16 @@ class Decomposition:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
             raise ConfigurationError("condition estimate must be finite")
-        table = self.coeffs
-        if table.ndim != 2 or table.shape[1] != 3:
-            raise ConfigurationError("coefficients must be (k, A_k, B_k) triples")
-        ks, a, b = table.T.tolist()
-        harmonics = range(1, len(ks) + 1)
-        if ks != list(harmonics):
-            raise ConfigurationError("coefficients must cover k = 1..N exactly once, ascending")
+        table, coeffs = _rows(self.coeffs, 3, "coefficients", "(k, A_k, B_k) triples")
         if not (math.isfinite(self.c0) and np.isfinite(table).all()):
             raise ConfigurationError("decomposition values must all be finite")
-        cleaned = tuple(zip(harmonics, a, b))
         warnings = tuple(self.warnings)
-        if not all(isinstance(note, str) for note in warnings):
+        if isinstance(self.warnings, str) or not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
         object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "_table", _frozen(table))  # coeffs as an (N, 3) float array
+        object.__setattr__(self, "_table", table)  # coeffs as an (N, 3) float array
 
     __setstate__ = _refreeze
 
@@ -209,9 +215,8 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    The constructor copies what it is given; ``build_gram_system`` hands
-    over the arrays it built without a copy, and both paths run the same
-    checks and freeze the arrays.
+    The arrays are copied and frozen on construction, whoever builds the
+    system.
     """
 
     matrix: np.ndarray
@@ -221,13 +226,9 @@ class GramSystem:
     pruning: str
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=float, copy=True))
-        object.__setattr__(self, "rhs", np.array(self.rhs, dtype=float, copy=True))
-        object.__setattr__(self, "pruned_mask", np.array(self.pruned_mask, dtype=bool, copy=True))
-        self._validate()
-
-    def _validate(self):
-        matrix, rhs, mask = self.matrix, self.rhs, self.pruned_mask
+        matrix = np.array(self.matrix, dtype=float)
+        rhs = np.array(self.rhs, dtype=float)
+        mask = np.array(self.pruned_mask, dtype=bool)
         two_n = 2 * self.order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
@@ -410,16 +411,7 @@ def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, pruning
     table = np.empty((order, 3))
     table[:, 0] = np.arange(1, order + 1)
     table[:, 1:] = x.reshape(2, order).T
-    return _adopt(
-        Decomposition,
-        c0=f._mean,
-        coeffs=table,
-        basis=basis,
-        method=method,
-        pruning=pruning,
-        condition_estimate=cond,
-        warnings=_condition_notes(cond),
-    )
+    return Decomposition(f._mean, table, basis, method, pruning, cond, _condition_notes(cond))
 
 
 def analyze_indirect(
@@ -495,9 +487,7 @@ def build_gram_system(
     gram = np.zeros((2 * order, 2 * order))
     gram[rows, cols] = vals
     gram[pruned] = 0.0
-    return _adopt(
-        GramSystem, matrix=gram, rhs=_rhs(f, basis, order), pruned_mask=pruned, order=order, pruning=pruning
-    )
+    return GramSystem(gram, _rhs(f, basis, order), pruned, order, pruning)
 
 
 def _blockwise_inverse(groups) -> tuple:
@@ -563,7 +553,7 @@ def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
     cos_sin = _cos_sin(d, band_cap)
-    return _adopt(FourierSpectrum, c0=d.c0, a=cos_sin[band_cap:], b=cos_sin[:band_cap])
+    return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
 
 
 def _synthesis(d: Decomposition, n: int) -> np.ndarray:
@@ -585,7 +575,7 @@ def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
 
     Each dilated member is truncated at the grid's band limit n/2 - 1.
     """
-    return _adopt(PeriodicSignal, samples=_synthesis(d, n))
+    return PeriodicSignal(_synthesis(d, n))
 
 
 def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
@@ -594,8 +584,7 @@ def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
         raise DimensionError(
             f"decomposition of order {d.order} is not representable at n={f.n}"
         )
-    samples = _synthesis(d, f.n)
-    return _adopt(PeriodicSignal, samples=np.subtract(f.samples, samples, out=samples))
+    return PeriodicSignal(f.samples - _synthesis(d, f.n))
 
 
 # --- JSON interchange --------------------------------------------------------

@@ -40,8 +40,8 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     """values seen through a read-only buffer, so no caller can make the array writeable again.
 
     Analysis plans are cached by basis identity, a signal's transform is kept
-    with the signal, and results share their arrays with no one, so these
-    arrays must never change once built.
+    with the signal, and results copy what they are given and share their
+    arrays with no one, so these arrays must never change once built.
     """
     values = np.ascontiguousarray(values)
     return np.frombuffer(values.data.toreadonly(), values.dtype).reshape(values.shape)
@@ -58,21 +58,6 @@ def _refreeze(self, state: dict) -> None:
         vars(self)[key] = _frozen(value) if isinstance(value, np.ndarray) else value
 
 
-def _adopt(cls, **fields):
-    """An instance of the dataclass ``cls`` built around ``fields`` without copying them.
-
-    The library's own producers hand in arrays they have just computed and
-    that nothing else references; ``cls._validate`` runs the checks the
-    public constructor runs and freezes those arrays in place. The public
-    constructor copies what the caller handed in, then runs the same
-    validator, so a caller's array is never adopted.
-    """
-    result = object.__new__(cls)
-    vars(result).update(fields)
-    result._validate()
-    return result
-
-
 def _check_sample_count(n: int) -> None:
     if n < 4 or n % 2 != 0:
         raise InvalidSignalError(f"sample count must be even and >= 4, got {n}")
@@ -82,21 +67,16 @@ def _check_sample_count(n: int) -> None:
 class PeriodicSignal:
     """One period of a real signal, sampled at x_j = j/n for j = 0..n-1.
 
-    The sample array is copied and frozen on construction (the library's own
-    producers hand in a fresh array, frozen without a copy); instances are
-    immutable and safe to share across threads. The signal's ``np.fft.rfft``
-    and its mean are computed on first use and kept, so every analysis of one
-    signal shares one transform.
+    The sample array is copied and frozen on construction, whoever builds the
+    signal; instances are immutable and safe to share across threads. The
+    signal's ``np.fft.rfft`` and its mean are computed on first use and kept,
+    so every analysis of one signal shares one transform.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.array(self.samples, dtype=float, copy=True))
-        self._validate()
-
-    def _validate(self):
-        samples = self.samples
+        samples = np.array(self.samples, dtype=float)
         if samples.ndim != 1:
             raise InvalidSignalError("samples must be a one-dimensional sequence")
         _check_sample_count(samples.size)
@@ -138,7 +118,7 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidSignalError(f"evaluator returned a non-finite value at x={bad}/{n}")
-    return _adopt(PeriodicSignal, samples=values)
+    return PeriodicSignal(values)
 
 
 def inner_product(f: PeriodicSignal, g: PeriodicSignal) -> float:
@@ -171,12 +151,7 @@ class FourierSpectrum:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.array(self.a, dtype=float, copy=True))
-        object.__setattr__(self, "b", np.array(self.b, dtype=float, copy=True))
-        self._validate()
-
-    def _validate(self):
-        a, b = self.a, self.b
+        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
             raise DimensionError("sine and cosine coefficient arrays must be 1-d and equal length")
         if not (np.isfinite(self.c0) and np.isfinite(a).all() and np.isfinite(b).all()):
@@ -211,7 +186,7 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
             f"max harmonic {max_harmonic} exceeds representable band {nyquist_band} at n={f.n}"
         )
     c0, b_a = _fourier_coeffs(f, max_harmonic)
-    return _adopt(FourierSpectrum, c0=c0, a=b_a[max_harmonic:], b=b_a[:max_harmonic])
+    return FourierSpectrum(c0, b_a[max_harmonic:], b_a[:max_harmonic])
 
 
 def _fourier_coeffs(f: PeriodicSignal, max_harmonic: int) -> tuple:
@@ -238,7 +213,7 @@ def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
         )
-    return _adopt(PeriodicSignal, samples=np.fft.irfft(_bins(spec.c0, spec.b, spec.a, n), n))
+    return PeriodicSignal(np.fft.irfft(_bins(spec.c0, spec.b, spec.a, n), n))
 
 
 def _bins(c0: float, b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:

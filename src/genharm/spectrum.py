@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _layout
-from .decompose import Decomposition
+from .decompose import Decomposition, _rows
 from .errors import ConfigurationError
 from .files import write_csv
-from .signals import FourierSpectrum, _adopt
+from .signals import FourierSpectrum
 
 __all__ = [
     "GeneralizedSpectrum",
@@ -35,31 +35,19 @@ class GeneralizedSpectrum:
     """Per-frequency component energies of a decomposition, plus c0 squared.
 
     ``entries`` holds (k, energy) for k = 1..N exactly once each, given as
-    any (N, 2) sequence or array and kept as a tuple of tuples.
+    any (N, 2) sequence or array, copied and kept as a tuple of (int, float)
+    tuples, whoever builds the spectrum.
     """
 
     entries: tuple
     c0_sq: float
 
     def __post_init__(self):
-        table = np.array(self.entries, dtype=float)
-        if table.shape == (0,):
-            table = table.reshape(0, 2)
-        object.__setattr__(self, "entries", table)
-        self._validate()
-
-    def _validate(self):
-        table = self.entries
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ConfigurationError("spectrum entries must be (k, energy) pairs")
-        ks, energies = table.T.tolist()
-        harmonics = range(1, len(ks) + 1)
-        if ks != list(harmonics):
-            raise ConfigurationError("spectrum entries must cover k = 1..N exactly once")
-        column = table[:, 1]
-        if not (0.0 <= self.c0_sq < math.inf and ((0.0 <= column) & (column < math.inf)).all()):
+        table, entries = _rows(self.entries, 2, "spectrum entries", "(k, energy) pairs")
+        energies = table[:, 1]
+        if not (0.0 <= self.c0_sq < math.inf and ((0.0 <= energies) & (energies < math.inf)).all()):
             raise ConfigurationError("energies must be finite and nonnegative")
-        object.__setattr__(self, "entries", tuple(zip(harmonics, energies)))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "c0_sq", float(self.c0_sq))
 
     def total(self) -> float:
@@ -105,7 +93,7 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
         c0_sq = d.c0 ** 2
     except OverflowError:
         c0_sq = math.inf  # refused with the other non-finite energies
-    return _adopt(GeneralizedSpectrum, entries=table, c0_sq=c0_sq)
+    return GeneralizedSpectrum(table, c0_sq)
 
 
 def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition:
@@ -122,16 +110,7 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
     table = d._table.copy()
     table[: keep_from - 1, 1:] = 0.0
     table[keep_to:, 1:] = 0.0
-    return _adopt(
-        Decomposition,
-        c0=0.0,
-        coeffs=table,
-        basis=d.basis,
-        method=d.method,
-        pruning=d.pruning,
-        condition_estimate=d.condition_estimate,
-        warnings=d.warnings,
-    )
+    return Decomposition(0.0, table, d.basis, d.method, d.pruning, d.condition_estimate, d.warnings)
 
 
 def write_spectrum_csv(spec: GeneralizedSpectrum, path) -> None:

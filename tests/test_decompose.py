@@ -525,6 +525,14 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
         Decomposition(0.0, ((1, 1.0, 0.0), (2, float("inf"), 0.0)), pair, "indirect")
     with pytest.raises(ConfigurationError, match="triples"):
         Decomposition(0.0, ((1, 1.0),), pair, "indirect")
+    # ragged or non-numeric rows get the same error as rows of the wrong width
+    for rows in ([(1, 2.0, 3.0), (2, 3.0)], [[1, "a", 2]], [(1, 2.0), (2,)], "abc"):
+        with pytest.raises(ConfigurationError, match="triples"):
+            Decomposition(0.0, rows, pair, "indirect")
+    # a bare string is not a sequence of warnings
+    with pytest.raises(ConfigurationError, match="warnings must be strings"):
+        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", warnings="abc")
+    assert Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", warnings=["abc"]).warnings == ("abc",)
     # any (N, 3) table is kept as (int, float, float) tuples
     d = Decomposition(0.0, np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0]]), pair, "indirect")
     assert d.coeffs == ((1, 2.0, 3.0), (2, 4.0, 5.0))
@@ -532,13 +540,8 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
     assert Decomposition(0.0, (), pair, "indirect").order == 0
 
 
-def test_gram_system_copies_its_inputs_and_build_gram_system_adopts_its_own(monkeypatch):
-    def copying(self):
-        raise AssertionError("build_gram_system went through the copying constructor")
-
-    monkeypatch.setattr(GramSystem, "__post_init__", copying)
+def test_gram_system_copies_and_freezes_its_inputs():
     built = build_gram_system(hand_signal(), hand_pair(), 2, "none")
-    monkeypatch.undo()
     assert not any(a.flags.writeable for a in (built.matrix, built.rhs, built.pruned_mask))
     # a caller's array is copied, frozen or not, and stays writeable
     matrix = np.array(built.matrix)

@@ -217,7 +217,7 @@ def test_plan_arrays_cannot_be_made_writeable():
     triangular, inverse, _ = _indirect_plan(pair, 6)
     arrays = [system.matrix, system.pruned_mask, system.rhs, *_phi(pair, 6, 31), *triangular, *inverse]
     arrays += [part for group in _direct_plan(pair, 6, "lcm")[0] for part in group]
-    # results adopt the arrays the library computed for them, and freeze them the same way
+    # results copy the arrays the library computed for them and freeze the copies
     d = analyze_indirect(f, pair, 6)
     spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
     arrays += [f.samples, d._table, analyze_direct(f, pair, 6, "lcm")._table, band_filter(d, 2, 4)._table]
@@ -313,7 +313,7 @@ def test_reconstruct_and_residual_equal_the_synthesized_combined_spectrum(kind, 
         assert residual(f, d).samples.tobytes() == (f.samples - want).tobytes()
 
 
-def _adopted_and_constructed_results():
+def _library_and_caller_results():
     """(result, name of its tuple field) for results the library built and ones a caller built."""
     basis = builtin_basis("trapezoid")
     f = random_bandlimited(np.random.default_rng(31), 12, 64)
@@ -330,7 +330,7 @@ def _adopted_and_constructed_results():
 
 
 def test_results_survive_repr_pickle_deepcopy_and_replace():
-    for result, name in _adopted_and_constructed_results():
+    for result, name in _library_and_caller_results():
         rows = getattr(result, name)
         assert all(type(k) is int and all(type(v) is float for v in rest) for k, *rest in rows)
         copies = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)]
@@ -345,26 +345,22 @@ def test_results_survive_repr_pickle_deepcopy_and_replace():
             assert generalized_spectrum(copies[0]).total() == generalized_spectrum(result).total()
 
 
-def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(monkeypatch):
+def test_a_stream_op_builds_each_result_once_through_its_constructor(monkeypatch):
     pair = builtin_basis("square_saw")
     schedule = BasisSchedule(((1, pair), (9, builtin_basis("triangle"))))
     samples = random_bandlimited(np.random.default_rng(13), 16, 128).samples.copy()
     analyze_multiband(PeriodicSignal(samples), schedule, 16)  # plans are built before counting
     analyze_direct(PeriodicSignal(samples), pair, 16, "paper")
-    copied, validated = {}, {}
-
-    def counting(counts, cls, method):
-        original = getattr(cls, method)
-
-        def counted(self, *args):
-            counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, method, counted)
+    constructed = {}
 
     for cls in (PeriodicSignal, FourierSpectrum, Decomposition, GeneralizedSpectrum):
-        counting(copied, cls, "__post_init__")
-        counting(validated, cls, "_validate")
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            constructed[name] = constructed.get(name, 0) + 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
 
     def no_column_stack(*args, **kwargs):
         raise AssertionError("np.column_stack on the analysis path")
@@ -377,6 +373,5 @@ def test_a_stream_op_copies_only_the_callers_signal_and_validates_every_result(m
     residual(f, d_dir)
     generalized_spectrum(d_ind)
     analyze_multiband(f, schedule, 16)
-    assert copied == {"PeriodicSignal": 1}
     # each residual is one signal, synthesized straight from Phi @ [A; B] with no spectrum between
-    assert validated == {"PeriodicSignal": 3, "Decomposition": 3, "GeneralizedSpectrum": 1}
+    assert constructed == {"PeriodicSignal": 3, "Decomposition": 3, "GeneralizedSpectrum": 1}

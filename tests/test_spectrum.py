@@ -81,6 +81,12 @@ def test_generalized_spectrum_validation():
         GeneralizedSpectrum(((1, 0.5, 0.5),), 0.0)
     with pytest.raises(ConfigurationError):
         GeneralizedSpectrum(((1, np.inf),), 0.0)
+    # ragged or non-numeric rows get the same error as rows of the wrong width
+    for rows in ([(1, 2.0, 3.0), (2, 3.0)], [[1, "a"]], [(1, 2.0), (2,)], "ab"):
+        with pytest.raises(ConfigurationError, match=r"\(k, energy\) pairs"):
+            GeneralizedSpectrum(rows, 0.0)
+    assert GeneralizedSpectrum(np.array([[1.0, 0.5], [2.0, 0.25]]), 0.0).entries == ((1, 0.5), (2, 0.25))
+    assert GeneralizedSpectrum((), 0.0).entries == ()
     # finite decompositions whose energies overflow: the mean, then a component
     for c0, a_1 in ((1e200, 0.0), (0.0, 1e200)):
         with pytest.raises(ConfigurationError):
