@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
 
@@ -82,13 +82,6 @@ MAX_DEPTH = 1 << 16
 _PLAN_CACHE_SIZE = 8
 
 _PROJECTION_SAMPLES = 4096
-
-
-def _integer(value, name: str) -> int:
-    """value as an int, refusing a bool or a non-integral number rather than truncating it."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +146,8 @@ class BasisSchedule:
 
     def __post_init__(self):
         cleaned = []
-        for item in self.segments:
-            start, pair = item
-            start = _integer(start, "start_k")
+        for start, pair in self.segments:
+            start = _integer(start, "start_k", 1, math.inf)  # a start past int64 is never active
             if not isinstance(pair, BasisPair):
                 raise ConfigurationError("schedule segments must hold BasisPair values")
             cleaned.append((start, pair))
@@ -170,14 +162,8 @@ class BasisSchedule:
 
     def pair_for(self, k: int) -> BasisPair:
         """The pair active at harmonic k (k >= 1)."""
-        if k < 1:
-            raise ValueError(f"harmonic index must be >= 1, got {k}")
-        active = self.segments[0][1]
-        for start, pair in self.segments:
-            if start > k:
-                break
-            active = pair
-        return active
+        k = _integer(k, "harmonic index", 1)
+        return [pair for start, pair in self.segments if start <= k][-1]
 
 
 @dataclass(frozen=True)
@@ -190,7 +176,8 @@ class FrameBounds:
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"need 0 <= lower <= upper, got ({self.lower}, {self.upper})")
+            raise ConfigurationError(f"need 0 <= lower <= upper, got ({self.lower}, {self.upper})")
+        object.__setattr__(self, "order", _integer(self.order, "order", 1))
 
 
 @dataclass(frozen=True)
@@ -366,8 +353,7 @@ def builtin_basis(
         by its phase, with exact coefficients at quarter-turn phases. Only
         ``custom`` members are projected numerically from samples.
     """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ConfigurationError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+    depth = _integer(depth, "depth", 1, MAX_DEPTH)
     if kind == "custom":
         if s_eval is None or r_eval is None:
             raise ConfigurationError("custom basis requires s_eval and r_eval callables")
@@ -395,10 +381,8 @@ def dilate(member: BasisFunction, k: int, band_cap: int) -> FourierSpectrum:
     Harmonics above ``band_cap`` are truncated, never folded back; truncation
     is the caller's aliasing guard.
     """
-    if k < 1:
-        raise ValueError(f"dilation index must be >= 1, got {k}")
-    if band_cap < 0:
-        raise ValueError(f"band cap must be >= 0, got {band_cap}")
+    k = _integer(k, "dilation index", 1)
+    band_cap = _integer(band_cap, "band cap", 0)
     length = min(member.depth * k, band_cap)
     a = np.zeros(length)
     b = np.zeros(length)
@@ -410,8 +394,23 @@ def dilate(member: BasisFunction, k: int, band_cap: int) -> FourierSpectrum:
 
 
 def _segments(basis) -> tuple:
-    """(start_k, pair) runs of a pair or a schedule."""
-    return basis.segments if isinstance(basis, BasisSchedule) else ((1, basis),)
+    """(start_k, pair) runs of a pair or a schedule; anything else is a ``ConfigurationError``.
+
+    The one place that tells the two apart. Callers run it before a memoized
+    builder hashes the basis, so an unhashable argument is refused the same way.
+    """
+    if isinstance(basis, BasisSchedule):
+        return basis.segments
+    if isinstance(basis, BasisPair):
+        return ((1, basis),)
+    raise ConfigurationError(f"basis must be a BasisPair or BasisSchedule, got {type(basis).__name__}")
+
+
+def _pair(basis) -> BasisPair:
+    """basis if it is a pair, the one basis whose first segment is itself; else a ConfigurationError."""
+    if _segments(basis)[0][1] is not basis:
+        raise ConfigurationError("a basis pair is required, not a schedule")
+    return basis
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -450,8 +449,6 @@ def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     series has only zeros, and ``_layout`` pads with zeros), so every sum
     over the entries skips them.
     """
-    if order < 0 or cap < 0:
-        raise ValueError(f"order and cap must be >= 0, got {order} and {cap}")
     starts, table = _layout(basis)
     k = np.arange(1, order + 1)
     count = np.minimum(table.shape[-1], cap // k)  # q*k <= cap holds for q = 1..count
@@ -483,6 +480,7 @@ def _gram_entries(basis, order: int) -> tuple:
     min(depth, order) for every two members of every segment; each coprime
     (a, b) then fills the cells (k, m) = (g*b, g*a), g <= order / max(a, b).
     """
+    _segments(basis)  # refuses a non-basis before the memoized layout hashes it
     starts, layout = _layout(basis)
     depth = layout.shape[-1]
     span = min(depth, order)
@@ -583,8 +581,10 @@ def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> Indepe
     fundamentals' energy s1^2 + s'1^2 + r1^2 + r'1^2, the test every analysis
     applies before it runs. The verdict does not change when both members are
     scaled by one factor; a member much smaller than the other makes the
-    system ill-conditioned and fails. A NaN eps fails every pair.
+    system ill-conditioned and fails. A NaN eps fails every pair, and a
+    schedule is refused: check each of its pairs instead.
     """
+    _pair(pair)
     s1 = float(pair.S.cos_coeffs[0])
     sp1 = float(pair.S.sin_coeffs[0])
     r1 = float(pair.R.cos_coeffs[0])
@@ -608,8 +608,10 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     with Phi the undilated pair's synthesis operator, M_1 its two fundamental
     rows and G_i = M_i^T M_i the 2x2 block of harmonic i. Summing Phi^T Phi
     block by block keeps a cross term that cancels within every harmonic
-    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps.
+    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps. A schedule
+    is refused: check each of its pairs instead.
     """
+    _pair(pair)
     cos_sin = np.ascontiguousarray(_layout(pair)[1][0].transpose(1, 2, 0))  # (cos/sin, q - 1, S/R)
     blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
     form = 2.0 * blocks[0] - blocks.sum(axis=0)
@@ -633,8 +635,7 @@ def classify_orthogonality(
     of (1/2) Phi^T Phi with no dilation truncated, so the verdicts are exact
     up to roundoff.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _integer(k_max, "k_max", 1)
     rows, cols, vals = _gram_entries(pair, k_max)
     same_k = rows % k_max == cols % k_max
     magnitude = np.abs(vals)
@@ -659,8 +660,7 @@ def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
     ``_gram_blocks`` gives the exact extremes. A numerically singular family
     reports lower = 0.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _integer(order, "order", 1)
     groups = _gram_blocks(2 * order, *_gram_entries(pair, order))
     eigs = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
     lower = min(float(each[:, 0].min()) for each in eigs)
@@ -672,6 +672,7 @@ def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
 
 
 def pair_to_dict(pair: BasisPair) -> dict:
+    _pair(pair)
     return {
         "label": pair.label,
         "S": {
@@ -688,16 +689,11 @@ def pair_to_dict(pair: BasisPair) -> dict:
 def pair_from_dict(data) -> BasisPair:
     try:
         label = str(data.get("label", ""))
-        members = {}
-        for key in ("S", "R"):
-            entry = data[key]
-            members[key] = BasisFunction(
-                np.asarray(entry["cos"], dtype=float),
-                np.asarray(entry["sin"], dtype=float),
-            )
+        series = [np.asarray(data[member][part], dtype=float)
+                  for member in ("S", "R") for part in ("cos", "sin")]
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed basis data: {exc}") from exc
-    return BasisPair(members["S"], members["R"], label)
+    return BasisPair(BasisFunction(*series[:2]), BasisFunction(*series[2:]), label)
 
 
 def _segment_pair_from_dict(entry) -> BasisPair:
@@ -706,7 +702,7 @@ def _segment_pair_from_dict(entry) -> BasisPair:
             str(entry["builtin"]),
             entry.get("phase_s"),
             entry.get("phase_r"),
-            _integer(entry.get("depth", DEFAULT_DEPTH), "depth"),
+            entry.get("depth", DEFAULT_DEPTH),
         )
     return pair_from_dict(entry)
 
@@ -715,7 +711,7 @@ def schedule_to_dict(schedule: BasisSchedule) -> dict:
     return {
         "segments": [
             {"start_k": start, "basis": pair_to_dict(pair)}
-            for start, pair in schedule.segments
+            for start, pair in _segments(schedule)
         ]
     }
 
@@ -726,6 +722,8 @@ def schedule_from_dict(data) -> BasisSchedule:
             (item["start_k"], _segment_pair_from_dict(item["basis"]))
             for item in data["segments"]
         ))
+    except ConfigurationError:
+        raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed schedule data: {exc}") from exc
 

@@ -6,10 +6,10 @@ byte-identical files, with floats serialized by ``repr`` (shortest lossless
 form).
 
 Handlers read the parsed arguments directly, once ``_validate`` has checked
-the run shape and tolerances. Exit codes: 0 success; 1 unreadable or
-unparseable inputs; 2 domain failures (failed basis checks, dependent basis,
-empty band, invalid run shape, phase or tolerance, or a run shape too large
-to allocate).
+the run shape and tolerances; the library checks the rest. Exit codes: 0
+success; 1 unreadable or unparseable inputs; 2 domain failures (failed basis
+checks, dependent basis, empty band, invalid run shape, depth, phase or
+tolerance, or a run shape too large to allocate).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .basis import (
     DEFAULT_DEPTH,
     EPS_CONVERGENCE,
     EPS_INDEPENDENCE,
-    MAX_DEPTH,
     BasisPair,
     builtin_basis,
     check_convergence,
@@ -44,10 +43,11 @@ from .decompose import (
     residual,
     save_decomposition,
 )
-from .errors import ConfigurationError, GenharmError
+from .errors import ConfigurationError, GenharmError, _integer
 from .files import write_csv, write_json
 from .signals import (
     PeriodicSignal,
+    _check_sample_count,
     analyze_fourier,
     norm,
     read_signal_csv,
@@ -68,16 +68,10 @@ class _LoadError(Exception):
 
 def _validate(args: argparse.Namespace) -> None:
     """Reject run shapes and tolerances no subcommand can use (exit code 2)."""
-    if "samples" in args and (args.samples < 4 or args.samples % 2 != 0):
-        raise ConfigurationError(f"--samples must be even and >= 4, got {args.samples}")
-    if "order" in args and args.order < 1:
-        raise ConfigurationError(f"--order must be >= 1, got {args.order}")
-    if "depth" in args and not 1 <= args.depth <= MAX_DEPTH:
-        raise ConfigurationError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
-    for name in ("phase_s", "phase_r"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if "samples" in args:
+        _check_sample_count(args.samples)
+    if "order" in args:
+        _integer(args.order, "--order", 1)
     for name in ("eps_ind", "eps_conv", "residual_tol"):
         value = getattr(args, name, 0.0)
         if not (math.isfinite(value) and value >= 0):
@@ -99,15 +93,15 @@ def _load(what: str, loader, path):
 
 
 def _load_basis(args: argparse.Namespace):
-    """The builtin pair, or the pair or schedule in the JSON file, that --basis names."""
+    """The builtin pair, or the pair or schedule in the JSON file, that --basis names.
+
+    A builtin is built outside ``_load``: an unusable --depth, --phase-s or
+    --phase-r is refused by ``builtin_basis`` itself, a domain failure.
+    """
     if args.basis is None:
         raise _LoadError("a basis is required: --basis <builtin name or JSON path>")
     if args.basis in BUILTIN_KINDS:
-        return _load(
-            "basis",
-            lambda kind: builtin_basis(kind, args.phase_s, args.phase_r, args.depth),
-            args.basis,
-        )
+        return builtin_basis(args.basis, args.phase_s, args.phase_r, args.depth)
     return _load("basis", load_basis, args.basis)
 
 

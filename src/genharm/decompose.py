@@ -82,7 +82,6 @@ from .basis import (
     _basis_to_dict,
     _gram_blocks,
     _gram_entries,
-    _integer,
     _layout,
     _segments,
     _synthesis_entries,
@@ -94,12 +93,14 @@ from .errors import (
     DimensionError,
     IllConditionedBasisError,
     InvalidSignalError,
+    _integer,
 )
 from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
     _bins,
+    _check_sample_count,
     _fourier_coeffs,
     _frozen,
     _refreeze,
@@ -178,8 +179,7 @@ class Decomposition:
     def __post_init__(self):
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if not isinstance(self.basis, (BasisPair, BasisSchedule)):
-            raise ConfigurationError("basis must be a BasisPair or BasisSchedule")
+        _segments(self.basis)
         if self.pruning is not None and self.pruning not in PRUNING_RULES:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
         if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
@@ -202,10 +202,9 @@ class Decomposition:
         return len(self.coeffs)
 
     def pair_at(self, k: int) -> BasisPair:
-        """The basis pair associated with harmonic k."""
-        if isinstance(self.basis, BasisSchedule):
-            return self.basis.pair_for(k)
-        return self.basis
+        """The basis pair associated with harmonic k, 1 <= k <= order."""
+        k = _integer(k, "k", 1, self.order)
+        return [pair for start, pair in _segments(self.basis) if start <= k][-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +228,11 @@ class GramSystem:
         matrix = np.array(self.matrix, dtype=float)
         rhs = np.array(self.rhs, dtype=float)
         mask = np.array(self.pruned_mask, dtype=bool)
-        two_n = 2 * self.order
+        order = _integer(self.order, "order", 1)
+        two_n = 2 * order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "matrix", _frozen(matrix))
         object.__setattr__(self, "rhs", _frozen(rhs))
         object.__setattr__(self, "pruned_mask", _frozen(mask))
@@ -291,21 +292,20 @@ def _require_solvable(basis, eps: float) -> None:
     for start, pair in _segments(basis):
         report = check_independence(pair, eps)
         if not report:
-            where = ""
-            if isinstance(basis, BasisSchedule):
-                where = f" (segment at k={start}, {pair.label or 'unlabeled'})"
+            where = "" if pair is basis else f" (segment at k={start}, {pair.label or 'unlabeled'})"
             raise IllConditionedBasisError(
                 f"basis{where} first-harmonic system is ill-conditioned: "
                 f"independence margin {report.margin:.6g}"
             )
 
 
-def _check_band(f: PeriodicSignal, order: int) -> None:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+def _check_band(f: PeriodicSignal, order: int) -> int:
+    """order as an int, refused unless 1 <= order <= f's band."""
+    order = _integer(order, "order", 1)
     band = f.n // 2 - 1
     if order > band:
         raise DimensionError(f"order {order} exceeds the representable band {band} at n={f.n}")
+    return order
 
 
 def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
@@ -431,7 +431,8 @@ def analyze_indirect(
     carries T's exact 1-norm condition number; values above
     ``CONDITION_WARN_LIMIT`` attach a warning instead of failing.
     """
-    _check_band(f, order)
+    order = _check_band(f, order)
+    _segments(basis)  # refuses a non-basis before the memoized plans hash it
     _require_solvable(basis, eps_independence)
     x = _indirect_coeffs(f, basis, order)
     return _decomposition(f, basis, x, "indirect", None, _indirect_plan(basis, order)[2])
@@ -480,7 +481,7 @@ def build_gram_system(
     smaller index divides the larger; ``lcm`` keeps it only if
     lcm(k, m) <= order; ``none`` keeps all.
     """
-    _check_band(f, order)
+    order = _check_band(f, order)
     k = np.arange(1, order + 1)
     pruned = ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
     rows, cols, vals = _gram_entries(basis, order)
@@ -531,7 +532,8 @@ def analyze_direct(
     condition number; values above ``CONDITION_WARN_LIMIT`` attach a
     warning instead of failing.
     """
-    _check_band(f, order)
+    order = _check_band(f, order)
+    _segments(basis)  # refuses a non-basis before the memoized plans hash it
     _require_solvable(basis, eps_independence)
     groups, cond = _direct_plan(basis, order, pruning)
     rhs = _rhs(f, basis, order)
@@ -552,6 +554,7 @@ def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
+    band_cap = _integer(band_cap, "band cap", 0)
     cos_sin = _cos_sin(d, band_cap)
     return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
 
@@ -575,7 +578,7 @@ def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
 
     Each dilated member is truncated at the grid's band limit n/2 - 1.
     """
-    return PeriodicSignal(_synthesis(d, n))
+    return PeriodicSignal(_synthesis(d, _check_sample_count(n)))
 
 
 def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
@@ -611,7 +614,7 @@ def decomposition_from_dict(data) -> Decomposition:
     try:
         basis = _basis_from_dict(data["basis"])
         coeffs = tuple(
-            (_integer(item["k"], "k"), float(item["A"]), float(item["B"]))
+            (_integer(item["k"], "k", 1), float(item["A"]), float(item["B"]))
             for item in data["coefficients"]
         )
         warnings = data.get("warnings", [])
@@ -626,6 +629,8 @@ def decomposition_from_dict(data) -> Decomposition:
             data.get("condition_estimate"),
             tuple(warnings),
         )
+    except ConfigurationError:
+        raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed decomposition data: {exc}") from exc
 

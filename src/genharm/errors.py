@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all genharm modules."""
+"""Exception hierarchy shared by all genharm modules, and their one integer check.
+
+Library errors are :class:`GenharmError` subclasses. Each order, count, index,
+band cap, depth and segment start passes ``_integer``: an int, a numpy integer
+or an integral float (``5.0`` is 5) in range is taken; a bool, a fraction, a
+string or any other type is a :class:`ConfigurationError`, which is also a
+``ValueError``.
+"""
+
+import numpy as np
+
+# numpy counts and indexes in int64, so no integer argument can lie past it
+_INT64_MAX = (1 << 63) - 1
 
 
 class GenharmError(Exception):
@@ -17,8 +29,8 @@ class AliasingError(GenharmError):
     """A requested harmonic band exceeds what the sampling can represent."""
 
 
-class ConfigurationError(GenharmError):
-    """An unknown kind, empty band, or otherwise unusable configuration."""
+class ConfigurationError(GenharmError, ValueError):
+    """An unknown kind, empty band, bad integer argument, or otherwise unusable configuration."""
 
 
 class AnalysisError(GenharmError):
@@ -27,3 +39,16 @@ class AnalysisError(GenharmError):
 
 class IllConditionedBasisError(AnalysisError):
     """The fundamental-coefficient system of a basis pair is numerically unsolvable."""
+
+
+def _integer(value, name: str, low: float, high: float = _INT64_MAX) -> int:
+    """value as an int in low..high; a bool or a non-integral number is refused, never truncated."""
+    number = int(value) if isinstance(value, (float, np.floating)) and value.is_integer() else value
+    if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    number = int(number)
+    if number < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {number}")
+    if number > high:
+        raise ConfigurationError(f"{name} must be <= {high}, got {number}")
+    return number

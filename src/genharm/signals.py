@@ -19,18 +19,16 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import AliasingError, DimensionError, InvalidSignalError
+from .errors import AliasingError, DimensionError, InvalidSignalError, _integer
 from .files import read_csv, write_csv
 
 __all__ = [
     "PeriodicSignal",
     "FourierSpectrum",
     "sample_closed_form",
-    "inner_product",
     "norm",
     "analyze_fourier",
     "synthesize_fourier",
-    "spectral_inner",
     "read_signal_csv",
     "write_signal_csv",
 ]
@@ -58,9 +56,12 @@ def _refreeze(self, state: dict) -> None:
         vars(self)[key] = _frozen(value) if isinstance(value, np.ndarray) else value
 
 
-def _check_sample_count(n: int) -> None:
+def _check_sample_count(n: int) -> int:
+    """n as an int; a count that is odd or below 4 is an :class:`InvalidSignalError`."""
+    n = _integer(n, "sample count", -math.inf)
     if n < 4 or n % 2 != 0:
         raise InvalidSignalError(f"sample count must be even and >= 4, got {n}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +77,10 @@ class PeriodicSignal:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+        try:
+            samples = np.array(self.samples, dtype=float)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InvalidSignalError("samples must be a sequence of numbers") from exc
         if samples.ndim != 1:
             raise InvalidSignalError("samples must be a one-dimensional sequence")
         _check_sample_count(samples.size)
@@ -113,7 +117,7 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     The evaluator is called pointwise with each x_j; non-finite output raises
     :class:`InvalidSignalError`.
     """
-    _check_sample_count(n)
+    n = _check_sample_count(n)
     values = np.array([evaluator(j / n) for j in range(n)], dtype=float)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -121,19 +125,9 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     return PeriodicSignal(values)
 
 
-def inner_product(f: PeriodicSignal, g: PeriodicSignal) -> float:
-    """Mean of the pointwise product, (1/n) * sum_j f_j * g_j.
-
-    Exact for products band-limited below the Nyquist harmonic n/2.
-    """
-    if f.n != g.n:
-        raise DimensionError(f"sample counts differ: {f.n} vs {g.n}")
-    return float(f.samples @ g.samples) / f.n
-
-
 def norm(f: PeriodicSignal) -> float:
-    """Root mean square of the samples, sqrt(<f, f>)."""
-    return math.sqrt(inner_product(f, f))
+    """Root mean square of the samples, sqrt((1/n) * sum_j f_j^2)."""
+    return math.sqrt(float(f.samples @ f.samples) / f.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +172,7 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
     c0 is the sample mean; a_k = 2<f, sin 2 pi k x> and b_k = 2<f, cos 2 pi k x>.
     Exact (to roundoff) whenever f is band-limited to n/2 - 1 harmonics.
     """
-    if max_harmonic < 0:
-        raise ValueError("max_harmonic must be nonnegative")
+    max_harmonic = _integer(max_harmonic, "max_harmonic", 0)
     nyquist_band = f.n // 2 - 1
     if max_harmonic > nyquist_band:
         raise AliasingError(
@@ -208,7 +201,7 @@ def _fourier_coeffs(f: PeriodicSignal, max_harmonic: int) -> tuple:
 
 def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
     """Evaluate the trigonometric polynomial of ``spec`` on the n-point grid."""
-    _check_sample_count(n)
+    n = _check_sample_count(n)
     if spec.max_harmonic > n // 2 - 1:
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
@@ -228,16 +221,6 @@ def _bins(c0: float, b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     np.multiply(0.5 * n, b, out=bins.real[1 : b.size + 1])
     np.multiply(-0.5 * n, a, out=bins.imag[1 : a.size + 1])
     return bins
-
-
-def spectral_inner(s: FourierSpectrum, t: FourierSpectrum) -> float:
-    """Continuum inner product of two spectra over one period.
-
-    Equals c0*c0' + (1/2) sum_k (a_k a'_k + b_k b'_k); harmonics present in
-    only one operand contribute nothing.
-    """
-    m = min(s.max_harmonic, t.max_harmonic)
-    return s.c0 * t.c0 + 0.5 * (float(s.a[:m] @ t.a[:m]) + float(s.b[:m] @ t.b[:m]))
 
 
 def write_signal_csv(f: PeriodicSignal, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import _layout
 from .decompose import Decomposition, _rows
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .files import write_csv
 from .signals import FourierSpectrum
 
@@ -103,10 +103,8 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
     result is band-pass by construction. Energy is not renormalized; compare
     generalized spectra before and after if accounting matters.
     """
-    if not (1 <= keep_from <= keep_to <= d.order):
-        raise ConfigurationError(
-            f"band [{keep_from}, {keep_to}] is empty or outside 1..{d.order}"
-        )
+    keep_from = _integer(keep_from, "keep_from", 1, d.order)
+    keep_to = _integer(keep_to, "keep_to", keep_from, d.order)
     table = d._table.copy()
     table[: keep_from - 1, 1:] = 0.0
     table[keep_to:, 1:] = 0.0

@@ -75,6 +75,11 @@ def phi_gram(basis, order: int) -> np.ndarray:
     return 0.5 * (phi.T @ phi).toarray()
 
 
+def grid_inner(f, g) -> float:
+    """The grid inner product <f, g> = (1/n) sum_j f_j g_j, exact below the Nyquist harmonic."""
+    return float(f.samples @ g.samples) / f.n
+
+
 def random_bandlimited(rng, k_max: int, n: int, decay: float = 1.0, c0: float | None = None):
     """A seeded band-limited signal with 1/k**decay coefficient falloff."""
     k = np.arange(1, k_max + 1, dtype=float)

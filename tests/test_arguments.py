@@ -1,0 +1,155 @@
+"""The argument contract: a bad order, count, index, depth or basis is a GenharmError.
+
+Every public function that takes one of these refuses a bad value with a
+``GenharmError`` subclass, never with a bare ``ValueError``, ``TypeError`` or
+``AttributeError``, and never with a numpy warning on the way.
+"""
+
+import math
+import os
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import genharm
+from genharm import (
+    MAX_DEPTH,
+    BasisSchedule,
+    Decomposition,
+    FrameBounds,
+    GenharmError,
+    GramSystem,
+    PeriodicSignal,
+    analyze_direct,
+    analyze_fourier,
+    analyze_indirect,
+    analyze_multiband,
+    band_filter,
+    build_gram_system,
+    builtin_basis,
+    check_convergence,
+    check_independence,
+    classify_orthogonality,
+    combined_spectrum,
+    dilate,
+    frame_bounds,
+    pair_to_dict,
+    reconstruct,
+    sample_closed_form,
+    save_basis,
+    schedule_to_dict,
+    synthesize_fourier,
+)
+
+F = PeriodicSignal(np.cos(2 * np.pi * np.arange(16) / 16))  # band 7
+PAIR = builtin_basis("square_saw", depth=4)
+SCHEDULE = BasisSchedule(((1, PAIR), (3, builtin_basis("sine_cosine", depth=2))))
+D = analyze_indirect(F, SCHEDULE, 3)
+
+NOT_INTEGERS = [0.5, -1.5, np.float64(2.5), math.nan, math.inf, -math.inf, True, False, np.True_,
+                "3", None, 3 + 0j, [3], 10**400]
+NOT_A_PAIR = [None, 3, "square_saw", [], {}, (1, PAIR), np.zeros(3), PAIR.S, F, SCHEDULE]
+NOT_A_BASIS = NOT_A_PAIR[:-1]
+WRONG_TYPES = (st.none() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.lists(st.integers(), max_size=3)
+               | st.dictionaries(st.text(max_size=2), st.integers()))
+
+
+def outside(low, high=(1 << 63) - 1):
+    """Values that are not integers, and the integers outside low..high."""
+    numbers = st.integers(max_value=low - 1)
+    if high != math.inf:
+        numbers |= st.integers(min_value=high + 1)
+    return NOT_INTEGERS, numbers
+
+
+# a sample count must not be odd, below 4 or past int64
+BAD_COUNTS = NOT_INTEGERS, (st.integers(max_value=3) | st.integers(min_value=1 << 63)
+                            | st.integers(2, 1 << 40).map(lambda v: 2 * v + 1))
+BAD_SAMPLES = [*NOT_INTEGERS, "abcd", [1.0, 2.0], [[0.0] * 4], [1.0, 2.0, "x", 4.0]], st.text(max_size=4)
+PAIRS, BASES = (NOT_A_PAIR, WRONG_TYPES), (NOT_A_BASIS, WRONG_TYPES)
+
+# (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
+SLOTS = {
+    ("BasisSchedule", "start_k"): (outside(1, math.inf), lambda v: BasisSchedule(((v, PAIR),))),
+    ("BasisSchedule", "pair"): (PAIRS, lambda v: BasisSchedule(((1, PAIR), (3, v)))),
+    ("BasisSchedule.pair_for", "k"): (outside(1), SCHEDULE.pair_for),
+    ("Decomposition", "basis"): (BASES, lambda v: Decomposition(0.0, ((1, 1.0, 1.0),), v, "indirect")),
+    ("Decomposition.pair_at", "k"): (outside(1, 3), D.pair_at),
+    ("FrameBounds", "order"): (outside(1), lambda v: FrameBounds(0.0, 1.0, v)),
+    ("GramSystem", "order"): (outside(1),
+                              lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), v, "none")),
+    ("PeriodicSignal", "samples"): (BAD_SAMPLES, PeriodicSignal),
+    ("analyze_direct", "order"): (outside(1, 7), lambda v: analyze_direct(F, PAIR, v)),
+    ("analyze_direct", "basis"): (BASES, lambda v: analyze_direct(F, v, 3)),
+    ("analyze_fourier", "max_harmonic"): (outside(0, 7), lambda v: analyze_fourier(F, v)),
+    ("analyze_indirect", "order"): (outside(1, 7), lambda v: analyze_indirect(F, PAIR, v)),
+    ("analyze_indirect", "basis"): (BASES, lambda v: analyze_indirect(F, v, 3)),
+    ("analyze_multiband", "order"): (outside(1, 7), lambda v: analyze_multiband(F, SCHEDULE, v)),
+    ("analyze_multiband", "schedule"): (BASES, lambda v: analyze_multiband(F, v, 3)),
+    ("band_filter", "keep_from"): (outside(1, 3), lambda v: band_filter(D, v, 3)),
+    ("band_filter", "keep_to"): (outside(2, 3), lambda v: band_filter(D, 2, v)),
+    ("build_gram_system", "order"): (outside(1, 7), lambda v: build_gram_system(F, PAIR, v)),
+    ("build_gram_system", "basis"): (BASES, lambda v: build_gram_system(F, v, 3)),
+    ("builtin_basis", "depth"): (outside(1, MAX_DEPTH), lambda v: builtin_basis("square", depth=v)),
+    ("check_convergence", "pair"): (PAIRS, check_convergence),
+    ("check_independence", "pair"): (PAIRS, check_independence),
+    ("classify_orthogonality", "pair"): (BASES, lambda v: classify_orthogonality(v, 3)),
+    ("classify_orthogonality", "k_max"): (outside(1), lambda v: classify_orthogonality(PAIR, v)),
+    ("combined_spectrum", "band_cap"): (outside(0), lambda v: combined_spectrum(D, v)),
+    ("dilate", "k"): (outside(1), lambda v: dilate(PAIR.S, v, 8)),
+    ("dilate", "band_cap"): (outside(0), lambda v: dilate(PAIR.S, 2, v)),
+    ("frame_bounds", "pair"): (BASES, lambda v: frame_bounds(v, 3)),
+    ("frame_bounds", "order"): (outside(1), lambda v: frame_bounds(PAIR, v)),
+    ("pair_to_dict", "pair"): (PAIRS, pair_to_dict),
+    ("reconstruct", "n"): (BAD_COUNTS, lambda v: reconstruct(D, v)),
+    ("sample_closed_form", "n"): (BAD_COUNTS, lambda v: sample_closed_form(math.sin, v)),
+    ("save_basis", "basis"): (BASES, lambda v: save_basis(v, os.devnull)),
+    ("schedule_to_dict", "schedule"): (BASES, schedule_to_dict),
+    ("synthesize_fourier", "n"): (BAD_COUNTS, lambda v: synthesize_fourier(analyze_fourier(F, 2), v)),
+}
+
+# public callables that take no order, count, index, depth or basis: they take
+# member coefficients, results, signals, files or dicts; or they are the
+# verdict records only the checks build, which validate nothing
+UNCHECKED = {
+    "BasisFunction", "BasisPair", "ConvergenceReport", "FourierSpectrum", "GeneralizedSpectrum",
+    "IndependenceReport", "OrthogonalityReport", "decomposition_from_dict", "decomposition_to_dict",
+    "generalized_spectrum", "load_basis", "load_decomposition", "norm", "pair_from_dict", "parseval_power",
+    "read_signal_csv", "residual", "save_decomposition", "schedule_from_dict",
+    "write_signal_csv", "write_spectrum_csv",
+}
+
+
+def test_every_public_callable_is_in_the_contract_or_named_as_taking_none_of_its_arguments():
+    public = {name for name in genharm.__all__ if callable(getattr(genharm, name))
+              and not (isinstance(getattr(genharm, name), type)
+                       and issubclass(getattr(genharm, name), Exception))}
+    covered = {name for name, _ in SLOTS if "." not in name}
+    assert public - covered == UNCHECKED
+
+
+@pytest.mark.parametrize("slot", sorted(SLOTS), ids="-".join)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_bad_arguments_raise_a_genharm_error_and_no_numpy_warning(slot, data):
+    (values, more), call = SLOTS[slot]
+    for value in [*values, data.draw(more)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GenharmError):
+                call(value)
+
+
+def test_a_whole_float_or_a_numpy_integer_is_the_integer_it_names():
+    for analyze in (analyze_indirect, analyze_direct):
+        want = analyze(F, PAIR, 3).coeffs
+        assert analyze(F, PAIR, 3.0).coeffs == analyze(F, PAIR, np.int32(3)).coeffs == want
+    for depth in (3.0, np.float32(3.0), np.int64(3)):
+        assert builtin_basis("square", depth=depth).S.depth == 3
+    assert np.array_equal(reconstruct(D, 16.0).samples, reconstruct(D, np.uint8(16)).samples)
+    assert frame_bounds(PAIR, 3.0) == frame_bounds(PAIR, 3)
+    assert SCHEDULE.pair_for(np.int64(3)) is SCHEDULE.segments[1][1]

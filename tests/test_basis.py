@@ -505,6 +505,17 @@ def test_convergence_is_symmetric_in_the_members(seed, depth):
     assert fwd.eigenvalues[1] == pytest.approx(rev.eigenvalues[1], rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("check", [check_independence, check_convergence])
+def test_pair_checks_refuse_a_schedule(check):
+    # triangle, then a pair whose tail dominates from k = 5: the first segment
+    # passes both checks, so reading it as the schedule's verdict would pass too
+    diverging = BasisPair(BasisFunction([1.0, 1.1], [0.0, 0.0]), BasisFunction([0.0], [1.0]))
+    schedule = BasisSchedule(((1, builtin_basis("triangle")), (5, diverging)))
+    assert not check_convergence(diverging)
+    with pytest.raises(ConfigurationError, match="a basis pair is required, not a schedule"):
+        check(schedule)
+
+
 # --- orthogonality and frame bounds ---------------------------------------------
 
 
@@ -591,6 +602,13 @@ def test_schedule_builtin_depth_must_be_integral():
             schedule(depth)
     # a whole float is a depth all the same
     assert schedule(4.0).segments[0][1].S.depth == 4
+
+
+@pytest.mark.parametrize("depth", [2.5, True])
+def test_builtin_depth_is_an_integer_never_rounded_or_a_bool(depth):
+    # 2.5 used to build a depth-3 pair and True a depth-1 pair
+    with pytest.raises(ConfigurationError, match="depth must be an integer"):
+        builtin_basis("square", depth=depth)
 
 
 def test_schedule_pair_for_switches_at_boundaries(builtin_pairs):

@@ -411,7 +411,7 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
     # on the command line a phase is checked like --depth: exit 2
     for flag, value in (("--phase-s", "nan"), ("--phase-r", "inf")):
         assert main(["analyze", "--in", signal, "--basis", "square_saw", flag, value, *out]) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
     # in a schedule file it makes the file unusable: exit 1
     for name, second in [
         ("inf_phase.json", '{"start_k": 4, "basis": {"builtin": "square", "phase_s": 1e999}}'),
@@ -424,7 +424,7 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
         assert capsys.readouterr().err.startswith("error: "), name
 
 
-@pytest.mark.parametrize("k, shown", [("1.5", "1.5"), ("true", "True")])
+@pytest.mark.parametrize("k, shown", [("1.5", "1.5"), ("true", "True"), ('"1"', "'1'")])
 def test_non_integral_coefficient_index_is_refused(workdir, capsys, k, shown):
     main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
           "--order", "4", "--out", str(workdir / "dec.json")])
@@ -437,6 +437,26 @@ def test_non_integral_coefficient_index_is_refused(workdir, capsys, k, shown):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"k must be an integer, got {shown}\n")
     assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("segment, shown", [
+    ('{"start_k": "1", "basis": {"builtin": "square_saw"}}', "start_k must be an integer, got '1'"),
+    ('{"start_k": 1, "basis": {"builtin": "square_saw", "depth": "8"}}',
+     "depth must be an integer, got '8'"),
+])
+def test_schedule_integers_given_as_json_strings_exit_one(workdir, capsys, segment, shown):
+    (workdir / "strings.json").write_text('{"segments": [' + segment + "]}")
+    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--basis",
+            str(workdir / "strings.json"), "--out", str(workdir / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(shown + "\n")
+
+
+def test_custom_basis_without_evaluators_exits_two(capsys):
+    # a builtin is built by the library, outside the loader: its refusal is a domain failure
+    assert main(["check-basis", "--basis", "custom"]) == 2
+    assert "custom basis requires s_eval and r_eval" in capsys.readouterr().err
 
 
 def test_fractional_schedule_depth_is_refused(workdir, capsys):

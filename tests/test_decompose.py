@@ -464,6 +464,24 @@ def test_one_segment_schedule_matches_its_pair(method):
         assert d_sched.condition_estimate == d_pair.condition_estimate
 
 
+@pytest.mark.parametrize("analyze", [analyze_indirect, analyze_direct])
+def test_order_is_an_integer_never_a_bool(analyze):
+    # True used to run at order 1
+    with pytest.raises(ConfigurationError, match="order must be an integer, got True"):
+        analyze(hand_signal(), hand_pair(), True)
+
+
+def test_pair_at_takes_the_harmonics_of_the_result_only(builtin_pairs):
+    sched = BasisSchedule(((1, builtin_pairs["sine_cosine"]), (3, builtin_pairs["square_saw"])))
+    for basis in (builtin_pairs["square_saw"], sched):
+        d = analyze_indirect(hand_signal(), basis, 4)
+        assert d.pair_at(4) is builtin_pairs["square_saw"]
+        assert d.pair_at(np.int64(3)) is builtin_pairs["square_saw"]
+        for k in (0, 5, 99, 2.5, True, "1"):
+            with pytest.raises(ConfigurationError, match="k must be"):
+                d.pair_at(k)
+
+
 # --- reconstruction and persistence -------------------------------------------------
 
 

@@ -16,15 +16,15 @@ from genharm import (
     InvalidSignalError,
     PeriodicSignal,
     analyze_fourier,
-    inner_product,
     norm,
     read_signal_csv,
     sample_closed_form,
-    spectral_inner,
     synthesize_fourier,
     write_signal_csv,
 )
 from genharm.files import write_csv
+
+from conftest import grid_inner
 
 
 def test_signal_requires_even_count_of_at_least_four():
@@ -72,15 +72,10 @@ def test_sample_closed_form_rejects_nonfinite_values():
         sample_closed_form(lambda x: math.inf if x == 0.5 else 1.0, 8)
 
 
-def test_inner_product_known_value():
+def test_norm_known_value():
     # <cos, cos> over a full period is 1/2 on any grid with n > 2
     f = sample_closed_form(lambda x: math.cos(2 * math.pi * x), 32)
-    assert inner_product(f, f) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_inner_product_rejects_mismatched_grids():
-    with pytest.raises(DimensionError):
-        inner_product(PeriodicSignal(np.zeros(8)), PeriodicSignal(np.zeros(16)))
+    assert norm(f) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 def test_discrete_harmonic_orthogonality():
@@ -90,22 +85,7 @@ def test_discrete_harmonic_orthogonality():
             sk = sample_closed_form(lambda x, k=k: math.sin(2 * math.pi * k * x), n)
             sm = sample_closed_form(lambda x, m=m: math.sin(2 * math.pi * m * x), n)
             want = 0.5 if k == m else 0.0
-            assert inner_product(sk, sm) == pytest.approx(want, abs=1e-14)
-
-
-@given(
-    alpha=st.floats(-10, 10),
-    beta=st.floats(-10, 10),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=50, deadline=None)
-def test_inner_product_bilinearity(alpha, beta, seed):
-    rng = np.random.default_rng(seed)
-    f, g, h = (PeriodicSignal(rng.normal(size=16)) for _ in range(3))
-    combined = PeriodicSignal(alpha * f.samples + beta * g.samples)
-    lhs = inner_product(combined, h)
-    rhs = alpha * inner_product(f, h) + beta * inner_product(g, h)
-    assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(alpha) + abs(beta)))
+            assert grid_inner(sk, sm) == pytest.approx(want, abs=1e-14)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -113,7 +93,7 @@ def test_inner_product_bilinearity(alpha, beta, seed):
 def test_norm_squared_is_self_inner_product(seed):
     rng = np.random.default_rng(seed)
     f = PeriodicSignal(rng.normal(size=32))
-    assert norm(f) ** 2 == pytest.approx(inner_product(f, f), rel=1e-15)
+    assert norm(f) ** 2 == pytest.approx(grid_inner(f, f), rel=1e-15)
 
 
 def test_spectrum_validation_and_iteration():
@@ -165,15 +145,6 @@ def test_band_overflow_raises():
     spec = FourierSpectrum(0.0, np.zeros(10), np.zeros(10))
     with pytest.raises(AliasingError):
         synthesize_fourier(spec, 16)
-
-
-def test_spectral_inner_matches_grid_inner_product():
-    rng = np.random.default_rng(4)
-    n = 64
-    s = FourierSpectrum(rng.normal(), rng.normal(size=5), rng.normal(size=5))
-    t = FourierSpectrum(rng.normal(), rng.normal(size=9), rng.normal(size=9))
-    grid = inner_product(synthesize_fourier(s, n), synthesize_fourier(t, n))
-    assert spectral_inner(s, t) == pytest.approx(grid, abs=1e-12)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -16,7 +16,6 @@ from genharm import (
     builtin_basis,
     dilate,
     generalized_spectrum,
-    inner_product,
     norm,
     parseval_power,
     reconstruct,
@@ -25,7 +24,13 @@ from genharm import (
     write_spectrum_csv,
 )
 
-from conftest import in_span_signal, random_bandlimited, synthesis_operator, two_segment_schedule
+from conftest import (
+    grid_inner,
+    in_span_signal,
+    random_bandlimited,
+    synthesis_operator,
+    two_segment_schedule,
+)
 
 
 def hand_pair():
@@ -45,7 +50,7 @@ def test_parseval_power_equals_mean_square():
     rng = np.random.default_rng(23)
     f = random_bandlimited(rng, 10, 64)
     power = parseval_power(analyze_fourier(f, 31))
-    assert power == pytest.approx(inner_product(f, f), rel=1e-12)
+    assert power == pytest.approx(grid_inner(f, f), rel=1e-12)
 
 
 def test_component_energy_hand_value():
