@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import _INT64_MAX, ConfigurationError, _integer, _real, _typed
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
 
@@ -161,9 +161,9 @@ class BasisSchedule:
         object.__setattr__(self, "segments", tuple(cleaned))
 
     def pair_for(self, k: int) -> BasisPair:
-        """The pair active at harmonic k (k >= 1)."""
-        k = _integer(k, "harmonic index", 1)
-        return [pair for start, pair in self.segments if start <= k][-1]
+        """The pair active at harmonic k, 1 <= k < 2**63 - 1."""
+        k = _integer(k, "harmonic index", 1, _INT64_MAX - 1)
+        return self.segments[_active(_layout(self)[0], k)][1]
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,8 @@ def builtin_basis(
         One of ``sine_cosine``, ``square``, ``sawtooth``, ``triangle``,
         ``trapezoid``, ``square_saw``, ``custom``.
     phase_s, phase_r : float, optional
-        Finite phase shifts in turns applied to each member. ``None`` selects
+        Finite phase shifts in turns applied to each member, given as
+        numbers: a string or a bool is refused. ``None`` selects
         the kind's default. For ``sine_cosine`` the canonical members are
         cos(2 pi x) and sin(2 pi x) with default shifts 0; all other kinds
         shift canonical sine-phase waveforms, and their defaults pick a
@@ -363,11 +364,8 @@ def builtin_basis(
     else:
         raise ConfigurationError(f"unknown basis kind {kind!r}")
     series_s, base_ps, series_r, base_pr = layout
-    ps = base_ps if phase_s is None else float(phase_s)
-    pr = base_pr if phase_r is None else float(phase_r)
-    for name, phase in (("phase_s", ps), ("phase_r", pr)):
-        if not math.isfinite(phase):
-            raise ConfigurationError(f"{name} must be finite, got {phase}")
+    ps = base_ps if phase_s is None else _real(phase_s, "phase_s")
+    pr = base_pr if phase_r is None else _real(phase_r, "phase_r")
     return BasisPair(
         _shifted(series_s, ps, depth),
         _shifted(series_r, pr, depth),
@@ -383,7 +381,7 @@ def dilate(member: BasisFunction, k: int, band_cap: int) -> FourierSpectrum:
     """
     k = _integer(k, "dilation index", 1)
     band_cap = _integer(band_cap, "band cap", 0)
-    length = min(member.depth * k, band_cap)
+    length = min(_typed(member, BasisFunction).depth * k, band_cap)
     a = np.zeros(length)
     b = np.zeros(length)
     if length >= k:
@@ -415,15 +413,17 @@ def _pair(basis) -> BasisPair:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _layout(basis) -> tuple:
-    """(starts, table): every segment's first k, and its members' coefficients.
+    """(starts, table, factor): every segment's first k, its members' coefficients, and their 2x2 R.
 
     ``table[i, x, c, q - 1]`` holds coefficient q of segment i's member x
     (0 for S, 1 for R), cosine (c = 0) or sine (c = 1), zero-padded to the
     basis's largest depth, so each member's cosine and sine series are
-    contiguous rows. A pair is one segment starting at k = 1. Starts are
-    clipped to the int64 range, which no order reaches, so a start past it
-    stays inactive. Built once per basis, like ``decompose``'s plan parts,
-    and read-only.
+    contiguous rows. ``factor[i]`` is R of the QR factorization of segment
+    i's undilated Phi, the (2Q, 2) columns [S R], so ||factor[i] @ [A; B]||
+    is the norm of A S + B R. A pair is one segment starting at k = 1.
+    Starts are clipped to the int64 maximum, above every order and every k
+    ``pair_for`` takes. Built once per basis, like ``decompose``'s plan
+    parts, and read-only.
     """
     segments = _segments(basis)
     depth = max(max(pair.S.depth, pair.R.depth) for _, pair in segments)
@@ -432,41 +432,39 @@ def _layout(basis) -> tuple:
         for x, member in enumerate((pair.S, pair.R)):
             table[i, x, 0, : member.depth] = member.cos_coeffs
             table[i, x, 1, : member.depth] = member.sin_coeffs
-    starts = np.array([min(start, (1 << 63) - 1) for start, _ in segments])
-    return _frozen(starts), _frozen(table)
+    starts = np.array([min(start, _INT64_MAX) for start, _ in segments])
+    factor = np.linalg.qr(table.reshape(len(segments), 2, -1).transpose(0, 2, 1), mode="r")
+    return _frozen(starts), _frozen(table), _frozen(factor)
+
+
+def _active(starts: np.ndarray, k):
+    """Each harmonic k's segment, the last whose ``_layout`` start is at most k; no other code maps k to one."""
+    return np.searchsorted(starts, k, side="right") - 1
 
 
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:
-    """Phi's nonzero entries as (rows, cols, vals), ordered segment, member, cos/sin, k, q.
+    """Phi's nonzero entries as (rows, cols, vals), ordered member, cos/sin, k, q.
 
     Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
     Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
     the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
     Gram matrix of the family. For a schedule, column k comes from the pair
-    active at k. Harmonics above ``cap`` are dropped, never folded back.
+    active at k, all in one gather. Harmonics above ``cap`` are dropped.
     No (row, col) pair repeats: member (S,k) reaches each harmonic q*k once.
     A member's zero coefficients give no entries (a square wave's cosine
     series has only zeros, and ``_layout`` pads with zeros), so every sum
     over the entries skips them.
     """
-    starts, table = _layout(basis)
+    starts, table, _ = _layout(basis)
     k = np.arange(1, order + 1)
     count = np.minimum(table.shape[-1], cap // k)  # q*k <= cap holds for q = 1..count
-    first = np.cumsum(count) - count
-    q = np.arange(count.sum()) - np.repeat(first, count)  # q - 1
+    q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # q - 1
     h = np.repeat(k, count) * (q + 1) - 1
-    col = np.repeat(k - 1, count)
-    # segment i's entries start with those of its first k
-    cuts = np.append(first, q.size)[np.minimum(starts, order + 1) - 1].tolist() + [q.size]
-    rows, cols, vals = [], [], []
-    for members, lo, hi in zip(table, cuts, cuts[1:]):
-        for first_col, (cos_c, sin_c) in zip((0, order), members):
-            rows += [h[lo:hi], cap + h[lo:hi]]
-            cols += [col[lo:hi] + first_col] * 2
-            vals += [cos_c[q[lo:hi]], sin_c[q[lo:hi]]]
-    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+    x = np.arange(2)[:, None]  # 0 for S, 1 for R; and 0 for cos, 1 for sin
+    rows, cols = x * cap + h, x[..., None] * order + np.repeat(k - 1, count)
+    vals = table.transpose(1, 2, 0, 3)[:, :, np.repeat(_active(starts, k), count), q]
     nonzero = vals != 0
-    return rows[nonzero], cols[nonzero], vals[nonzero]
+    return tuple(np.broadcast_to(part, vals.shape)[nonzero] for part in (rows, cols, vals))
 
 
 def _gram_entries(basis, order: int) -> tuple:
@@ -481,7 +479,7 @@ def _gram_entries(basis, order: int) -> tuple:
     (a, b) then fills the cells (k, m) = (g*b, g*a), g <= order / max(a, b).
     """
     _segments(basis)  # refuses a non-basis before the memoized layout hashes it
-    starts, layout = _layout(basis)
+    starts, layout, _ = _layout(basis)
     depth = layout.shape[-1]
     span = min(depth, order)
     # series[p, a-1] holds member p's coefficients t*a, t = 1..depth, cos then sin;
@@ -507,8 +505,7 @@ def _gram_entries(basis, order: int) -> tuple:
     g = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
     a, b = np.repeat(a, count), np.repeat(b, count)
     k, m = g * b, g * a
-    member_k = 2 * (np.searchsorted(starts, k, side="right") - 1)
-    member_m = 2 * (np.searchsorted(starts, m, side="right") - 1)
+    member_k, member_m = 2 * _active(starts, k), 2 * _active(starts, m)
     x = np.arange(2)[:, None, None]  # 0 for S, 1 for R
     y = x.transpose(1, 0, 2)
     rows, cols = x * order + k - 1, y * order + m - 1

@@ -36,6 +36,7 @@ from .basis import (
 )
 from .decompose import (
     PRUNING_RULES,
+    _cos_sin,
     analyze_direct,
     analyze_indirect,
     load_decomposition,
@@ -53,7 +54,7 @@ from .signals import (
     read_signal_csv,
     write_signal_csv,
 )
-from .spectrum import band_filter, generalized_spectrum, parseval_power, write_spectrum_csv
+from .spectrum import band_filter, generalized_spectrum, write_spectrum_csv
 
 __all__ = ["main"]
 
@@ -187,8 +188,9 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     gs = generalized_spectrum(d)
     write_spectrum_csv(gs, _require_out(args))
     if args.json_out is not None:
-        recon = reconstruct(d, args.samples)
-        lhs = parseval_power(analyze_fourier(recon, args.samples // 2 - 1))
+        # the reconstruction's power at --samples, read off its coefficients
+        cos_sin = _cos_sin(d, args.samples // 2 - 1)
+        lhs = gs.c0_sq + 0.5 * float(cos_sin @ cos_sin)
         write_json(
             {"total": gs.total(), "c0_sq": gs.c0_sq, "parseval_lhs": lhs},
             args.json_out,

@@ -78,6 +78,7 @@ from .basis import (
     BasisPair,
     BasisSchedule,
     EPS_INDEPENDENCE,
+    _active,
     _basis_from_dict,
     _basis_to_dict,
     _gram_blocks,
@@ -94,6 +95,8 @@ from .errors import (
     IllConditionedBasisError,
     InvalidSignalError,
     _integer,
+    _real,
+    _typed,
 )
 from .files import read_json, write_json
 from .signals import (
@@ -134,6 +137,8 @@ def _rows(rows, width: int, what: str, shape: str) -> tuple:
     Any (N, width) sequence or array is accepted; anything else, ragged or
     non-numeric rows among it, raises ``ConfigurationError("{what} must be
     {shape}")``, and k other than 1..N exactly once, ascending, raises too.
+    Outside a numeric array each k must also be a number by ``errors._real``:
+    a string or a bool is not read as one.
     """
     try:
         table = np.array(rows, dtype=float)
@@ -143,6 +148,9 @@ def _rows(rows, width: int, what: str, shape: str) -> tuple:
         table = table.reshape(0, width)
     if table.ndim != 2 or table.shape[1] != width:
         raise ConfigurationError(f"{what} must be {shape}")
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"):
+        for row in rows:
+            _real(row[0], "k")
     ks, *values = table.T.tolist()
     harmonics = range(1, len(ks) + 1)
     if ks != list(harmonics):
@@ -204,7 +212,7 @@ class Decomposition:
     def pair_at(self, k: int) -> BasisPair:
         """The basis pair associated with harmonic k, 1 <= k <= order."""
         k = _integer(k, "k", 1, self.order)
-        return [pair for start, pair in _segments(self.basis) if start <= k][-1]
+        return _segments(self.basis)[_active(_layout(self.basis)[0], k)][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +308,8 @@ def _require_solvable(basis, eps: float) -> None:
 
 
 def _check_band(f: PeriodicSignal, order: int) -> int:
-    """order as an int, refused unless 1 <= order <= f's band."""
+    """order as an int, refused unless f is a signal and 1 <= order <= f's band."""
+    _typed(f, PeriodicSignal, InvalidSignalError)
     order = _integer(order, "order", 1)
     band = f.n // 2 - 1
     if order > band:
@@ -554,6 +563,7 @@ def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
+    _typed(d, Decomposition)
     band_cap = _integer(band_cap, "band cap", 0)
     cos_sin = _cos_sin(d, band_cap)
     return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
@@ -578,12 +588,13 @@ def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
 
     Each dilated member is truncated at the grid's band limit n/2 - 1.
     """
-    return PeriodicSignal(_synthesis(d, _check_sample_count(n)))
+    return PeriodicSignal(_synthesis(_typed(d, Decomposition), _check_sample_count(n)))
 
 
 def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
     """f minus its reconstruction at f's own sampling."""
-    if d.order > f.n // 2 - 1:
+    _typed(f, PeriodicSignal, InvalidSignalError)
+    if _typed(d, Decomposition).order > f.n // 2 - 1:
         raise DimensionError(
             f"decomposition of order {d.order} is not representable at n={f.n}"
         )
@@ -594,6 +605,7 @@ def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:
+    _typed(d, Decomposition)
     out = {
         "method": d.method,
         "order": d.order,
@@ -613,10 +625,10 @@ def decomposition_to_dict(d: Decomposition) -> dict:
 def decomposition_from_dict(data) -> Decomposition:
     try:
         basis = _basis_from_dict(data["basis"])
-        coeffs = tuple(
+        coeffs = np.array([  # k checked here, so the constructor need not check it again
             (_integer(item["k"], "k", 1), float(item["A"]), float(item["B"]))
             for item in data["coefficients"]
-        )
+        ])
         warnings = data.get("warnings", [])
         if not isinstance(warnings, list):
             raise ConfigurationError("warnings must be a list of strings")

@@ -1,11 +1,17 @@
-"""Exception hierarchy shared by all genharm modules, and their one integer check.
+"""Exception hierarchy shared by all genharm modules, and their argument checks.
 
 Library errors are :class:`GenharmError` subclasses. Each order, count, index,
 band cap, depth and segment start passes ``_integer``: an int, a numpy integer
 or an integral float (``5.0`` is 5) in range is taken; a bool, a fraction, a
 string or any other type is a :class:`ConfigurationError`, which is also a
-``ValueError``.
+``ValueError``. Each phase passes ``_real``, which takes a finite int or float,
+numpy's included, and refuses a bool, a string or any other type the same way.
+Each signal and result passes ``_typed``: anything but the class the function
+takes is an :class:`InvalidSignalError` for a signal and a
+:class:`ConfigurationError` for anything else.
 """
+
+import math
 
 import numpy as np
 
@@ -52,3 +58,23 @@ def _integer(value, name: str, low: float, high: float = _INT64_MAX) -> int:
     if number > high:
         raise ConfigurationError(f"{name} must be <= {high}, got {number}")
     return number
+
+
+def _real(value, name: str) -> float:
+    """value as a finite float; a bool, a string or any other non-number is refused, never parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _typed(value, kind: type, error: type = ConfigurationError):
+    """value if it is a ``kind``; anything else is ``error``, before any attribute is read."""
+    if not isinstance(value, kind):
+        raise error(f"a {kind.__name__} is required, got {type(value).__name__}")
+    return value

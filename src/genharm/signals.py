@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import AliasingError, DimensionError, InvalidSignalError, _integer
+from .errors import AliasingError, DimensionError, InvalidSignalError, _integer, _typed
 from .files import read_csv, write_csv
 
 __all__ = [
@@ -127,6 +127,7 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
 
 def norm(f: PeriodicSignal) -> float:
     """Root mean square of the samples, sqrt((1/n) * sum_j f_j^2)."""
+    _typed(f, PeriodicSignal, InvalidSignalError)
     return math.sqrt(float(f.samples @ f.samples) / f.n)
 
 
@@ -172,6 +173,7 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
     c0 is the sample mean; a_k = 2<f, sin 2 pi k x> and b_k = 2<f, cos 2 pi k x>.
     Exact (to roundoff) whenever f is band-limited to n/2 - 1 harmonics.
     """
+    _typed(f, PeriodicSignal, InvalidSignalError)
     max_harmonic = _integer(max_harmonic, "max_harmonic", 0)
     nyquist_band = f.n // 2 - 1
     if max_harmonic > nyquist_band:
@@ -202,7 +204,7 @@ def _fourier_coeffs(f: PeriodicSignal, max_harmonic: int) -> tuple:
 def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
     """Evaluate the trigonometric polynomial of ``spec`` on the n-point grid."""
     n = _check_sample_count(n)
-    if spec.max_harmonic > n // 2 - 1:
+    if _typed(spec, FourierSpectrum).max_harmonic > n // 2 - 1:
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
         )
@@ -225,6 +227,7 @@ def _bins(c0: float, b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
 
 def write_signal_csv(f: PeriodicSignal, path) -> None:
     """Write the signal as ``x,value`` rows with x = j/n ascending."""
+    _typed(f, PeriodicSignal, InvalidSignalError)
     xs = (np.arange(f.n) / f.n).tolist()
     write_csv(path, ("x", "value"), zip(xs, f.samples.tolist()))
 

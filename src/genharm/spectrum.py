@@ -1,11 +1,12 @@
 """Generalized spectra, Parseval checks, and band filtering of decompositions.
 
 The generalized spectrum assigns to each analysis frequency k the mean-square
-power of its component A_k S(kx) + B_k R(kx) over one period. For a fully
-orthogonal pair this reduces to (A_k^2 + B_k^2)/2 and the powers add up to the
-signal power exactly; for generic pairs only the per-component energies are
-reported, and filtering may break energy accounting, which is reported rather
-than renormalized.
+power of its component A_k S(kx) + B_k R(kx) over one period, read in O(1)
+per component off the 2x2 factor ``basis._layout`` keeps for the pair active
+at k. For a fully orthogonal pair this reduces to (A_k^2 + B_k^2)/2 and the
+powers add up to the signal power exactly; for generic pairs only the
+per-component energies are reported, and filtering may break energy
+accounting, which is reported rather than renormalized.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _layout
+from .basis import _active, _layout
 from .decompose import Decomposition, _rows
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _typed
 from .files import write_csv
 from .signals import FourierSpectrum
 
@@ -61,6 +62,7 @@ def parseval_power(spec: FourierSpectrum) -> float:
     Equals c0^2 + (1/2) sum_k (a_k^2 + b_k^2), which matches norm(f)^2 for
     band-limited f.
     """
+    _typed(spec, FourierSpectrum)
     return spec.c0 ** 2 + 0.5 * (float(spec.a @ spec.a) + float(spec.b @ spec.b))
 
 
@@ -71,28 +73,23 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     component's column mix A_k Phi[:, (S,k)] + B_k Phi[:, (R,k)] of the
     synthesis operator. Dilation only moves coefficients to other harmonics,
     so the mix of the undilated Phi of the pair active at k has the same
-    energy, and no harmonic is ever truncated:
+    energy, and no harmonic is ever truncated. With R that Phi's 2x2 QR
+    factor, which ``basis._layout`` keeps, each energy is a sum of squares:
 
         energy_k = (1/2) sum_q [(A_k s_q + B_k r_q)^2 + (A_k s'_q + B_k r'_q)^2]
+                 = (1/2) [(R_00 A_k + R_01 B_k)^2 + (R_11 B_k)^2]
 
     Only with a fully orthogonal pair do these energies plus c0^2 reproduce
     the signal power; in general the cross terms between components are not
     counted.
     """
-    table = np.empty((d.order, 2))
-    table[:, 0] = np.arange(1, d.order + 1)
-    energies = table[:, 1]
-    starts, layout = _layout(d.basis)
-    cuts = [min(start, d.order + 1) - 1 for start in starts.tolist()] + [d.order]
-    for members, lo, hi in zip(layout, cuts, cuts[1:]):
-        s, r = members.reshape(2, -1)  # the undilated Phi's columns: cos then sin, q = 1..Q
-        a, b = d._table[lo:hi, 1:].T
-        mix = a[:, None] * s + b[:, None] * r
-        energies[lo:hi] = 0.5 * np.einsum("kq,kq->k", mix, mix)
-    try:
-        c0_sq = d.c0 ** 2
-    except OverflowError:
-        c0_sq = math.inf  # refused with the other non-finite energies
+    starts, _, factor = _layout(_typed(d, Decomposition).basis)
+    k, a, b = d._table.T
+    (r00, r01), (_, r11) = factor[_active(starts, k)].transpose(1, 2, 0)
+    table = d._table[:, :2].copy()  # k, then each energy in place of A_k
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is refused
+        table[:, 1] = 0.5 * ((r00 * a + r01 * b) ** 2 + (r11 * b) ** 2)
+        c0_sq = np.square(d.c0)
     return GeneralizedSpectrum(table, c0_sq)
 
 
@@ -103,7 +100,7 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
     result is band-pass by construction. Energy is not renormalized; compare
     generalized spectra before and after if accounting matters.
     """
-    keep_from = _integer(keep_from, "keep_from", 1, d.order)
+    keep_from = _integer(keep_from, "keep_from", 1, _typed(d, Decomposition).order)
     keep_to = _integer(keep_to, "keep_to", keep_from, d.order)
     table = d._table.copy()
     table[: keep_from - 1, 1:] = 0.0
@@ -113,4 +110,5 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
 
 def write_spectrum_csv(spec: GeneralizedSpectrum, path) -> None:
     """Write ``k,energy`` rows in ascending k."""
+    _typed(spec, GeneralizedSpectrum)
     write_csv(path, ("k", "energy"), spec.entries)

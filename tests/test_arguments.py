@@ -1,8 +1,10 @@
-"""The argument contract: a bad order, count, index, depth or basis is a GenharmError.
+"""The argument contract: a bad order, count, index, depth, phase, basis, signal or result is a GenharmError.
 
 Every public function that takes one of these refuses a bad value with a
 ``GenharmError`` subclass, never with a bare ``ValueError``, ``TypeError`` or
-``AttributeError``, and never with a numpy warning on the way.
+``AttributeError``, and never with a numpy warning on the way. Anything but a
+signal where one is taken is an ``InvalidSignalError``, and anything but the
+result a function takes is a ``ConfigurationError``.
 """
 
 import math
@@ -18,10 +20,12 @@ import genharm
 from genharm import (
     MAX_DEPTH,
     BasisSchedule,
+    ConfigurationError,
     Decomposition,
     FrameBounds,
     GenharmError,
     GramSystem,
+    InvalidSignalError,
     PeriodicSignal,
     analyze_direct,
     analyze_fourier,
@@ -34,14 +38,22 @@ from genharm import (
     check_independence,
     classify_orthogonality,
     combined_spectrum,
+    decomposition_to_dict,
     dilate,
     frame_bounds,
+    generalized_spectrum,
+    norm,
     pair_to_dict,
+    parseval_power,
     reconstruct,
+    residual,
     sample_closed_form,
     save_basis,
+    save_decomposition,
     schedule_to_dict,
     synthesize_fourier,
+    write_signal_csv,
+    write_spectrum_csv,
 )
 
 F = PeriodicSignal(np.cos(2 * np.pi * np.arange(16) / 16))  # band 7
@@ -71,6 +83,13 @@ BAD_COUNTS = NOT_INTEGERS, (st.integers(max_value=3) | st.integers(min_value=1 <
                             | st.integers(2, 1 << 40).map(lambda v: 2 * v + 1))
 BAD_SAMPLES = [*NOT_INTEGERS, "abcd", [1.0, 2.0], [[0.0] * 4], [1.0, 2.0, "x", 4.0]], st.text(max_size=4)
 PAIRS, BASES = (NOT_A_PAIR, WRONG_TYPES), (NOT_A_BASIS, WRONG_TYPES)
+# a phase is a finite number: not a string, a bool or a sequence
+BAD_PHASES = [True, np.True_, "0.25", [0.25], 0.25j, math.nan, math.inf, 10**400], (
+    st.text(max_size=4) | st.booleans() | st.lists(st.floats(), max_size=2)
+    | st.floats(allow_nan=True).filter(lambda v: not math.isfinite(v)))
+# None, a list and an ndarray of what the object holds, and another library object
+NOT_A_SIGNAL = [None, F.samples.tolist(), np.array(F.samples), D]
+NOT_A_RESULT = [None, [(1, 1.0, 1.0)], np.ones((1, 3)), F]
 
 # (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
 SLOTS = {
@@ -95,6 +114,8 @@ SLOTS = {
     ("build_gram_system", "order"): (outside(1, 7), lambda v: build_gram_system(F, PAIR, v)),
     ("build_gram_system", "basis"): (BASES, lambda v: build_gram_system(F, v, 3)),
     ("builtin_basis", "depth"): (outside(1, MAX_DEPTH), lambda v: builtin_basis("square", depth=v)),
+    ("builtin_basis", "phase_s"): (BAD_PHASES, lambda v: builtin_basis("square", phase_s=v)),
+    ("builtin_basis", "phase_r"): (BAD_PHASES, lambda v: builtin_basis("square", phase_r=v)),
     ("check_convergence", "pair"): (PAIRS, check_convergence),
     ("check_independence", "pair"): (PAIRS, check_independence),
     ("classify_orthogonality", "pair"): (BASES, lambda v: classify_orthogonality(v, 3)),
@@ -112,15 +133,38 @@ SLOTS = {
     ("synthesize_fourier", "n"): (BAD_COUNTS, lambda v: synthesize_fourier(analyze_fourier(F, 2), v)),
 }
 
-# public callables that take no order, count, index, depth or basis: they take
-# member coefficients, results, signals, files or dicts; or they are the
-# verdict records only the checks build, which validate nothing
+# (callable, argument): (the error, the call) for each signal, result or member argument
+TYPED = {
+    ("analyze_direct", "f"): (InvalidSignalError, lambda v: analyze_direct(v, PAIR, 3)),
+    ("analyze_fourier", "f"): (InvalidSignalError, lambda v: analyze_fourier(v, 3)),
+    ("analyze_indirect", "f"): (InvalidSignalError, lambda v: analyze_indirect(v, PAIR, 3)),
+    ("analyze_multiband", "f"): (InvalidSignalError, lambda v: analyze_multiband(v, SCHEDULE, 3)),
+    ("build_gram_system", "f"): (InvalidSignalError, lambda v: build_gram_system(v, PAIR, 3)),
+    ("norm", "f"): (InvalidSignalError, norm),
+    ("residual", "f"): (InvalidSignalError, lambda v: residual(v, D)),
+    ("write_signal_csv", "f"): (InvalidSignalError, lambda v: write_signal_csv(v, os.devnull)),
+    ("band_filter", "d"): (ConfigurationError, lambda v: band_filter(v, 1, 1)),
+    ("combined_spectrum", "d"): (ConfigurationError, lambda v: combined_spectrum(v, 7)),
+    ("decomposition_to_dict", "d"): (ConfigurationError, decomposition_to_dict),
+    ("dilate", "member"): (ConfigurationError, lambda v: dilate(v, 2, 8)),
+    ("generalized_spectrum", "d"): (ConfigurationError, generalized_spectrum),
+    ("parseval_power", "spec"): (ConfigurationError, parseval_power),
+    ("reconstruct", "d"): (ConfigurationError, lambda v: reconstruct(v, 16)),
+    ("residual", "d"): (ConfigurationError, lambda v: residual(F, v)),
+    ("save_decomposition", "d"): (ConfigurationError, lambda v: save_decomposition(v, os.devnull)),
+    ("synthesize_fourier", "spec"): (ConfigurationError, lambda v: synthesize_fourier(v, 16)),
+    ("write_spectrum_csv", "spec"): (ConfigurationError, lambda v: write_spectrum_csv(v, os.devnull)),
+}
+SLOTS.update({slot: (((NOT_A_SIGNAL if error is InvalidSignalError else NOT_A_RESULT), WRONG_TYPES), call)
+              for slot, (error, call) in TYPED.items()})
+
+# public callables that take no order, count, index, depth, phase, basis,
+# signal or result: they take member coefficients, files or dicts; or they
+# are the verdict records only the checks build, which validate nothing
 UNCHECKED = {
     "BasisFunction", "BasisPair", "ConvergenceReport", "FourierSpectrum", "GeneralizedSpectrum",
-    "IndependenceReport", "OrthogonalityReport", "decomposition_from_dict", "decomposition_to_dict",
-    "generalized_spectrum", "load_basis", "load_decomposition", "norm", "pair_from_dict", "parseval_power",
-    "read_signal_csv", "residual", "save_decomposition", "schedule_from_dict",
-    "write_signal_csv", "write_spectrum_csv",
+    "IndependenceReport", "OrthogonalityReport", "decomposition_from_dict", "load_basis",
+    "load_decomposition", "pair_from_dict", "read_signal_csv", "schedule_from_dict",
 }
 
 
@@ -142,6 +186,14 @@ def test_bad_arguments_raise_a_genharm_error_and_no_numpy_warning(slot, data):
             warnings.simplefilter("error")
             with pytest.raises(GenharmError):
                 call(value)
+
+
+@pytest.mark.parametrize("slot", sorted(TYPED), ids="-".join)
+def test_a_signal_or_result_of_the_wrong_type_gets_its_own_error(slot):
+    error, call = TYPED[slot]
+    for value in NOT_A_SIGNAL if error is InvalidSignalError else NOT_A_RESULT:
+        with pytest.raises(error, match="is required, got"):
+            call(value)
 
 
 def test_a_whole_float_or_a_numpy_integer_is_the_integer_it_names():

@@ -14,6 +14,7 @@ from genharm import (
     BasisPair,
     BasisSchedule,
     ConfigurationError,
+    Decomposition,
     IllConditionedBasisError,
     MAX_DEPTH,
     PeriodicSignal,
@@ -604,6 +605,16 @@ def test_schedule_builtin_depth_must_be_integral():
     assert schedule(4.0).segments[0][1].S.depth == 4
 
 
+@pytest.mark.parametrize("phase", ["0.25", True, [0.25]])
+def test_builtin_phase_is_a_number_never_parsed_or_a_bool(phase):
+    # "0.25" used to be parsed, True taken as 1 turn, and a list raised TypeError
+    for name in ("phase_s", "phase_r"):
+        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+            builtin_basis("square", **{name: phase})
+    assert np.array_equal(builtin_basis("square", phase_s=np.float32(0.25)).S.sin_coeffs,
+                          builtin_basis("square", phase_s=0.25).S.sin_coeffs)
+
+
 @pytest.mark.parametrize("depth", [2.5, True])
 def test_builtin_depth_is_an_integer_never_rounded_or_a_bool(depth):
     # 2.5 used to build a depth-3 pair and True a depth-1 pair
@@ -619,6 +630,31 @@ def test_schedule_pair_for_switches_at_boundaries(builtin_pairs):
     assert sched.pair_for(7).label == "square_saw"
     assert sched.pair_for(8).label == "sine_cosine"
     assert sched.pair_for(100).label == "sine_cosine"
+
+
+def test_active_segment_is_the_last_start_at_or_below_k(builtin_pairs):
+    # one start past the order, one past int64, which the layout clips to its maximum
+    kinds = ("triangle", "square", "sawtooth", "sine_cosine", "square_saw")
+    segments = tuple(zip((1, 4, 9, 40, 2**63), (builtin_pairs[kind] for kind in kinds)))
+    sched = BasisSchedule(segments)
+    order = 20
+    d = Decomposition(0.0, [(k, 0.0, 0.0) for k in range(1, order + 1)], sched, "indirect")
+    starts = basis_module._layout(sched)[0]
+    assert starts.tolist() == [1, 4, 9, 40, 2**63 - 1]
+
+    def scan(k):
+        return max(i for i, (start, _) in enumerate(segments) if start <= k)
+
+    harmonics = np.arange(1, order + 1)
+    assert basis_module._active(starts, harmonics).tolist() == [scan(k) for k in harmonics.tolist()]
+    for k in harmonics.tolist():
+        assert d.pair_at(k) is sched.pair_for(k) is segments[scan(k)][1]
+    for k in (39, 40, 41, 10**18, 2**63 - 2):
+        assert basis_module._active(starts, k) == scan(k)
+        assert sched.pair_for(k) is segments[scan(k)][1]
+    # 2**63 - 1 would meet the clipped start, so pair_for stops below it
+    with pytest.raises(ConfigurationError, match="harmonic index must be <="):
+        sched.pair_for(2**63 - 1)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -415,6 +415,8 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
     # in a schedule file it makes the file unusable: exit 1
     for name, second in [
         ("inf_phase.json", '{"start_k": 4, "basis": {"builtin": "square", "phase_s": 1e999}}'),
+        ("string_phase.json", '{"start_k": 4, "basis": {"builtin": "square", "phase_s": "0.25"}}'),
+        ("bool_phase.json", '{"start_k": 4, "basis": {"builtin": "square", "phase_r": true}}'),
         ("fractional.json", '{"start_k": 4.7, "basis": {"builtin": "square"}}'),
     ]:
         (workdir / name).write_text(

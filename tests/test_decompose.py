@@ -471,6 +471,18 @@ def test_order_is_an_integer_never_a_bool(analyze):
         analyze(hand_signal(), hand_pair(), True)
 
 
+@pytest.mark.parametrize("k", ["1", True, np.True_, None])
+def test_a_row_k_is_a_number_never_a_string_or_a_bool(k):
+    # "1" and True used to build row k = 1
+    with pytest.raises(ConfigurationError, match="k must be a number"):
+        Decomposition(0.0, ((k, 1.0, 2.0),), hand_pair(), "direct")
+    with pytest.raises(ConfigurationError):
+        Decomposition(0.0, np.array([[k, 1.0, 2.0]], dtype=object), hand_pair(), "direct")
+    # numeric rows still take k as any number equal to it
+    for rows in (((1.0, 1.0, 2.0),), ((np.int64(1), 1.0, 2.0),), np.array([[1, 1, 2]])):
+        assert Decomposition(0.0, rows, hand_pair(), "direct").coeffs == ((1, 1.0, 2.0),)
+
+
 def test_pair_at_takes_the_harmonics_of_the_result_only(builtin_pairs):
     sched = BasisSchedule(((1, builtin_pairs["sine_cosine"]), (3, builtin_pairs["square_saw"])))
     for basis in (builtin_pairs["square_saw"], sched):
