@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _INT64_MAX, ConfigurationError, _integer, _real, _typed
+from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _typed
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
 
@@ -97,8 +97,8 @@ class BasisFunction:
     sin_coeffs: np.ndarray
 
     def __post_init__(self):
-        cos_c = np.array(self.cos_coeffs, dtype=float, copy=True)
-        sin_c = np.array(self.sin_coeffs, dtype=float, copy=True)
+        cos_c = _numbers(self.cos_coeffs, "cosine coefficients")
+        sin_c = _numbers(self.sin_coeffs, "sine coefficients")
         if cos_c.ndim != 1 or sin_c.ndim != 1 or cos_c.size != sin_c.size:
             raise ConfigurationError("coefficient arrays must be 1-d and of equal length")
         if cos_c.size < 1:
@@ -145,8 +145,12 @@ class BasisSchedule:
     segments: tuple
 
     def __post_init__(self):
+        try:
+            segments = [(start, pair) for start, pair in self.segments]
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError("schedule segments must be (start_k, pair) pairs") from exc
         cleaned = []
-        for start, pair in self.segments:
+        for start, pair in segments:
             start = _integer(start, "start_k", 1, math.inf)  # a start past int64 is never active
             if not isinstance(pair, BasisPair):
                 raise ConfigurationError("schedule segments must hold BasisPair values")
@@ -175,8 +179,11 @@ class FrameBounds:
     order: int
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ConfigurationError(f"need 0 <= lower <= upper, got ({self.lower}, {self.upper})")
+        lower, upper = _number(self.lower, "lower"), _number(self.upper, "upper")
+        if not (0.0 <= lower <= upper):
+            raise ConfigurationError(f"need 0 <= lower <= upper, got ({lower}, {upper})")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "order", _integer(self.order, "order", 1))
 
 
@@ -686,9 +693,8 @@ def pair_to_dict(pair: BasisPair) -> dict:
 def pair_from_dict(data) -> BasisPair:
     try:
         label = str(data.get("label", ""))
-        series = [np.asarray(data[member][part], dtype=float)
-                  for member in ("S", "R") for part in ("cos", "sin")]
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        series = [data[member][part] for member in ("S", "R") for part in ("cos", "sin")]
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed basis data: {exc}") from exc
     return BasisPair(BasisFunction(*series[:2]), BasisFunction(*series[2:]), label)
 

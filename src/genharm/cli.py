@@ -219,8 +219,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     write_csv(
         _require_out(args),
         ("k", "A_direct", "B_direct", "A_indirect", "B_indirect"),
-        [(k, a_d, b_d, a_i, b_i)
-         for (k, a_d, b_d), (_, a_i, b_i) in zip(d_dir.coeffs, d_ind.coeffs)],
+        [(k, *row) for k, row in
+         enumerate(np.hstack((d_dir.coeffs[:, 1:], d_ind.coeffs[:, 1:])).tolist(), start=1)],
     )
     print(f"rms residual (direct, N={args.order}): {rms_dir!r}")
     print(f"rms residual (indirect, N={args.order}): {rms_ind!r}")

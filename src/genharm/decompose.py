@@ -95,6 +95,7 @@ from .errors import (
     IllConditionedBasisError,
     InvalidSignalError,
     _integer,
+    _numbers,
     _real,
     _typed,
 )
@@ -131,53 +132,50 @@ PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
 
 
-def _rows(rows, width: int, what: str, shape: str) -> tuple:
-    """``rows`` of (k, values...) as a frozen (N, width) float table and a tuple of tuples with int k.
+def _rows(rows, columns: tuple, what: str, shape: str) -> np.ndarray:
+    """``rows`` of (k, values...) as a frozen (N, len(columns)) float array.
 
-    Any (N, width) sequence or array is accepted; anything else, ragged or
-    non-numeric rows among it, raises ``ConfigurationError("{what} must be
-    {shape}")``, and k other than 1..N exactly once, ascending, raises too.
-    Outside a numeric array each k must also be a number by ``errors._real``:
-    a string or a bool is not read as one.
+    Any (N, width) sequence or array is accepted; anything else, or ragged
+    rows, raises ``ConfigurationError("{what} must be {shape}")``, and k
+    other than 1..N exactly once, ascending, raises too. Outside a numeric
+    array each value must be a number by ``errors._number``, named by its
+    column: a string or a bool is not read as one.
     """
+    numeric = isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"
     try:
-        table = np.array(rows, dtype=float)
+        table = np.array(rows, dtype=float if numeric else object)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what} must be {shape}") from exc
     if table.shape == (0,):
-        table = table.reshape(0, width)
-    if table.ndim != 2 or table.shape[1] != width:
+        table = table.reshape(0, len(columns))
+    if table.ndim != 2 or table.shape[1] != len(columns):
         raise ConfigurationError(f"{what} must be {shape}")
-    if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"):
-        for row in rows:
-            _real(row[0], "k")
-    ks, *values = table.T.tolist()
-    harmonics = range(1, len(ks) + 1)
-    if ks != list(harmonics):
+    if not numeric:
+        table = np.column_stack([_numbers(column, name) for name, column in zip(columns, table.T)])
+    if not np.array_equal(table[:, 0], np.arange(1, len(table) + 1)):
         raise ConfigurationError(f"{what} must cover k = 1..N exactly once, ascending")
-    return _frozen(table), tuple(zip(harmonics, *values))
+    return _frozen(table)
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Result of an analysis: mean, per-harmonic amplitudes, and provenance.
 
-    ``coeffs`` holds (k, A_k, B_k) for k = 1..N exactly once each, given as
-    any (N, 3) sequence or array and kept as a tuple of (int, float, float)
-    tuples, next to a private read-only (N, 3) float copy ``_table`` that
-    the spectrum sums and reconstruction read; the analyses build their
-    results through this constructor like any caller. The basis field is
-    the pair or schedule the analysis ran with. ``condition_estimate`` is
-    the exact 1-norm condition number of the system the analysis solved:
-    kappa_1(T) = ||T||_1 ||T^-1||_1 of Phi's first N harmonic rows T for
-    indirect results, ||G||_1 ||G^-1||_1 of the Gram system G for direct
-    ones, which also record the pruning rule, since their coefficients are
-    tied to the order and system they came from. Above
-    ``CONDITION_WARN_LIMIT`` either method attaches a warning.
+    ``coeffs`` holds the rows [k, A_k, B_k] for k = 1..N exactly once each,
+    given as any (N, 3) sequence or array and kept as a read-only (N, 3)
+    float array; the analyses build their results through this constructor
+    like any caller. The basis field is the pair or schedule the analysis
+    ran with. ``condition_estimate`` is the exact 1-norm condition number of
+    the system the analysis solved: kappa_1(T) = ||T||_1 ||T^-1||_1 of
+    Phi's first N harmonic rows T for indirect results, ||G||_1 ||G^-1||_1
+    of the Gram system G for direct ones, which also record the pruning
+    rule, since their coefficients are tied to the order and system they
+    came from. Above ``CONDITION_WARN_LIMIT`` either method attaches a
+    warning.
     """
 
     c0: float
-    coeffs: tuple
+    coeffs: np.ndarray
     basis: object
     method: str
     pruning: str | None = None
@@ -190,18 +188,18 @@ class Decomposition:
         _segments(self.basis)
         if self.pruning is not None and self.pruning not in PRUNING_RULES:
             raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
-        if self.condition_estimate is not None and not math.isfinite(self.condition_estimate):
-            raise ConfigurationError("condition estimate must be finite")
-        table, coeffs = _rows(self.coeffs, 3, "coefficients", "(k, A_k, B_k) triples")
-        if not (math.isfinite(self.c0) and np.isfinite(table).all()):
+        cond = self.condition_estimate
+        cond = None if cond is None else _real(cond, "condition estimate")
+        coeffs = _rows(self.coeffs, ("k", "A_k", "B_k"), "coefficients", "(k, A_k, B_k) triples")
+        if not np.isfinite(coeffs).all():
             raise ConfigurationError("decomposition values must all be finite")
         warnings = tuple(self.warnings)
         if isinstance(self.warnings, str) or not all(isinstance(note, str) for note in warnings):
             raise ConfigurationError("warnings must be strings")
-        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "c0", _real(self.c0, "c0"))
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "condition_estimate", cond)
         object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "_table", table)  # coeffs as an (N, 3) float array
 
     __setstate__ = _refreeze
 
@@ -556,7 +554,7 @@ def analyze_direct(
 
 def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
     """Phi @ [A; B] truncated at ``band_cap``: the cosine then the sine coefficients, one fresh array."""
-    weights = d._table[:, 1:].T.ravel()  # [A; B]
+    weights = d.coeffs[:, 1:].T.ravel()  # [A; B]
     rows, cols, vals = _phi(d.basis, d.order, band_cap)
     return np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
 
@@ -610,7 +608,8 @@ def decomposition_to_dict(d: Decomposition) -> dict:
         "method": d.method,
         "order": d.order,
         "c0": d.c0,
-        "coefficients": [{"k": k, "A": a_k, "B": b_k} for k, a_k, b_k in d.coeffs],
+        "coefficients": [{"k": k, "A": a_k, "B": b_k}
+                         for k, a_k, b_k in zip(range(1, d.order + 1), *d.coeffs[:, 1:].T.tolist())],
         "basis": _basis_to_dict(d.basis),
     }
     if d.pruning is not None:
@@ -625,15 +624,12 @@ def decomposition_to_dict(d: Decomposition) -> dict:
 def decomposition_from_dict(data) -> Decomposition:
     try:
         basis = _basis_from_dict(data["basis"])
-        coeffs = np.array([  # k checked here, so the constructor need not check it again
-            (_integer(item["k"], "k", 1), float(item["A"]), float(item["B"]))
-            for item in data["coefficients"]
-        ])
+        coeffs = [(item["k"], item["A"], item["B"]) for item in data["coefficients"]]
         warnings = data.get("warnings", [])
         if not isinstance(warnings, list):
             raise ConfigurationError("warnings must be a list of strings")
         return Decomposition(
-            float(data["c0"]),
+            data["c0"],
             coeffs,
             basis,
             str(data["method"]),

@@ -6,6 +6,9 @@ or an integral float (``5.0`` is 5) in range is taken; a bool, a fraction, a
 string or any other type is a :class:`ConfigurationError`, which is also a
 ``ValueError``. Each phase passes ``_real``, which takes a finite int or float,
 numpy's included, and refuses a bool, a string or any other type the same way.
+Each value a result or a basis member holds passes ``_number``, the same type
+rule with finiteness left to the class, one by one unless it comes in a numeric
+array (``_numbers``).
 Each signal and result passes ``_typed``: anything but the class the function
 takes is an :class:`InvalidSignalError` for a signal and a
 :class:`ConfigurationError` for anything else.
@@ -60,17 +63,37 @@ def _integer(value, name: str, low: float, high: float = _INT64_MAX) -> int:
     return number
 
 
-def _real(value, name: str) -> float:
-    """value as a finite float; a bool, a string or any other non-number is refused, never parsed."""
+def _number(value, name: str) -> float:
+    """value as a float; a bool, a string or any other non-number is refused, never parsed."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:  # an int past the float range
-        number = math.inf
+        return math.inf
+
+
+def _real(value, name: str) -> float:
+    """value as a finite float by ``_number``; a non-finite one is refused too."""
+    number = _number(value, name)
     if not math.isfinite(number):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """values as a fresh float array of their own shape, each value a number by ``_number``.
+
+    A numeric array is taken as it is; anything else is read value by value,
+    so a string or a bool among the values is refused, never parsed.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.array(values, dtype=float)
+    try:
+        cells = np.array(values, dtype=object)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be numbers") from exc
+    return np.array([_number(v, name) for v in cells.ravel().tolist()]).reshape(cells.shape)
 
 
 def _typed(value, kind: type, error: type = ConfigurationError):

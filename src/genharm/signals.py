@@ -19,7 +19,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import AliasingError, DimensionError, InvalidSignalError, _integer, _typed
+from .errors import (
+    AliasingError,
+    DimensionError,
+    InvalidSignalError,
+    _integer,
+    _number,
+    _numbers,
+    _typed,
+)
 from .files import read_csv, write_csv
 
 __all__ = [
@@ -146,12 +154,12 @@ class FourierSpectrum:
     b: np.ndarray
 
     def __post_init__(self):
-        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
+        c0, a, b = _number(self.c0, "c0"), _numbers(self.a, "a"), _numbers(self.b, "b")
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
             raise DimensionError("sine and cosine coefficient arrays must be 1-d and equal length")
-        if not (np.isfinite(self.c0) and np.isfinite(a).all() and np.isfinite(b).all()):
+        if not (math.isfinite(c0) and np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidSignalError("spectrum contains non-finite coefficients")
-        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .basis import _active, _layout
 from .decompose import Decomposition, _rows
-from .errors import ConfigurationError, _integer, _typed
+from .errors import ConfigurationError, _integer, _real, _typed
 from .files import write_csv
-from .signals import FourierSpectrum
+from .signals import FourierSpectrum, _refreeze
 
 __all__ = [
     "GeneralizedSpectrum",
@@ -35,25 +35,28 @@ __all__ = [
 class GeneralizedSpectrum:
     """Per-frequency component energies of a decomposition, plus c0 squared.
 
-    ``entries`` holds (k, energy) for k = 1..N exactly once each, given as
-    any (N, 2) sequence or array, copied and kept as a tuple of (int, float)
-    tuples, whoever builds the spectrum.
+    ``entries`` holds the rows [k, energy] for k = 1..N exactly once each,
+    given as any (N, 2) sequence or array and kept as a read-only (N, 2)
+    float array, whoever builds the spectrum.
     """
 
-    entries: tuple
+    entries: np.ndarray
     c0_sq: float
 
     def __post_init__(self):
-        table, entries = _rows(self.entries, 2, "spectrum entries", "(k, energy) pairs")
-        energies = table[:, 1]
-        if not (0.0 <= self.c0_sq < math.inf and ((0.0 <= energies) & (energies < math.inf)).all()):
+        entries = _rows(self.entries, ("k", "energy"), "spectrum entries", "(k, energy) pairs")
+        energies = entries[:, 1]
+        c0_sq = _real(self.c0_sq, "c0_sq")
+        if not (0.0 <= c0_sq and ((0.0 <= energies) & (energies < math.inf)).all()):
             raise ConfigurationError("energies must be finite and nonnegative")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "c0_sq", float(self.c0_sq))
+        object.__setattr__(self, "c0_sq", c0_sq)
+
+    __setstate__ = _refreeze
 
     def total(self) -> float:
-        """c0_sq plus the sum of all component energies."""
-        return self.c0_sq + sum(e for _, e in self.entries)
+        """c0_sq plus the sum of all component energies, added left to right."""
+        return self.c0_sq + sum(self.entries[:, 1].tolist())
 
 
 def parseval_power(spec: FourierSpectrum) -> float:
@@ -84,9 +87,9 @@ def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:
     counted.
     """
     starts, _, factor = _layout(_typed(d, Decomposition).basis)
-    k, a, b = d._table.T
+    k, a, b = d.coeffs.T
     (r00, r01), (_, r11) = factor[_active(starts, k)].transpose(1, 2, 0)
-    table = d._table[:, :2].copy()  # k, then each energy in place of A_k
+    table = d.coeffs[:, :2].copy()  # k, then each energy in place of A_k
     with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is refused
         table[:, 1] = 0.5 * ((r00 * a + r01 * b) ** 2 + (r11 * b) ** 2)
         c0_sq = np.square(d.c0)
@@ -102,7 +105,7 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
     """
     keep_from = _integer(keep_from, "keep_from", 1, _typed(d, Decomposition).order)
     keep_to = _integer(keep_to, "keep_to", keep_from, d.order)
-    table = d._table.copy()
+    table = d.coeffs.copy()
     table[: keep_from - 1, 1:] = 0.0
     table[keep_to:, 1:] = 0.0
     return Decomposition(0.0, table, d.basis, d.method, d.pruning, d.condition_estimate, d.warnings)
@@ -111,4 +114,4 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
 def write_spectrum_csv(spec: GeneralizedSpectrum, path) -> None:
     """Write ``k,energy`` rows in ascending k."""
     _typed(spec, GeneralizedSpectrum)
-    write_csv(path, ("k", "energy"), spec.entries)
+    write_csv(path, ("k", "energy"), enumerate(spec.entries[:, 1].tolist(), start=1))

@@ -132,7 +132,7 @@ def test_criterion_3_monotone_convergence(acceptance_log, builtin_pairs):
             res_a = spec.a.copy()
             res_b = spec.b.copy()
             norms = []
-            for k, A, B in d.coeffs:
+            for k, (A, B) in enumerate(d.coeffs[:, 1:], start=1):
                 for member_spec, c in ((dil_s[k - 1], A), (dil_r[k - 1], B)):
                     w = member_spec.max_harmonic
                     res_a[:w] -= c * member_spec.a

@@ -1,10 +1,12 @@
-"""The argument contract: a bad order, count, index, depth, phase, basis, signal or result is a GenharmError.
+"""The argument contract: a bad order, count, index, depth, phase, value, basis, signal or result is a GenharmError.
 
 Every public function that takes one of these refuses a bad value with a
 ``GenharmError`` subclass, never with a bare ``ValueError``, ``TypeError`` or
 ``AttributeError``, and never with a numpy warning on the way. Anything but a
 signal where one is taken is an ``InvalidSignalError``, and anything but the
-result a function takes is a ``ConfigurationError``.
+result a function takes is a ``ConfigurationError``. A value a result, a basis
+member or a file holds is a number: a string, a bool or a complex is refused,
+never parsed.
 """
 
 import math
@@ -19,10 +21,13 @@ from hypothesis import strategies as st
 import genharm
 from genharm import (
     MAX_DEPTH,
+    BasisFunction,
     BasisSchedule,
     ConfigurationError,
     Decomposition,
+    FourierSpectrum,
     FrameBounds,
+    GeneralizedSpectrum,
     GenharmError,
     GramSystem,
     InvalidSignalError,
@@ -38,11 +43,13 @@ from genharm import (
     check_independence,
     classify_orthogonality,
     combined_spectrum,
+    decomposition_from_dict,
     decomposition_to_dict,
     dilate,
     frame_bounds,
     generalized_spectrum,
     norm,
+    pair_from_dict,
     pair_to_dict,
     parseval_power,
     reconstruct,
@@ -60,6 +67,7 @@ F = PeriodicSignal(np.cos(2 * np.pi * np.arange(16) / 16))  # band 7
 PAIR = builtin_basis("square_saw", depth=4)
 SCHEDULE = BasisSchedule(((1, PAIR), (3, builtin_basis("sine_cosine", depth=2))))
 D = analyze_indirect(F, SCHEDULE, 3)
+D_DICT, PAIR_DICT = decomposition_to_dict(D), pair_to_dict(PAIR)
 
 NOT_INTEGERS = [0.5, -1.5, np.float64(2.5), math.nan, math.inf, -math.inf, True, False, np.True_,
                 "3", None, 3 + 0j, [3], 10**400]
@@ -90,15 +98,38 @@ BAD_PHASES = [True, np.True_, "0.25", [0.25], 0.25j, math.nan, math.inf, 10**400
 # None, a list and an ndarray of what the object holds, and another library object
 NOT_A_SIGNAL = [None, F.samples.tolist(), np.array(F.samples), D]
 NOT_A_RESULT = [None, [(1, 1.0, 1.0)], np.ones((1, 3)), F]
+# a value a result, a member or a file holds is a number: not a string, a bool, None, a sequence or a complex
+NOT_REALS = ["0.5", np.str_("0.5"), b"0.5", True, False, np.True_, None, [0.5], (0.5,), 0.5j,
+             np.complex128(0.5)], (st.text(max_size=4) | st.booleans() | st.none() | st.complex_numbers()
+                                   | st.lists(st.floats(), min_size=1, max_size=2))
+# a condition estimate may be None, for none
+NOT_REALS_BUT_NONE = [v for v in NOT_REALS[0] if v is not None], NOT_REALS[1].filter(lambda v: v is not None)
+NOT_SEGMENTS = [None, 3, "ab", [(1, PAIR, 3)], [(1,)], [PAIR], [1]], WRONG_TYPES
+ROW = (1, 1.0, 1.0)
 
 # (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
 SLOTS = {
+    ("BasisFunction", "cos_coeffs"): (NOT_REALS, lambda v: BasisFunction([1.0, v], [0.0, 1.0])),
+    ("BasisFunction", "sin_coeffs"): (NOT_REALS, lambda v: BasisFunction([1.0], [v])),
+    ("BasisSchedule", "segments"): (NOT_SEGMENTS, BasisSchedule),
     ("BasisSchedule", "start_k"): (outside(1, math.inf), lambda v: BasisSchedule(((v, PAIR),))),
     ("BasisSchedule", "pair"): (PAIRS, lambda v: BasisSchedule(((1, PAIR), (3, v)))),
     ("BasisSchedule.pair_for", "k"): (outside(1), SCHEDULE.pair_for),
-    ("Decomposition", "basis"): (BASES, lambda v: Decomposition(0.0, ((1, 1.0, 1.0),), v, "indirect")),
+    ("Decomposition", "basis"): (BASES, lambda v: Decomposition(0.0, (ROW,), v, "indirect")),
+    ("Decomposition", "c0"): (NOT_REALS, lambda v: Decomposition(v, (ROW,), PAIR, "indirect")),
+    ("Decomposition", "k"): (NOT_REALS, lambda v: Decomposition(0.0, ((v, 1.0, 1.0),), PAIR, "indirect")),
+    ("Decomposition", "A_k"): (NOT_REALS, lambda v: Decomposition(0.0, ((1, v, 1.0),), PAIR, "indirect")),
+    ("Decomposition", "condition_estimate"): (
+        NOT_REALS_BUT_NONE, lambda v: Decomposition(0.0, (ROW,), PAIR, "indirect", None, v)),
     ("Decomposition.pair_at", "k"): (outside(1, 3), D.pair_at),
+    ("FourierSpectrum", "c0"): (NOT_REALS, lambda v: FourierSpectrum(v, [1.0], [1.0])),
+    ("FourierSpectrum", "a"): (NOT_REALS, lambda v: FourierSpectrum(0.0, [v], [1.0])),
+    ("FourierSpectrum", "b"): (NOT_REALS, lambda v: FourierSpectrum(0.0, [1.0], [v])),
+    ("FrameBounds", "lower"): (NOT_REALS, lambda v: FrameBounds(v, 1.0, 3)),
+    ("FrameBounds", "upper"): (NOT_REALS, lambda v: FrameBounds(0.0, v, 3)),
     ("FrameBounds", "order"): (outside(1), lambda v: FrameBounds(0.0, 1.0, v)),
+    ("GeneralizedSpectrum", "energy"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, v),), 0.0)),
+    ("GeneralizedSpectrum", "c0_sq"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, 0.5),), v)),
     ("GramSystem", "order"): (outside(1),
                               lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), v, "none")),
     ("PeriodicSignal", "samples"): (BAD_SAMPLES, PeriodicSignal),
@@ -121,10 +152,15 @@ SLOTS = {
     ("classify_orthogonality", "pair"): (BASES, lambda v: classify_orthogonality(v, 3)),
     ("classify_orthogonality", "k_max"): (outside(1), lambda v: classify_orthogonality(PAIR, v)),
     ("combined_spectrum", "band_cap"): (outside(0), lambda v: combined_spectrum(D, v)),
+    ("decomposition_from_dict", "c0"): (NOT_REALS, lambda v: decomposition_from_dict({**D_DICT, "c0": v})),
+    ("decomposition_from_dict", "A"): (NOT_REALS, lambda v: decomposition_from_dict(
+        {**D_DICT, "coefficients": [{"k": 1, "A": v, "B": 1.0}]})),
     ("dilate", "k"): (outside(1), lambda v: dilate(PAIR.S, v, 8)),
     ("dilate", "band_cap"): (outside(0), lambda v: dilate(PAIR.S, 2, v)),
     ("frame_bounds", "pair"): (BASES, lambda v: frame_bounds(v, 3)),
     ("frame_bounds", "order"): (outside(1), lambda v: frame_bounds(PAIR, v)),
+    ("pair_from_dict", "cos"): (NOT_REALS, lambda v: pair_from_dict(
+        {**PAIR_DICT, "S": {"cos": [v], "sin": [1.0]}})),
     ("pair_to_dict", "pair"): (PAIRS, pair_to_dict),
     ("reconstruct", "n"): (BAD_COUNTS, lambda v: reconstruct(D, v)),
     ("sample_closed_form", "n"): (BAD_COUNTS, lambda v: sample_closed_form(math.sin, v)),
@@ -158,13 +194,13 @@ TYPED = {
 SLOTS.update({slot: (((NOT_A_SIGNAL if error is InvalidSignalError else NOT_A_RESULT), WRONG_TYPES), call)
               for slot, (error, call) in TYPED.items()})
 
-# public callables that take no order, count, index, depth, phase, basis,
-# signal or result: they take member coefficients, files or dicts; or they
-# are the verdict records only the checks build, which validate nothing
+# public callables that take no order, count, index, depth, phase, value,
+# basis, signal or result: they take members or files, or a dict whose values
+# reach a checked constructor; or they are the verdict records only the checks
+# build, which validate nothing
 UNCHECKED = {
-    "BasisFunction", "BasisPair", "ConvergenceReport", "FourierSpectrum", "GeneralizedSpectrum",
-    "IndependenceReport", "OrthogonalityReport", "decomposition_from_dict", "load_basis",
-    "load_decomposition", "pair_from_dict", "read_signal_csv", "schedule_from_dict",
+    "BasisPair", "ConvergenceReport", "IndependenceReport", "OrthogonalityReport", "load_basis",
+    "load_decomposition", "read_signal_csv", "schedule_from_dict",
 }
 
 
@@ -199,7 +235,8 @@ def test_a_signal_or_result_of_the_wrong_type_gets_its_own_error(slot):
 def test_a_whole_float_or_a_numpy_integer_is_the_integer_it_names():
     for analyze in (analyze_indirect, analyze_direct):
         want = analyze(F, PAIR, 3).coeffs
-        assert analyze(F, PAIR, 3.0).coeffs == analyze(F, PAIR, np.int32(3)).coeffs == want
+        assert np.array_equal(analyze(F, PAIR, 3.0).coeffs, want)
+        assert np.array_equal(analyze(F, PAIR, np.int32(3)).coeffs, want)
     for depth in (3.0, np.float32(3.0), np.int64(3)):
         assert builtin_basis("square", depth=depth).S.depth == 3
     assert np.array_equal(reconstruct(D, 16.0).samples, reconstruct(D, np.uint8(16)).samples)

@@ -426,7 +426,11 @@ def test_unusable_phases_and_starts_are_refused(workdir, capsys):
         assert capsys.readouterr().err.startswith("error: "), name
 
 
-@pytest.mark.parametrize("k, shown", [("1.5", "1.5"), ("true", "True"), ('"1"', "'1'")])
+@pytest.mark.parametrize("k, shown", [
+    ("1.5", "coefficients must cover k = 1..N exactly once, ascending"),
+    ("true", "k must be a number, got True"),
+    ('"1"', "k must be a number, got '1'"),
+])
 def test_non_integral_coefficient_index_is_refused(workdir, capsys, k, shown):
     main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
           "--order", "4", "--out", str(workdir / "dec.json")])
@@ -437,8 +441,45 @@ def test_non_integral_coefficient_index_is_refused(workdir, capsys, k, shown):
     argv = ["reconstruct", "--in", str(workdir / "bad.json"), "--out", str(workdir / "x.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f"k must be an integer, got {shown}\n")
+    assert err.startswith("error: ") and err.endswith(shown + "\n")
     assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("A", "2.5", "A_k must be a number, got '2.5'"),
+    ("B", False, "B_k must be a number, got False"),
+    ("c0", True, "c0 must be a number, got True"),
+    ("condition_estimate", "1.0", "condition estimate must be a number, got '1.0'"),
+])
+def test_decomposition_file_values_given_as_strings_or_bools_exit_one(workdir, capsys, field, value, shown):
+    # "A": "2.5" and "c0": true used to load as 2.5 and 1.0
+    main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
+          "--order", "4", "--out", str(workdir / "dec.json")])
+    data = json.loads((workdir / "dec.json").read_text())
+    data["condition_estimate"] = 1.0
+    (data["coefficients"][0] if field in ("A", "B") else data)[field] = value
+    (workdir / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    argv = ["reconstruct", "--in", str(workdir / "bad.json"), "--out", str(workdir / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(shown + "\n")
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_basis_file_coefficients_given_as_strings_or_bools_exit_one(workdir, capsys, value):
+    # a basis file with "cos": ["0.5", ...] used to load as 0.5
+    save_basis(builtin_basis("square_saw", depth=4), workdir / "pair.json")
+    data = json.loads((workdir / "pair.json").read_text())
+    data["S"]["cos"][0] = value
+    (workdir / "bad.json").write_text(json.dumps(data))
+    argv = ["analyze", "--in", str(workdir / "signal.csv"), "--basis", str(workdir / "bad.json"),
+            "--order", "4", "--out", str(workdir / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"cosine coefficients must be a number, got {value!r}\n")
+    assert not (workdir / "x.json").exists()
 
 
 @pytest.mark.parametrize("segment, shown", [

@@ -55,11 +55,11 @@ def _results(f, basis, order):
     """Everything the analyses hand back, as values that compare with ==."""
     out = []
     d = analyze_indirect(f, basis, order)
-    out += [d.c0, d.coeffs, d.warnings, d.condition_estimate, residual(f, d).samples.tobytes()]
-    out.append(generalized_spectrum(d).entries)
+    out += [d.c0, d.coeffs.tobytes(), d.warnings, d.condition_estimate, residual(f, d).samples.tobytes()]
+    out.append(generalized_spectrum(d).entries.tobytes())
     for pruning in PRUNING_RULES:
         d = analyze_direct(f, basis, order, pruning)
-        out += [d.c0, d.coeffs, d.warnings, d.condition_estimate, residual(f, d).samples.tobytes()]
+        out += [d.c0, d.coeffs.tobytes(), d.warnings, d.condition_estimate, residual(f, d).samples.tobytes()]
     return out
 
 
@@ -220,15 +220,16 @@ def test_plan_arrays_cannot_be_made_writeable():
     # results copy the arrays the library computed for them and freeze the copies
     d = analyze_indirect(f, pair, 6)
     spectrum, fourier = combined_spectrum(d, 31), analyze_fourier(f, 6)
-    arrays += [f.samples, d._table, analyze_direct(f, pair, 6, "lcm")._table, band_filter(d, 2, 4)._table]
-    arrays += [spectrum.a, spectrum.b, fourier.a, fourier.b]
+    energies = generalized_spectrum(d)
+    arrays += [f.samples, d.coeffs, analyze_direct(f, pair, 6, "lcm").coeffs, band_filter(d, 2, 4).coeffs]
+    arrays += [energies.entries, spectrum.a, spectrum.b, fourier.a, fourier.b]
     arrays += [reconstruct(d, 64).samples, residual(f, d).samples, *_layout(pair)]
     # pickle and deepcopy hand arrays back writeable; the copies freeze them again,
     # so a copied basis cannot change under the parts cached for it
     for clone in (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy):
-        p, g, e, s, gram = map(clone, (pair, f, d, spectrum, system))
+        p, g, e, s, gs, gram = map(clone, (pair, f, d, spectrum, energies, system))
         arrays += [p.S.cos_coeffs, p.S.sin_coeffs, p.R.cos_coeffs, p.R.sin_coeffs, g.samples, g._rfft]
-        arrays += [e._table, s.a, s.b, gram.matrix, gram.rhs, gram.pruned_mask]
+        arrays += [e.coeffs, gs.entries, s.a, s.b, gram.matrix, gram.rhs, gram.pruned_mask]
     for array in arrays:
         with pytest.raises(ValueError):
             array.setflags(write=True)
@@ -238,14 +239,14 @@ def test_threads_sharing_the_cache_get_the_single_thread_results():
     f = random_bandlimited(np.random.default_rng(3), 12, 64)
     bases = [builtin_basis(kind, depth=8) for kind in KINDS for _ in range(2)]
     assert len(bases) > _PLAN_CACHE_SIZE
-    want = [analyze_direct(f, basis, 12, "lcm").coeffs for basis in bases]
+    want = [analyze_direct(f, basis, 12, "lcm").coeffs.tobytes() for basis in bases]
     got, errors = {}, []
 
     def work(worker):
         try:
             for i in range(worker, worker + 3 * len(bases)):
                 index = i % len(bases)
-                got.setdefault(index, set()).add(analyze_direct(f, bases[index], 12, "lcm").coeffs)
+                got.setdefault(index, set()).add(analyze_direct(f, bases[index], 12, "lcm").coeffs.tobytes())
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 
@@ -267,9 +268,8 @@ def test_threads_sharing_the_cache_get_the_single_thread_results():
 
 def _same_decomposition(d, rebuilt):
     assert type(d.c0) is float and d.c0 == rebuilt.c0
-    assert d.coeffs == rebuilt.coeffs
-    assert all(type(k) is int and type(a) is float and type(b) is float for k, a, b in d.coeffs)
-    assert d._table.tobytes() == rebuilt._table.tobytes()
+    assert d.coeffs.shape == (d.order, 3) and d.coeffs.dtype == float
+    assert d.coeffs.tobytes() == rebuilt.coeffs.tobytes()
     assert d.basis is rebuilt.basis
     assert (d.method, d.pruning, d.condition_estimate) == (rebuilt.method, rebuilt.pruning, rebuilt.condition_estimate)
     assert d.warnings == rebuilt.warnings
@@ -290,8 +290,8 @@ def test_adopted_results_equal_their_rebuild_through_the_public_constructors(kin
         _same_decomposition(band_filter(d, 2, order - 1), Decomposition(0.0, kept, *fields))
         spectrum = generalized_spectrum(d)
         rebuilt = GeneralizedSpectrum(spectrum.entries, spectrum.c0_sq)
-        assert (spectrum.entries, spectrum.c0_sq) == (rebuilt.entries, rebuilt.c0_sq)
-        assert all(type(k) is int and type(energy) is float for k, energy in spectrum.entries)
+        assert spectrum.entries.shape == (order, 2) and spectrum.entries.dtype == float
+        assert (spectrum.entries.tobytes(), spectrum.c0_sq) == (rebuilt.entries.tobytes(), rebuilt.c0_sq)
         combined = combined_spectrum(d, 127)
         rebuilt = FourierSpectrum(combined.c0, combined.a, combined.b)
         assert (combined.a.tobytes(), combined.b.tobytes()) == (rebuilt.a.tobytes(), rebuilt.b.tobytes())
@@ -314,34 +314,36 @@ def test_reconstruct_and_residual_equal_the_synthesized_combined_spectrum(kind, 
 
 
 def _library_and_caller_results():
-    """(result, name of its tuple field) for results the library built and ones a caller built."""
+    """(result, name of its row field) for results the library built and ones a caller built."""
     basis = builtin_basis("trapezoid")
     f = random_bandlimited(np.random.default_rng(31), 12, 64)
     d = analyze_direct(f, basis, 12, "lcm")
     spectrum = generalized_spectrum(d)
-    constructed = Decomposition(d.c0, d._table, basis, "direct", "lcm", d.condition_estimate, d.warnings)
+    constructed = Decomposition(d.c0, d.coeffs.tolist(), basis, "direct", "lcm", d.condition_estimate, d.warnings)
     return [
         (analyze_indirect(f, basis, 12), "coeffs"),
         (band_filter(d, 3, 9), "coeffs"),
         (constructed, "coeffs"),
         (spectrum, "entries"),
-        (GeneralizedSpectrum(np.array(spectrum.entries), spectrum.c0_sq), "entries"),
+        (GeneralizedSpectrum(spectrum.entries.tolist(), spectrum.c0_sq), "entries"),
     ]
 
 
 def test_results_survive_repr_pickle_deepcopy_and_replace():
     for result, name in _library_and_caller_results():
         rows = getattr(result, name)
-        assert all(type(k) is int and all(type(v) is float for v in rest) for k, *rest in rows)
+        assert rows.dtype == float and rows[:, 0].tolist() == list(range(1, len(rows) + 1))
         copies = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)]
         field = "method" if name == "coeffs" else "c0_sq"
         copies.append(dataclasses.replace(result, **{field: getattr(result, field)}))
         for other in copies:
-            assert getattr(other, name) == rows
+            # the rows come back equal and read-only, copied or not
+            assert getattr(other, name).tobytes() == rows.tobytes()
+            with pytest.raises(ValueError):
+                getattr(other, name).setflags(write=True)
             assert repr(other) == repr(result)
-        assert f"{name}=((1, " in repr(result)
+        assert f"{name}=array([[" in repr(result)
         if name == "coeffs":  # a copy is a working result
-            assert all(other._table.tobytes() == result._table.tobytes() for other in copies)
             assert generalized_spectrum(copies[0]).total() == generalized_spectrum(result).total()
 
 

@@ -59,9 +59,8 @@ def test_component_energy_hand_value():
     d = analyze_indirect(f, hand_pair(), 2)
     gs = generalized_spectrum(d)
     assert gs.c0_sq == pytest.approx(0.0, abs=1e-28)
-    assert gs.entries[0] == (1, pytest.approx(0.545, rel=1e-12))
     # component 2 is 0.7 * S(2x): the same shape scaled, so 0.49 * 0.545
-    assert gs.entries[1] == (2, pytest.approx(0.49 * 0.545, rel=1e-12))
+    np.testing.assert_allclose(gs.entries, [[1, 0.545], [2, 0.49 * 0.545]], rtol=1e-12, atol=0)
     assert gs.total() == pytest.approx(0.545 * 1.49, rel=1e-12)
 
 
@@ -89,12 +88,19 @@ def test_generalized_spectrum_validation():
         GeneralizedSpectrum(((1, 0.5, 0.5),), 0.0)
     with pytest.raises(ConfigurationError):
         GeneralizedSpectrum(((1, np.inf),), 0.0)
-    # ragged or non-numeric rows get the same error as rows of the wrong width
-    for rows in ([(1, 2.0, 3.0), (2, 3.0)], [[1, "a"]], [(1, 2.0), (2,)], "ab"):
+    # ragged rows get the same error as rows of the wrong width
+    for rows in ([(1, 2.0, 3.0), (2, 3.0)], [(1, 2.0), (2,)], "ab"):
         with pytest.raises(ConfigurationError, match=r"\(k, energy\) pairs"):
             GeneralizedSpectrum(rows, 0.0)
-    assert GeneralizedSpectrum(np.array([[1.0, 0.5], [2.0, 0.25]]), 0.0).entries == ((1, 0.5), (2, 0.25))
-    assert GeneralizedSpectrum((), 0.0).entries == ()
+    for rows in (np.array([[1.0, 0.5], [2.0, 0.25]]), [(1, 0.5), (np.int32(2), np.float64(0.25))]):
+        entries = GeneralizedSpectrum(rows, 0.0).entries
+        assert entries.dtype == float and not entries.flags.writeable
+        assert np.array_equal(entries, [[1, 0.5], [2, 0.25]])
+    assert GeneralizedSpectrum((), 0.0).entries.shape == (0, 2)
+    # an energy or c0_sq that is no number is refused, never parsed
+    for entries, c0_sq in (([(1, "a")], 0.0), ([(1, "0.5")], 0.0), ([(1, True)], 0.0), ([(1, 0.5)], "0.25")):
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            GeneralizedSpectrum(entries, c0_sq)
     # finite decompositions whose energies overflow: the mean, then a component
     for c0, a_1 in ((1e200, 0.0), (0.0, 1e200)):
         with pytest.raises(ConfigurationError):
@@ -156,7 +162,7 @@ def test_band_filter_zeroes_mean_and_outside_components(builtin_pairs):
     d = analyze_indirect(f, builtin_pairs["square_saw"], 8)
     kept = band_filter(d, 3, 5)
     assert kept.c0 == 0.0
-    for k, A, B in kept.coeffs:
+    for k, (A, B) in enumerate(kept.coeffs[:, 1:], start=1):
         if 3 <= k <= 5:
             assert (A, B) == (d.coeffs[k - 1][1], d.coeffs[k - 1][2])
         else:
@@ -171,7 +177,7 @@ def test_band_filter_is_idempotent(builtin_pairs):
     d = analyze_indirect(f, builtin_pairs["square_saw"], 8)
     once = band_filter(d, 2, 6)
     twice = band_filter(once, 2, 6)
-    assert once.coeffs == twice.coeffs
+    assert np.array_equal(once.coeffs, twice.coeffs)
     assert once.c0 == twice.c0
 
 
