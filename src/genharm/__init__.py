@@ -4,140 +4,18 @@ The classical sine/cosine pair is one choice of basis among many. This
 package analyzes signals over an arbitrary pair (S, R) of periodic
 generating functions, checks whether that pair is usable at all, and
 reconstructs, filters, and summarizes the results.
+
+Each public name is declared once, in its module's ``__all__``; the
+package exports the union of those lists.
 """
 
-from .basis import (
-    BUILTIN_KINDS,
-    DEFAULT_DEPTH,
-    EPS_CONVERGENCE,
-    EPS_INDEPENDENCE,
-    MAX_DEPTH,
-    ORTHOGONALITY_TOL,
-    BasisFunction,
-    BasisPair,
-    BasisSchedule,
-    ConvergenceReport,
-    FrameBounds,
-    IndependenceReport,
-    OrthogonalityReport,
-    builtin_basis,
-    check_convergence,
-    check_independence,
-    classify_orthogonality,
-    dilate,
-    frame_bounds,
-    load_basis,
-    pair_from_dict,
-    pair_to_dict,
-    save_basis,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from .decompose import (
-    CONDITION_WARN_LIMIT,
-    PRUNING_RULES,
-    Decomposition,
-    GramSystem,
-    analyze_direct,
-    analyze_indirect,
-    analyze_multiband,
-    build_gram_system,
-    combined_spectrum,
-    decomposition_from_dict,
-    decomposition_to_dict,
-    load_decomposition,
-    reconstruct,
-    residual,
-    save_decomposition,
-)
-from .errors import (
-    AliasingError,
-    AnalysisError,
-    ConfigurationError,
-    DimensionError,
-    GenharmError,
-    IllConditionedBasisError,
-    InvalidSignalError,
-)
-from .signals import (
-    FourierSpectrum,
-    PeriodicSignal,
-    analyze_fourier,
-    norm,
-    read_signal_csv,
-    sample_closed_form,
-    synthesize_fourier,
-    write_signal_csv,
-)
-from .spectrum import (
-    GeneralizedSpectrum,
-    band_filter,
-    generalized_spectrum,
-    parseval_power,
-    write_spectrum_csv,
-)
+from . import basis, decompose, errors, signals, spectrum
+from .basis import *  # noqa: F401,F403
+from .decompose import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .signals import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasingError",
-    "AnalysisError",
-    "BUILTIN_KINDS",
-    "BasisFunction",
-    "BasisPair",
-    "BasisSchedule",
-    "CONDITION_WARN_LIMIT",
-    "ConfigurationError",
-    "ConvergenceReport",
-    "DEFAULT_DEPTH",
-    "Decomposition",
-    "DimensionError",
-    "EPS_CONVERGENCE",
-    "EPS_INDEPENDENCE",
-    "FourierSpectrum",
-    "FrameBounds",
-    "GenharmError",
-    "GeneralizedSpectrum",
-    "GramSystem",
-    "IllConditionedBasisError",
-    "IndependenceReport",
-    "InvalidSignalError",
-    "MAX_DEPTH",
-    "ORTHOGONALITY_TOL",
-    "OrthogonalityReport",
-    "PRUNING_RULES",
-    "PeriodicSignal",
-    "analyze_direct",
-    "analyze_fourier",
-    "analyze_indirect",
-    "analyze_multiband",
-    "band_filter",
-    "build_gram_system",
-    "builtin_basis",
-    "check_convergence",
-    "check_independence",
-    "classify_orthogonality",
-    "combined_spectrum",
-    "decomposition_from_dict",
-    "decomposition_to_dict",
-    "dilate",
-    "frame_bounds",
-    "generalized_spectrum",
-    "load_basis",
-    "load_decomposition",
-    "norm",
-    "pair_from_dict",
-    "pair_to_dict",
-    "parseval_power",
-    "read_signal_csv",
-    "reconstruct",
-    "residual",
-    "sample_closed_form",
-    "save_basis",
-    "save_decomposition",
-    "schedule_from_dict",
-    "schedule_to_dict",
-    "synthesize_fourier",
-    "write_signal_csv",
-    "write_spectrum_csv",
-]
+__all__ = sorted({name for module in (basis, decompose, errors, signals, spectrum) for name in module.__all__})

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _typed
+from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _tolerance, _typed
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
 
@@ -122,7 +122,7 @@ class BasisFunction:
 
 @dataclass(frozen=True, eq=False)
 class BasisPair:
-    """Two basis members S and R whose dilations span the analysis space."""
+    """Two basis members S and R whose dilations span the analysis space, and a label string."""
 
     S: BasisFunction
     R: BasisFunction
@@ -131,6 +131,8 @@ class BasisPair:
     def __post_init__(self):
         if not isinstance(self.S, BasisFunction) or not isinstance(self.R, BasisFunction):
             raise ConfigurationError("both members of a pair must be BasisFunction values")
+        if not isinstance(self.label, str):
+            raise ConfigurationError(f"a basis label must be a string, got {type(self.label).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +354,7 @@ def builtin_basis(
     s_eval, r_eval : callable, optional
         Closed-form evaluators on [0, 1), required for ``kind="custom"``.
     label : str, optional
-        Pair label; defaults to the kind name.
+        Pair label, a string; defaults to the kind name.
 
     Returns
     -------
@@ -585,10 +587,11 @@ def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> Indepe
     fundamentals' energy s1^2 + s'1^2 + r1^2 + r'1^2, the test every analysis
     applies before it runs. The verdict does not change when both members are
     scaled by one factor; a member much smaller than the other makes the
-    system ill-conditioned and fails. A NaN eps fails every pair, and a
+    system ill-conditioned and fails. eps must be finite and >= 0, and a
     schedule is refused: check each of its pairs instead.
     """
     _pair(pair)
+    eps = _tolerance(eps, "eps")
     s1 = float(pair.S.cos_coeffs[0])
     sp1 = float(pair.S.sin_coeffs[0])
     r1 = float(pair.R.cos_coeffs[0])
@@ -612,10 +615,11 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     with Phi the undilated pair's synthesis operator, M_1 its two fundamental
     rows and G_i = M_i^T M_i the 2x2 block of harmonic i. Summing Phi^T Phi
     block by block keeps a cross term that cancels within every harmonic
-    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps. A schedule
-    is refused: check each of its pairs instead.
+    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps, which must
+    be finite and >= 0. A schedule is refused: check each of its pairs instead.
     """
     _pair(pair)
+    eps = _tolerance(eps, "eps")
     cos_sin = np.ascontiguousarray(_layout(pair)[1][0].transpose(1, 2, 0))  # (cos/sin, q - 1, S/R)
     blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
     form = 2.0 * blocks[0] - blocks.sum(axis=0)
@@ -629,18 +633,20 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
 
 
 def classify_orthogonality(
-    pair: BasisPair, k_max: int, tol: float = ORTHOGONALITY_TOL
+    basis: BasisPair | BasisSchedule, k_max: int, tol: float = ORTHOGONALITY_TOL
 ) -> OrthogonalityReport:
-    """Classify the pair's dilated family along both orthogonality axes.
+    """Classify the dilated family of a pair or schedule along both orthogonality axes.
 
     Horizontal: <S(kx), R(kx)> = 0 at every common index k <= k_max.
     Vertical: every inner product between members at distinct indices
-    k != m <= k_max vanishes. Both maxima are read straight off the entries
-    of (1/2) Phi^T Phi with no dilation truncated, so the verdicts are exact
-    up to roundoff.
+    k != m <= k_max vanishes. Under a schedule member k is the one of the
+    pair active at k. Both maxima are read straight off the entries of
+    (1/2) Phi^T Phi with no dilation truncated, so the verdicts are exact
+    up to roundoff; a maximum at most tol, finite and >= 0, is orthogonal.
     """
     k_max = _integer(k_max, "k_max", 1)
-    rows, cols, vals = _gram_entries(pair, k_max)
+    tol = _tolerance(tol, "tol")
+    rows, cols, vals = _gram_entries(basis, k_max)
     same_k = rows % k_max == cols % k_max
     magnitude = np.abs(vals)
     max_horizontal = float(np.max(magnitude[same_k & (rows != cols)], initial=0.0))
@@ -654,9 +660,10 @@ def classify_orthogonality(
     )
 
 
-def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
+def frame_bounds(basis: BasisPair | BasisSchedule, order: int) -> FrameBounds:
     """The frame bounds of {S(kx), R(kx)}_{k <= order}: the Gram matrix's extreme eigenvalues.
 
+    S and R are a pair's, or under a schedule those of the pair active at k.
     The 2N x 2N Gram matrix (1/2) Phi^T Phi is taken un-pruned with no
     dilation truncated. It is block diagonal up to a permutation, and every
     eigenvalue of a block-diagonal matrix is an eigenvalue of one of its
@@ -665,7 +672,7 @@ def frame_bounds(pair: BasisPair, order: int) -> FrameBounds:
     reports lower = 0.
     """
     order = _integer(order, "order", 1)
-    groups = _gram_blocks(2 * order, *_gram_entries(pair, order))
+    groups = _gram_blocks(2 * order, *_gram_entries(basis, order))
     eigs = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
     lower = min(float(each[:, 0].min()) for each in eigs)
     upper = max(float(each[:, -1].max()) for each in eigs)
@@ -692,7 +699,7 @@ def pair_to_dict(pair: BasisPair) -> dict:
 
 def pair_from_dict(data) -> BasisPair:
     try:
-        label = str(data.get("label", ""))
+        label = data.get("label", "")
         series = [data[member][part] for member in ("S", "R") for part in ("cos", "sin")]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed basis data: {exc}") from exc

@@ -15,7 +15,6 @@ tolerance, or a run shape too large to allocate).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
@@ -44,7 +43,7 @@ from .decompose import (
     residual,
     save_decomposition,
 )
-from .errors import ConfigurationError, GenharmError, _integer
+from .errors import ConfigurationError, GenharmError, _integer, _tolerance
 from .files import write_csv, write_json
 from .signals import (
     PeriodicSignal,
@@ -74,10 +73,7 @@ def _validate(args: argparse.Namespace) -> None:
     if "order" in args:
         _integer(args.order, "--order", 1)
     for name in ("eps_ind", "eps_conv", "residual_tol"):
-        value = getattr(args, name, 0.0)
-        if not (math.isfinite(value) and value >= 0):
-            flag = "--" + name.replace("_", "-")
-            raise ConfigurationError(f"{flag} must be finite and >= 0, got {value}")
+        _tolerance(getattr(args, name, 0.0), "--" + name.replace("_", "-"))
 
 
 # --- input loading (failures here are exit code 1) ----------------------------

@@ -97,6 +97,7 @@ from .errors import (
     _integer,
     _numbers,
     _real,
+    _tolerance,
     _typed,
 )
 from .files import read_json, write_json
@@ -130,6 +131,17 @@ __all__ = [
 
 PRUNING_RULES = ("paper", "lcm", "none")
 CONDITION_WARN_LIMIT = 1e12
+
+
+def _pruning(rule) -> str:
+    """rule if it is a string in ``PRUNING_RULES``; anything else is a ``ConfigurationError``.
+
+    Every pruning argument passes here before a memoized builder hashes it,
+    so a list is refused like an unknown name.
+    """
+    if not isinstance(rule, str) or rule not in PRUNING_RULES:
+        raise ConfigurationError(f"unknown pruning rule {rule!r}")
+    return rule
 
 
 def _rows(rows, columns: tuple, what: str, shape: str) -> np.ndarray:
@@ -186,8 +198,8 @@ class Decomposition:
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         _segments(self.basis)
-        if self.pruning is not None and self.pruning not in PRUNING_RULES:
-            raise ConfigurationError(f"unknown pruning rule {self.pruning!r}")
+        if self.pruning is not None:
+            _pruning(self.pruning)
         cond = self.condition_estimate
         cond = None if cond is None else _real(cond, "condition estimate")
         coeffs = _rows(self.coeffs, ("k", "A_k", "B_k"), "coefficients", "(k, A_k, B_k) triples")
@@ -220,8 +232,8 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    The arrays are copied and frozen on construction, whoever builds the
-    system.
+    Matrix and rhs values are finite numbers by ``errors._numbers``. The
+    arrays are copied and frozen on construction, whoever builds the system.
     """
 
     matrix: np.ndarray
@@ -231,13 +243,16 @@ class GramSystem:
     pruning: str
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        rhs = np.array(self.rhs, dtype=float)
+        matrix = _numbers(self.matrix, "gram matrix")
+        rhs = _numbers(self.rhs, "gram rhs")
         mask = np.array(self.pruned_mask, dtype=bool)
         order = _integer(self.order, "order", 1)
+        _pruning(self.pruning)
         two_n = 2 * order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
+        if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+            raise ConfigurationError("gram system values must all be finite")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "matrix", _frozen(matrix))
         object.__setattr__(self, "rhs", _frozen(rhs))
@@ -440,7 +455,7 @@ def analyze_indirect(
     """
     order = _check_band(f, order)
     _segments(basis)  # refuses a non-basis before the memoized plans hash it
-    _require_solvable(basis, eps_independence)
+    _require_solvable(basis, _tolerance(eps_independence, "eps_independence"))
     x = _indirect_coeffs(f, basis, order)
     return _decomposition(f, basis, x, "indirect", None, _indirect_plan(basis, order)[2])
 
@@ -457,9 +472,7 @@ def analyze_multiband(
 
 def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
     """Whether the pruning rule keeps the Gram entries between dilations k and m, elementwise."""
-    if pruning not in PRUNING_RULES:
-        raise ConfigurationError(f"unknown pruning rule {pruning!r}")
-    if pruning == "none":
+    if _pruning(pruning) == "none":
         return np.ones(np.broadcast(k, m).shape, dtype=bool)
     if pruning == "paper":
         return (k * m <= order) | (np.maximum(k, m) % np.minimum(k, m) == 0)
@@ -541,7 +554,8 @@ def analyze_direct(
     """
     order = _check_band(f, order)
     _segments(basis)  # refuses a non-basis before the memoized plans hash it
-    _require_solvable(basis, eps_independence)
+    pruning = _pruning(pruning)
+    _require_solvable(basis, _tolerance(eps_independence, "eps_independence"))
     groups, cond = _direct_plan(basis, order, pruning)
     rhs = _rhs(f, basis, order)
     x = np.empty(2 * order)

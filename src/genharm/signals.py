@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AliasingError,
+    ConfigurationError,
     DimensionError,
     InvalidSignalError,
     _integer,
@@ -72,23 +73,30 @@ def _check_sample_count(n: int) -> int:
     return n
 
 
+def _samples(values, name: str) -> np.ndarray:
+    """values as a float array by ``errors._numbers``; a value that is not a number is an InvalidSignalError."""
+    try:
+        return _numbers(values, name)
+    except ConfigurationError as exc:
+        raise InvalidSignalError(f"{name} must be a sequence of numbers") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicSignal:
     """One period of a real signal, sampled at x_j = j/n for j = 0..n-1.
 
-    The sample array is copied and frozen on construction, whoever builds the
-    signal; instances are immutable and safe to share across threads. The
-    signal's ``np.fft.rfft`` and its mean are computed on first use and kept,
-    so every analysis of one signal shares one transform.
+    Each sample is a number by ``errors._numbers``, so a string or a bool is
+    refused, never parsed. The sample array is copied and frozen on
+    construction, whoever builds the signal; instances are immutable and safe
+    to share across threads. The signal's ``np.fft.rfft`` and its mean are
+    computed on first use and kept, so every analysis of one signal shares
+    one transform.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        try:
-            samples = np.array(self.samples, dtype=float)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InvalidSignalError("samples must be a sequence of numbers") from exc
+        samples = _samples(self.samples, "samples")
         if samples.ndim != 1:
             raise InvalidSignalError("samples must be a one-dimensional sequence")
         _check_sample_count(samples.size)
@@ -122,11 +130,11 @@ class PeriodicSignal:
 def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicSignal:
     """Sample ``evaluator`` at the n uniform grid points of [0, 1).
 
-    The evaluator is called pointwise with each x_j; non-finite output raises
-    :class:`InvalidSignalError`.
+    The evaluator is called pointwise with each x_j; output that is not a
+    number by ``errors._number``, or not finite, raises :class:`InvalidSignalError`.
     """
     n = _check_sample_count(n)
-    values = np.array([evaluator(j / n) for j in range(n)], dtype=float)
+    values = _samples([evaluator(j / n) for j in range(n)], "evaluator values")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidSignalError(f"evaluator returned a non-finite value at x={bad}/{n}")

@@ -1,4 +1,5 @@
-"""The argument contract: a bad order, count, index, depth, phase, value, basis, signal or result is a GenharmError.
+"""The argument contract: a bad order, count, index, depth, phase, tolerance, pruning rule, label,
+value, basis, signal or result is a GenharmError.
 
 Every public function that takes one of these refuses a bad value with a
 ``GenharmError`` subclass, never with a bare ``ValueError``, ``TypeError`` or
@@ -6,7 +7,9 @@ Every public function that takes one of these refuses a bad value with a
 signal where one is taken is an ``InvalidSignalError``, and anything but the
 result a function takes is a ``ConfigurationError``. A value a result, a basis
 member or a file holds is a number: a string, a bool or a complex is refused,
-never parsed.
+never parsed, and so is each sample of a signal. A tolerance is a finite
+number >= 0, a pruning rule one of the strings in ``PRUNING_RULES``, and a
+basis label a string.
 """
 
 import math
@@ -21,7 +24,9 @@ from hypothesis import strategies as st
 import genharm
 from genharm import (
     MAX_DEPTH,
+    PRUNING_RULES,
     BasisFunction,
+    BasisPair,
     BasisSchedule,
     ConfigurationError,
     Decomposition,
@@ -89,7 +94,8 @@ def outside(low, high=(1 << 63) - 1):
 # a sample count must not be odd, below 4 or past int64
 BAD_COUNTS = NOT_INTEGERS, (st.integers(max_value=3) | st.integers(min_value=1 << 63)
                             | st.integers(2, 1 << 40).map(lambda v: 2 * v + 1))
-BAD_SAMPLES = [*NOT_INTEGERS, "abcd", [1.0, 2.0], [[0.0] * 4], [1.0, 2.0, "x", 4.0]], st.text(max_size=4)
+BAD_SAMPLES = [*NOT_INTEGERS, "abcd", [1.0, 2.0], [[0.0] * 4], [1.0, 2.0, "x", 4.0], ["1", "2", "3", "4"],
+               [True, False, True, False], np.array([1, 0, 1, 0], dtype=bool)], st.text(max_size=4)
 PAIRS, BASES = (NOT_A_PAIR, WRONG_TYPES), (NOT_A_BASIS, WRONG_TYPES)
 # a phase is a finite number: not a string, a bool or a sequence
 BAD_PHASES = [True, np.True_, "0.25", [0.25], 0.25j, math.nan, math.inf, 10**400], (
@@ -106,11 +112,24 @@ NOT_REALS = ["0.5", np.str_("0.5"), b"0.5", True, False, np.True_, None, [0.5], 
 NOT_REALS_BUT_NONE = [v for v in NOT_REALS[0] if v is not None], NOT_REALS[1].filter(lambda v: v is not None)
 NOT_SEGMENTS = [None, 3, "ab", [(1, PAIR, 3)], [(1,)], [PAIR], [1]], WRONG_TYPES
 ROW = (1, 1.0, 1.0)
+# a value that must be finite besides
+NOT_FINITE = [*NOT_REALS[0], math.nan, math.inf, -math.inf, 10**400], NOT_REALS[1]
+# a tolerance is finite and >= 0: a list, unhashable, is refused before any cache sees it
+BAD_TOLERANCES = [*NOT_FINITE[0], -1e-9, -1, np.float64(-0.5)], NOT_REALS[1] | st.floats(max_value=-1e-300)
+# a pruning rule is a string in PRUNING_RULES; a result may hold None, for none
+NOT_RULES = ["bogus", "Paper", "", b"paper", np.str_("lcm "), ["paper"], ("paper",), np.array("paper"), 1, True], (
+    (st.text(max_size=5) | WRONG_TYPES).filter(lambda v: v is not None and v not in PRUNING_RULES))
+BAD_RULES = [None, *NOT_RULES[0]], NOT_RULES[1] | st.none()
+# a label is a string; builtin_basis takes None for the kind's name
+NOT_LABELS = [7, True, 0.5, b"label", ["a"], {"a": 1}], (
+    st.integers() | st.floats() | st.binary(max_size=4) | st.lists(st.text(max_size=2), max_size=2))
+BAD_LABELS = [None, *NOT_LABELS[0]], NOT_LABELS[1] | st.none()
 
 # (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
 SLOTS = {
     ("BasisFunction", "cos_coeffs"): (NOT_REALS, lambda v: BasisFunction([1.0, v], [0.0, 1.0])),
     ("BasisFunction", "sin_coeffs"): (NOT_REALS, lambda v: BasisFunction([1.0], [v])),
+    ("BasisPair", "label"): (BAD_LABELS, lambda v: BasisPair(PAIR.S, PAIR.R, v)),
     ("BasisSchedule", "segments"): (NOT_SEGMENTS, BasisSchedule),
     ("BasisSchedule", "start_k"): (outside(1, math.inf), lambda v: BasisSchedule(((v, PAIR),))),
     ("BasisSchedule", "pair"): (PAIRS, lambda v: BasisSchedule(((1, PAIR), (3, v)))),
@@ -121,6 +140,7 @@ SLOTS = {
     ("Decomposition", "A_k"): (NOT_REALS, lambda v: Decomposition(0.0, ((1, v, 1.0),), PAIR, "indirect")),
     ("Decomposition", "condition_estimate"): (
         NOT_REALS_BUT_NONE, lambda v: Decomposition(0.0, (ROW,), PAIR, "indirect", None, v)),
+    ("Decomposition", "pruning"): (NOT_RULES, lambda v: Decomposition(0.0, (ROW,), PAIR, "direct", v)),
     ("Decomposition.pair_at", "k"): (outside(1, 3), D.pair_at),
     ("FourierSpectrum", "c0"): (NOT_REALS, lambda v: FourierSpectrum(v, [1.0], [1.0])),
     ("FourierSpectrum", "a"): (NOT_REALS, lambda v: FourierSpectrum(0.0, [v], [1.0])),
@@ -132,38 +152,53 @@ SLOTS = {
     ("GeneralizedSpectrum", "c0_sq"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, 0.5),), v)),
     ("GramSystem", "order"): (outside(1),
                               lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), v, "none")),
+    ("GramSystem", "matrix"): (NOT_FINITE,
+                               lambda v: GramSystem([[v, 0.0], [0.0, 1.0]], np.zeros(2), np.eye(2), 1, "none")),
+    ("GramSystem", "rhs"): (NOT_FINITE, lambda v: GramSystem(np.eye(2), [v, 0.0], np.eye(2), 1, "none")),
+    ("GramSystem", "pruning"): (BAD_RULES, lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), 1, v)),
     ("PeriodicSignal", "samples"): (BAD_SAMPLES, PeriodicSignal),
     ("analyze_direct", "order"): (outside(1, 7), lambda v: analyze_direct(F, PAIR, v)),
     ("analyze_direct", "basis"): (BASES, lambda v: analyze_direct(F, v, 3)),
+    ("analyze_direct", "pruning"): (BAD_RULES, lambda v: analyze_direct(F, PAIR, 3, v)),
+    ("analyze_direct", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_direct(F, PAIR, 3, "paper", v)),
     ("analyze_fourier", "max_harmonic"): (outside(0, 7), lambda v: analyze_fourier(F, v)),
     ("analyze_indirect", "order"): (outside(1, 7), lambda v: analyze_indirect(F, PAIR, v)),
     ("analyze_indirect", "basis"): (BASES, lambda v: analyze_indirect(F, v, 3)),
+    ("analyze_indirect", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_indirect(F, PAIR, 3, v)),
     ("analyze_multiband", "order"): (outside(1, 7), lambda v: analyze_multiband(F, SCHEDULE, v)),
     ("analyze_multiband", "schedule"): (BASES, lambda v: analyze_multiband(F, v, 3)),
+    ("analyze_multiband", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_multiband(F, SCHEDULE, 3, v)),
     ("band_filter", "keep_from"): (outside(1, 3), lambda v: band_filter(D, v, 3)),
     ("band_filter", "keep_to"): (outside(2, 3), lambda v: band_filter(D, 2, v)),
     ("build_gram_system", "order"): (outside(1, 7), lambda v: build_gram_system(F, PAIR, v)),
     ("build_gram_system", "basis"): (BASES, lambda v: build_gram_system(F, v, 3)),
+    ("build_gram_system", "pruning"): (BAD_RULES, lambda v: build_gram_system(F, PAIR, 3, v)),
     ("builtin_basis", "depth"): (outside(1, MAX_DEPTH), lambda v: builtin_basis("square", depth=v)),
     ("builtin_basis", "phase_s"): (BAD_PHASES, lambda v: builtin_basis("square", phase_s=v)),
     ("builtin_basis", "phase_r"): (BAD_PHASES, lambda v: builtin_basis("square", phase_r=v)),
+    ("builtin_basis", "label"): (NOT_LABELS, lambda v: builtin_basis("square", label=v)),
     ("check_convergence", "pair"): (PAIRS, check_convergence),
+    ("check_convergence", "eps"): (BAD_TOLERANCES, lambda v: check_convergence(PAIR, v)),
     ("check_independence", "pair"): (PAIRS, check_independence),
-    ("classify_orthogonality", "pair"): (BASES, lambda v: classify_orthogonality(v, 3)),
+    ("check_independence", "eps"): (BAD_TOLERANCES, lambda v: check_independence(PAIR, v)),
+    ("classify_orthogonality", "basis"): (BASES, lambda v: classify_orthogonality(v, 3)),
     ("classify_orthogonality", "k_max"): (outside(1), lambda v: classify_orthogonality(PAIR, v)),
+    ("classify_orthogonality", "tol"): (BAD_TOLERANCES, lambda v: classify_orthogonality(PAIR, 3, v)),
     ("combined_spectrum", "band_cap"): (outside(0), lambda v: combined_spectrum(D, v)),
     ("decomposition_from_dict", "c0"): (NOT_REALS, lambda v: decomposition_from_dict({**D_DICT, "c0": v})),
     ("decomposition_from_dict", "A"): (NOT_REALS, lambda v: decomposition_from_dict(
         {**D_DICT, "coefficients": [{"k": 1, "A": v, "B": 1.0}]})),
     ("dilate", "k"): (outside(1), lambda v: dilate(PAIR.S, v, 8)),
     ("dilate", "band_cap"): (outside(0), lambda v: dilate(PAIR.S, 2, v)),
-    ("frame_bounds", "pair"): (BASES, lambda v: frame_bounds(v, 3)),
+    ("frame_bounds", "basis"): (BASES, lambda v: frame_bounds(v, 3)),
     ("frame_bounds", "order"): (outside(1), lambda v: frame_bounds(PAIR, v)),
     ("pair_from_dict", "cos"): (NOT_REALS, lambda v: pair_from_dict(
         {**PAIR_DICT, "S": {"cos": [v], "sin": [1.0]}})),
+    ("pair_from_dict", "label"): (BAD_LABELS, lambda v: pair_from_dict({**PAIR_DICT, "label": v})),
     ("pair_to_dict", "pair"): (PAIRS, pair_to_dict),
     ("reconstruct", "n"): (BAD_COUNTS, lambda v: reconstruct(D, v)),
     ("sample_closed_form", "n"): (BAD_COUNTS, lambda v: sample_closed_form(math.sin, v)),
+    ("sample_closed_form", "evaluator"): (NOT_FINITE, lambda v: sample_closed_form(lambda x: v, 4)),
     ("save_basis", "basis"): (BASES, lambda v: save_basis(v, os.devnull)),
     ("schedule_to_dict", "schedule"): (BASES, schedule_to_dict),
     ("synthesize_fourier", "n"): (BAD_COUNTS, lambda v: synthesize_fourier(analyze_fourier(F, 2), v)),
@@ -194,12 +229,12 @@ TYPED = {
 SLOTS.update({slot: (((NOT_A_SIGNAL if error is InvalidSignalError else NOT_A_RESULT), WRONG_TYPES), call)
               for slot, (error, call) in TYPED.items()})
 
-# public callables that take no order, count, index, depth, phase, value,
-# basis, signal or result: they take members or files, or a dict whose values
-# reach a checked constructor; or they are the verdict records only the checks
-# build, which validate nothing
+# public callables that take no order, count, index, depth, phase, tolerance,
+# pruning rule, label, value, basis, signal or result: they take files, or a
+# dict whose values reach a checked constructor; or they are the verdict
+# records only the checks build, which validate nothing
 UNCHECKED = {
-    "BasisPair", "ConvergenceReport", "IndependenceReport", "OrthogonalityReport", "load_basis",
+    "ConvergenceReport", "IndependenceReport", "OrthogonalityReport", "load_basis",
     "load_decomposition", "read_signal_csv", "schedule_from_dict",
 }
 
@@ -242,3 +277,19 @@ def test_a_whole_float_or_a_numpy_integer_is_the_integer_it_names():
     assert np.array_equal(reconstruct(D, 16.0).samples, reconstruct(D, np.uint8(16)).samples)
     assert frame_bounds(PAIR, 3.0) == frame_bounds(PAIR, 3)
     assert SCHEDULE.pair_for(np.int64(3)) is SCHEDULE.segments[1][1]
+
+
+def test_a_tolerance_of_any_numeric_type_is_the_float_it_names():
+    assert check_independence(PAIR, 0) == check_independence(PAIR, np.float32(0.0))
+    assert classify_orthogonality(PAIR, 3, np.int64(0)) == classify_orthogonality(PAIR, 3, 0.0)
+    want = analyze_indirect(F, PAIR, 3).coeffs
+    assert np.array_equal(analyze_indirect(F, PAIR, 3, np.float64(1e-9)).coeffs, want)
+    assert np.array_equal(analyze_direct(F, PAIR, 3, np.str_("paper")).coeffs, analyze_direct(F, PAIR, 3).coeffs)
+
+
+def test_samples_that_are_not_numbers_are_an_invalid_signal():
+    for samples in (["1", "2", "3", "4"], [True, False, True, False], [1.0, None, 2.0, 3.0]):
+        with pytest.raises(InvalidSignalError, match="samples must be a sequence of numbers"):
+            PeriodicSignal(samples)
+    with pytest.raises(InvalidSignalError, match="evaluator values must be a sequence of numbers"):
+        sample_closed_form(lambda x: "1", 4)

@@ -22,6 +22,7 @@ from genharm import (
     builtin_basis,
     decomposition_from_dict,
     load_decomposition,
+    pair_to_dict,
     read_signal_csv,
     save_basis,
     save_decomposition,
@@ -480,6 +481,16 @@ def test_basis_file_coefficients_given_as_strings_or_bools_exit_one(workdir, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"cosine coefficients must be a number, got {value!r}\n")
     assert not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("label", [True, 5, None, {"a": 1}])
+def test_basis_file_labels_that_are_not_strings_exit_one(workdir, capsys, label):
+    # "label": true used to load as the label "True", and null as "None"
+    data = pair_to_dict(builtin_basis("square_saw", depth=4))
+    (workdir / "bad.json").write_text(json.dumps({**data, "label": label}))
+    assert main(["check-basis", "--basis", str(workdir / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"a basis label must be a string, got {type(label).__name__}\n")
 
 
 @pytest.mark.parametrize("segment, shown", [
