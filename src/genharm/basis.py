@@ -5,8 +5,10 @@ coefficient sequences (depth Q). Each builtin member is its waveform's exact
 Fourier series turned by a phase; only ``custom`` members are projected from
 samples. Dilating a member by k moves coefficient q to harmonic q*k.
 ``_synthesis_entries`` writes that index arithmetic down once, as the
-(rows, cols, vals) entries of the sparse matrix Phi of the dilated family;
-reconstruction, the indirect solve and spectra use the entries as they are.
+(rows, cols, vals) entries of the sparse matrix Phi of the dilated family.
+Its rows are the floats of the one spectrum layout ``signals`` keeps, the
+rfft's own, so both analyses, reconstruction and spectra use the entries as
+they are, with no conversion.
 The Gram matrix G = (1/2) Phi^T Phi is stated once too: ``_gram_entries``
 lists its nonzero entries in closed form from the members' coefficients, with
 no sample-domain quadrature, and ``_gram_blocks`` cuts them into the diagonal
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _tolerance, _typed
 from .files import read_json, write_json
-from .signals import FourierSpectrum, _frozen, _refreeze, analyze_fourier, sample_closed_form
+from .signals import FourierSpectrum, _frozen, _refreeze, _sum_squares, analyze_fourier, sample_closed_form
 
 __all__ = [
     "BasisFunction",
@@ -103,7 +105,7 @@ class BasisFunction:
             raise ConfigurationError("coefficient arrays must be 1-d and of equal length")
         if cos_c.size < 1:
             raise ConfigurationError("a basis function needs at least one harmonic")
-        energy = float(cos_c @ cos_c + sin_c @ sin_c)
+        energy = _sum_squares(cos_c) + _sum_squares(sin_c)
         if not math.isfinite(energy) or energy <= 0.0:
             raise ConfigurationError("basis function energy must be finite and positive")
         object.__setattr__(self, "cos_coeffs", _frozen(cos_c))
@@ -117,7 +119,7 @@ class BasisFunction:
 
     def energy(self) -> float:
         """Sum of squared coefficients (twice the mean-square of the function)."""
-        return float(self.cos_coeffs @ self.cos_coeffs + self.sin_coeffs @ self.sin_coeffs)
+        return _sum_squares(self.cos_coeffs) + _sum_squares(self.sin_coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +366,8 @@ def builtin_basis(
         ``custom`` members are projected numerically from samples.
     """
     depth = _integer(depth, "depth", 1, MAX_DEPTH)
+    if not isinstance(kind, str):
+        raise ConfigurationError(f"a basis kind must be a string, got {type(kind).__name__}")
     if kind == "custom":
         if s_eval is None or r_eval is None:
             raise ConfigurationError("custom basis requires s_eval and r_eval callables")
@@ -454,7 +458,9 @@ def _active(starts: np.ndarray, k):
 def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     """Phi's nonzero entries as (rows, cols, vals), ordered member, cos/sin, k, q.
 
-    Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N).
+    Rows are the floats of ``signals``' spectrum layout: cos h at row 2h and
+    sin h at row 2h+1 with the coefficient negated, the rfft's sign; rows 0
+    and 1, the mean's, hold nothing. Columns are (S,1)..(S,N), (R,1)..(R,N).
     Column (S,k) holds S's coefficient q at harmonic q*k, so Phi @ [A; B] is
     the spectrum of sum_k A_k S(kx) + B_k R(kx), and (1/2) Phi^T Phi is the
     Gram matrix of the family. For a schedule, column k comes from the pair
@@ -468,10 +474,11 @@ def _synthesis_entries(basis, order: int, cap: int) -> tuple:
     k = np.arange(1, order + 1)
     count = np.minimum(table.shape[-1], cap // k)  # q*k <= cap holds for q = 1..count
     q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # q - 1
-    h = np.repeat(k, count) * (q + 1) - 1
+    h = np.repeat(k, count) * (q + 1)
     x = np.arange(2)[:, None]  # 0 for S, 1 for R; and 0 for cos, 1 for sin
-    rows, cols = x * cap + h, x[..., None] * order + np.repeat(k - 1, count)
+    rows, cols = 2 * h + x, x[..., None] * order + np.repeat(k - 1, count)
     vals = table.transpose(1, 2, 0, 3)[:, :, np.repeat(_active(starts, k), count), q]
+    np.negative(vals[:, 1], out=vals[:, 1])
     nonzero = vals != 0
     return tuple(np.broadcast_to(part, vals.shape)[nonzero] for part in (rows, cols, vals))
 

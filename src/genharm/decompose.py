@@ -5,16 +5,19 @@ Both methods express a signal as
     f(x) ~ c0 + sum_{k=1..N} A_k S(kx) + B_k R(kx)
 
 and both are linear algebra on the synthesis operator Phi, whose entries
-``basis._synthesis_entries`` lists: rows are harmonics (cos 1..cap, then sin
-1..cap), columns are dilated members ((S,1)..(S,N), then (R,1)..(R,N)), and
-column (S,k) holds S's coefficient q at harmonic q*k, from the pair active at
-k under a schedule. Everything below reads off Phi, with numpy alone:
+``basis._synthesis_entries`` lists: rows are the floats of the spectrum
+layout ``signals`` keeps (b_h at 2h, -a_h at 2h+1, the rfft's own), columns
+are dilated members ((S,1)..(S,N), then (R,1)..(R,N)), and column (S,k)
+holds S's coefficient q at harmonic q*k, from the pair active at k under a
+schedule. A signal's spectrum s is kept with it in that layout, so every
+method reads s and writes Phi's sums as they are. Everything below reads off
+Phi, with numpy alone:
 
 * ``combined_spectrum`` / ``reconstruct`` / ``residual``: Phi @ [A; B],
-  capped at the band, summed straight from Phi's entries. ``_synthesis``
-  writes the sum straight into the rfft bins of one inverse FFT, so a
-  reconstruction or residual builds no spectrum on the way.
-* ``analyze_direct``: the 2N x 2N system G x = (1/2) Phi^T [b; a] with
+  capped at the band, summed straight from Phi's entries into the layout
+  (``_combined``). A reconstruction or residual hands it to
+  ``signals._inverse``, one inverse FFT, and builds no spectrum on the way.
+* ``analyze_direct``: the 2N x 2N system G x = (1/2) Phi^T s with
   G = (1/2) Phi^T Phi, optionally pruned; its coefficients depend on N.
   Members that share no harmonic are orthogonal, so G is block diagonal up
   to a permutation: ``basis._gram_blocks`` cuts its blocks, the connected
@@ -22,11 +25,11 @@ k under a schedule. Everything below reads off Phi, with numpy alone:
   blocks of one size share one batched inverse. Each block B solves as
   y = B^-1 r, refined once: x = y + B^-1 (r - B y). ``build_gram_system``
   scatters the entries into the dense system, for inspection only.
-* ``analyze_indirect``: T x = [b; a] on T, Phi's first N harmonic rows.
+* ``analyze_indirect``: T x = s on T, Phi's first N harmonic rows.
   Member (S,k) reaches harmonic n = q*k only when k divides n, so T is
   block lower triangular in the divisor order, and so is its inverse X,
-  built once (``_triangular_inverse``). The solve is x = X [b; a], refined
-  once: x += X ([b; a] - T x). Coefficients never change when N grows, and
+  built once (``_triangular_inverse``). The solve is x = X s, refined
+  once: x += X (s - T x). Coefficients never change when N grows, and
   the residual after order N has no content below N+1.
 
 Both methods take a pair or a schedule, since only Phi's columns depend on
@@ -43,7 +46,7 @@ rule the pruned Gram matrix's diagonal blocks with their inverses and
 condition number). ``_require_solvable`` keeps the independence verdict per
 (basis, eps) the same way, and ``basis._layout``, which every part reads, is
 memoized too. A call then does only per-signal work:
-the signal's rfft, computed once per signal and kept with it, then three
+the signal's spectrum, computed once per signal and kept with it, then three
 gather-and-bincount passes over X's and T's entries, or the right-hand side
 and three batched matmuls per block size, or one bincount for Phi @ [A; B]
 and one inverse FFT.
@@ -104,10 +107,10 @@ from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
-    _bins,
     _check_sample_count,
-    _fourier_coeffs,
+    _fourier,
     _frozen,
+    _inverse,
     _refreeze,
 )
 
@@ -232,8 +235,10 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    Matrix and rhs values are finite numbers by ``errors._numbers``. The
-    arrays are copied and frozen on construction, whoever builds the system.
+    Matrix and rhs values are finite numbers by ``errors._numbers``, and
+    ``pruned_mask`` is a boolean array, the one the pruning rule gives at the
+    order. The arrays are copied and frozen on construction, whoever builds
+    the system.
     """
 
     matrix: np.ndarray
@@ -245,12 +250,16 @@ class GramSystem:
     def __post_init__(self):
         matrix = _numbers(self.matrix, "gram matrix")
         rhs = _numbers(self.rhs, "gram rhs")
-        mask = np.array(self.pruned_mask, dtype=bool)
+        mask = self.pruned_mask
         order = _integer(self.order, "order", 1)
         _pruning(self.pruning)
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+            raise ConfigurationError("pruned_mask must be a boolean array")
         two_n = 2 * order
         if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
+        if not np.array_equal(mask, _pruned(order, self.pruning)):
+            raise ConfigurationError(f"pruned_mask is not the {self.pruning!r} rule's mask at order {order}")
         if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
             raise ConfigurationError("gram system values must all be finite")
         object.__setattr__(self, "order", order)
@@ -359,9 +368,9 @@ def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
     j = np.arange(first[-1]) - first[m - 1] + 1
     # T's blocks as four components [[cos S, cos R], [sin S, sin R]]
     rows, cols, vals = triangular
-    n, k = rows % order + 1, cols % order + 1
+    n, k = rows // 2, cols % order + 1
     t = np.zeros((4, len(m)))
-    t[2 * (rows // order) + cols // order, first[n // k - 1] + k - 1] = vals
+    t[2 * (rows % 2) + cols // order, first[n // k - 1] + k - 1] = vals
     s1, r1, sp1, rp1 = t[:, :order]  # C_1(n), n = 1..N
     c1_inverse = np.stack([rp1, -r1, -sp1, s1]) / (s1 * rp1 - r1 * sp1)
     # the proper divisors a of each quotient m with q = m/a <= depth, sorted by the level of m
@@ -393,27 +402,27 @@ def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
         products = left[..., t_lo:t_hi] * known[None, 0] + right[..., t_lo:t_hi] * known[None, 1]
         at = block[t_lo:t_hi] - lo + (hi - lo) * np.arange(4)[:, None]
         x[:, lo:hi] = np.bincount(at.ravel(), products.ravel(), minlength=4 * (hi - lo)).reshape(4, -1)
-    # X(n, j) maps (cos j, sin j) to (S n, R n)
-    member, harmonic = m * j - 1, j - 1
+    # X(n, j) maps (cos j, sin j), spectrum floats 2j and 2j+1, to (S n, R n)
+    member = m * j - 1
     x_rows = np.concatenate([member, member, member + order, member + order])
-    x_cols = np.concatenate([harmonic, harmonic + order, harmonic, harmonic + order])
+    x_cols = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
     x = x.ravel()
     nonzero = x != 0
     return x_rows[nonzero], x_cols[nonzero], x[nonzero]
 
 
 def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
-    """[A_1..A_N, B_1..B_N] = X [b; a] with one step of iterative refinement.
+    """[A_1..A_N, B_1..B_N] = X s with one step of iterative refinement.
 
-    T x = [b; a] is solved by the plan's exact inverse X = T^-1, then once
-    more for the residual: x += X ([b; a] - T x). Each product is one
-    gather and one ``np.bincount`` over the entries.
+    T x = s, s f's spectrum up to harmonic N, is solved by the plan's exact
+    inverse X = T^-1, then once more for the residual: x += X (s - T x).
+    Each product is one gather and one ``np.bincount`` over the entries.
     """
     (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = _indirect_plan(basis, order)
     size = 2 * order
-    rhs = _fourier_coeffs(f, order)[1]
+    rhs = f._spectrum[: size + 2].copy()
     x = np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
-    rhs -= np.bincount(t_rows, t_vals * x[t_cols], minlength=size)
+    rhs -= np.bincount(t_rows, t_vals * x[t_cols], minlength=size + 2)
     return x + np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
 
 
@@ -433,7 +442,7 @@ def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, pruning
     table = np.empty((order, 3))
     table[:, 0] = np.arange(1, order + 1)
     table[:, 1:] = x.reshape(2, order).T
-    return Decomposition(f._mean, table, basis, method, pruning, cond, _condition_notes(cond))
+    return Decomposition(f._spectrum[0], table, basis, method, pruning, cond, _condition_notes(cond))
 
 
 def analyze_indirect(
@@ -444,8 +453,8 @@ def analyze_indirect(
 ) -> Decomposition:
     """Frequency-by-frequency analysis of f over a basis pair or schedule.
 
-    Solves T x = [b; a] on Phi's first N harmonic rows: harmonic k's (a_k,
-    b_k) are matched after subtracting what lower components already
+    Solves T x = s on Phi's first N harmonic rows, s f's spectrum: harmonic
+    k's (a_k, b_k) are matched after subtracting what lower components already
     contribute there via their divisors. Under a schedule each correction
     reads the stored (A_k, B_k) against the pair that produced them. The
     resulting residual has zero Fourier content at every harmonic up to the
@@ -480,30 +489,33 @@ def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
     return k // np.gcd(k, m) * m <= order
 
 
+def _pruned(order: int, pruning: str) -> np.ndarray:
+    """The (2N, 2N) mask of the Gram entries the pruning rule zeroes, in ``GramSystem``'s order."""
+    k = np.arange(1, order + 1)
+    return ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
+
+
 def _rhs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
-    """(1/2) Phi^T [b; a], with [b; a] f's spectrum up to its band."""
-    band = f.n // 2 - 1
-    b_a = _fourier_coeffs(f, band)[1]
-    rows, cols, vals = _phi(basis, order, band)
-    return 0.5 * np.bincount(cols, vals * b_a[rows], minlength=2 * order)
+    """(1/2) Phi^T s, with s f's spectrum up to its band."""
+    rows, cols, vals = _phi(basis, order, f.n // 2 - 1)
+    return 0.5 * np.bincount(cols, vals * f._spectrum[rows], minlength=2 * order)
 
 
 def build_gram_system(
     f: PeriodicSignal, basis: BasisPair | BasisSchedule, order: int, pruning: str = "paper"
 ) -> GramSystem:
-    """The direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T [b; a] as dense arrays.
+    """The direct method's system (1/2) Phi^T Phi x = (1/2) Phi^T s as dense arrays.
 
     Built anew on each call, for inspection; ``analyze_direct`` never builds
     it. Phi is capped wide enough that no dilation is truncated, so pruned
-    and unpruned variants differ only by the rule; [b; a] is f's spectrum up
-    to its band, beyond which it is zero. Under ``paper`` pruning a
+    and unpruned variants differ only by the rule; s is f's spectrum up to
+    its band, beyond which it is zero. Under ``paper`` pruning a
     cross-frequency entry (k != m) survives only if k*m <= order or the
     smaller index divides the larger; ``lcm`` keeps it only if
     lcm(k, m) <= order; ``none`` keeps all.
     """
     order = _check_band(f, order)
-    k = np.arange(1, order + 1)
-    pruned = ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
+    pruned = _pruned(order, pruning)
     rows, cols, vals = _gram_entries(basis, order)
     gram = np.zeros((2 * order, 2 * order))
     gram[rows, cols] = vals
@@ -566,33 +578,31 @@ def analyze_direct(
     return _decomposition(f, basis, x, "direct", pruning, cond)
 
 
-def _cos_sin(d: Decomposition, band_cap: int) -> np.ndarray:
-    """Phi @ [A; B] truncated at ``band_cap``: the cosine then the sine coefficients, one fresh array."""
+def _combined(d: Decomposition, band_cap: int) -> np.ndarray:
+    """d's c0 and Phi @ [A; B] truncated at ``band_cap``, in the spectrum layout, one fresh array.
+
+    Finite coefficients can still overflow in the sum, which raises as a
+    non-finite spectrum would.
+    """
     weights = d.coeffs[:, 1:].T.ravel()  # [A; B]
     rows, cols, vals = _phi(d.basis, d.order, band_cap)
-    return np.bincount(rows, vals * weights[cols], minlength=2 * band_cap)
+    spectrum = np.bincount(rows, vals * weights[cols], minlength=2 * band_cap + 2)
+    spectrum[0] = d.c0
+    if not np.isfinite(spectrum).all():
+        raise InvalidSignalError("spectrum contains non-finite coefficients")
+    return spectrum
 
 
 def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
     """Spectrum of the full reconstruction, Phi @ [A; B] truncated at ``band_cap``."""
     _typed(d, Decomposition)
     band_cap = _integer(band_cap, "band cap", 0)
-    cos_sin = _cos_sin(d, band_cap)
-    return FourierSpectrum(d.c0, cos_sin[band_cap:], cos_sin[:band_cap])
+    return _fourier(_combined(d, band_cap), band_cap)
 
 
 def _synthesis(d: Decomposition, n: int) -> np.ndarray:
-    """d's reconstruction sampled on the n-point grid, as one fresh array.
-
-    Phi @ [A; B] at the grid's band goes straight into the rfft bins and
-    through one ``np.fft.irfft``. Finite coefficients can still overflow in
-    the sum, which raises as a non-finite spectrum would.
-    """
-    band = n // 2 - 1
-    cos_sin = _cos_sin(d, band)
-    if not np.isfinite(cos_sin).all():
-        raise InvalidSignalError("spectrum contains non-finite coefficients")
-    return np.fft.irfft(_bins(d.c0, cos_sin[:band], cos_sin[band:], n), n)
+    """d's reconstruction sampled on the n-point grid, as one fresh array."""
+    return _inverse(_combined(d, n // 2 - 1), n)
 
 
 def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:

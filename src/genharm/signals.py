@@ -8,6 +8,13 @@ inner products either to this layer or to coefficient arithmetic on spectra.
 Signals are stored as ``x,value`` CSV. ``files`` reads and writes that format;
 this module adds what makes the rows a signal: an even count of at least 4,
 abscissae on the grid x = j/n within 1e-12, and finite samples.
+
+Inside the library a spectrum has one layout, the float view of (2/n) times
+the samples' ``np.fft.rfft``: float 0 holds the mean c0, float 1 is zero, and
+harmonic h holds b_h at float 2h and -a_h at float 2h+1, the rfft's own sign.
+A signal computes this once (``PeriodicSignal._spectrum``), the synthesis
+operator's rows index it directly, and only this module converts between it,
+the samples (``_inverse``) and a ``FourierSpectrum`` (``_fourier``).
 """
 
 from __future__ import annotations
@@ -88,9 +95,8 @@ class PeriodicSignal:
     Each sample is a number by ``errors._numbers``, so a string or a bool is
     refused, never parsed. The sample array is copied and frozen on
     construction, whoever builds the signal; instances are immutable and safe
-    to share across threads. The signal's ``np.fft.rfft`` and its mean are
-    computed on first use and kept, so every analysis of one signal shares
-    one transform.
+    to share across threads. The signal's spectrum is computed on first use
+    and kept, so every analysis of one signal shares one transform.
     """
 
     samples: np.ndarray
@@ -117,14 +123,20 @@ class PeriodicSignal:
         return np.arange(self.n) / self.n
 
     @cached_property
-    def _rfft(self) -> np.ndarray:
-        """The samples' ``np.fft.rfft`` bins 0..n/2."""
-        return _frozen(np.fft.rfft(self.samples))
+    def _spectrum(self) -> np.ndarray:
+        """The n + 2 floats of (2/n) ``np.fft.rfft``, the samples' ``np.mean`` in float 0.
 
-    @cached_property
-    def _mean(self) -> float:
-        """The samples' mean, c0 of every analysis of the signal."""
-        return float(np.mean(self.samples))
+        This is the module's one spectrum layout: b_h at float 2h, -a_h at
+        float 2h+1. Finite samples can still overflow in the transform, so a
+        non-finite value raises :class:`InvalidSignalError` here, before any
+        analysis uses it.
+        """
+        spectrum = np.fft.rfft(self.samples).view(float) * (2.0 / self.n)
+        with np.errstate(over="ignore"):  # a mean past the float range is refused below
+            spectrum[0] = np.mean(self.samples)
+        if not np.isfinite(spectrum).all():
+            raise InvalidSignalError("spectrum contains non-finite coefficients")
+        return _frozen(spectrum)
 
 
 def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicSignal:
@@ -141,10 +153,21 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     return PeriodicSignal(values)
 
 
+def _sum_squares(values) -> float:
+    """The sum of the squares of values, by a numpy reduction that is the same on every run.
+
+    ``values @ values`` goes to BLAS, which may split a long sum across
+    threads, so its last digit would depend on the thread count. A square
+    past the float range makes the sum infinite, with no warning.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.square(values)))
+
+
 def norm(f: PeriodicSignal) -> float:
     """Root mean square of the samples, sqrt((1/n) * sum_j f_j^2)."""
     _typed(f, PeriodicSignal, InvalidSignalError)
-    return math.sqrt(float(f.samples @ f.samples) / f.n)
+    return math.sqrt(_sum_squares(f.samples) / f.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,25 +219,13 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
         raise AliasingError(
             f"max harmonic {max_harmonic} exceeds representable band {nyquist_band} at n={f.n}"
         )
-    c0, b_a = _fourier_coeffs(f, max_harmonic)
-    return FourierSpectrum(c0, b_a[max_harmonic:], b_a[:max_harmonic])
+    return _fourier(f._spectrum, max_harmonic)
 
 
-def _fourier_coeffs(f: PeriodicSignal, max_harmonic: int) -> tuple:
-    """f's mean c0 and [b_1..b_m, a_1..a_m], m = max_harmonic, read off its rfft.
-
-    The coefficients come as one fresh array. Finite samples can still
-    overflow in the transform, so a non-finite c0 or coefficient raises
-    :class:`InvalidSignalError` here, before any analysis uses it.
-    """
-    bins = f._rfft
-    c0 = bins[0].real / f.n
-    b_a = np.empty(2 * max_harmonic)
-    np.multiply(2.0 / f.n, bins.real[1 : max_harmonic + 1], out=b_a[:max_harmonic])
-    np.multiply(-2.0 / f.n, bins.imag[1 : max_harmonic + 1], out=b_a[max_harmonic:])
-    if not (math.isfinite(c0) and np.isfinite(b_a).all()):
-        raise InvalidSignalError("spectrum contains non-finite coefficients")
-    return c0, b_a
+def _fourier(spectrum: np.ndarray, max_harmonic: int) -> FourierSpectrum:
+    """The mean and harmonics 1..max_harmonic of a spectrum in the module's layout."""
+    end = 2 * max_harmonic + 2
+    return FourierSpectrum(spectrum[0], -spectrum[3:end:2], spectrum[2:end:2])
 
 
 def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
@@ -224,21 +235,22 @@ def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
         )
-    return PeriodicSignal(np.fft.irfft(_bins(spec.c0, spec.b, spec.a, n), n))
+    spectrum = np.zeros(2 * spec.max_harmonic + 2)
+    spectrum[0], spectrum[2::2], spectrum[3::2] = spec.c0, spec.b, -spec.a
+    return PeriodicSignal(_inverse(spectrum, n))
 
 
-def _bins(c0: float, b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """The n-point rfft bins 0..n/2 of c0 + sum_k b_k cos(2 pi k x) + a_k sin(2 pi k x).
+def _inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """The n samples of a spectrum in the module's layout, as one fresh array.
 
-    Bin 0 is n c0 and bin k is (n/2)(b_k - i a_k), written part by part into
-    one fresh complex array; bins past the coefficients, the Nyquist bin
-    among them, are zero.
+    The rfft bins are the floats times n/2, and bin 0 is n c0: they are
+    written into one complex array, zero past the spectrum's end, the
+    Nyquist bin among them, and go through one ``np.fft.irfft``.
     """
     bins = np.zeros(n // 2 + 1, dtype=complex)
-    bins[0] = n * c0
-    np.multiply(0.5 * n, b, out=bins.real[1 : b.size + 1])
-    np.multiply(-0.5 * n, a, out=bins.imag[1 : a.size + 1])
-    return bins
+    bins.view(float)[: spectrum.size] = 0.5 * n * spectrum
+    bins[0] = n * spectrum[0]
+    return np.fft.irfft(bins, n)
 
 
 def write_signal_csv(f: PeriodicSignal, path) -> None:

@@ -20,7 +20,7 @@ from .basis import _active, _layout
 from .decompose import Decomposition, _rows
 from .errors import ConfigurationError, _integer, _real, _typed
 from .files import write_csv
-from .signals import FourierSpectrum, _refreeze
+from .signals import FourierSpectrum, _refreeze, _sum_squares
 
 __all__ = [
     "GeneralizedSpectrum",
@@ -66,7 +66,7 @@ def parseval_power(spec: FourierSpectrum) -> float:
     band-limited f.
     """
     _typed(spec, FourierSpectrum)
-    return spec.c0 ** 2 + 0.5 * (float(spec.a @ spec.a) + float(spec.b @ spec.b))
+    return _sum_squares(spec.c0) + 0.5 * (_sum_squares(spec.a) + _sum_squares(spec.b))
 
 
 def generalized_spectrum(d: Decomposition) -> GeneralizedSpectrum:

@@ -61,9 +61,14 @@ def synthesis_operator(basis, order: int, cap: int) -> sparse.csr_matrix:
     Rows are (cos 1..cap, sin 1..cap), columns (S,1)..(S,N), (R,1)..(R,N);
     column (S,k) holds S's coefficient q at harmonic q*k, and harmonics above
     ``cap`` are dropped. scipy builds it from ``_synthesis_entries``, so it is
-    an oracle apart from the library's own gather-and-bincount sums.
+    an oracle apart from the library's own gather-and-bincount sums. The
+    library's rows are rfft floats (cos h at 2h, sin h at 2h+1 with the
+    coefficient negated); they are mapped back here, so the oracle does not
+    depend on that layout.
     """
     rows, cols, vals = _synthesis_entries(basis, order, cap)
+    harmonic, sine = np.divmod(rows, 2)
+    rows, vals = sine * cap + harmonic - 1, np.where(sine == 1, -vals, vals)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * cap, 2 * order))
 
 

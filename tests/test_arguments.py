@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import genharm
 from genharm import (
+    BUILTIN_KINDS,
     MAX_DEPTH,
     PRUNING_RULES,
     BasisFunction,
@@ -124,6 +125,15 @@ BAD_RULES = [None, *NOT_RULES[0]], NOT_RULES[1] | st.none()
 NOT_LABELS = [7, True, 0.5, b"label", ["a"], {"a": 1}], (
     st.integers() | st.floats() | st.binary(max_size=4) | st.lists(st.text(max_size=2), max_size=2))
 BAD_LABELS = [None, *NOT_LABELS[0]], NOT_LABELS[1] | st.none()
+# a basis kind is one of the builtin names, as a string: a list or a dict is refused before any lookup
+NOT_KINDS = [None, 3, b"square", ["square"], ("square",), {"a": 1}, np.array("square"), "bogus", "Square"], (
+    (st.text(max_size=5) | WRONG_TYPES).filter(lambda v: v not in BUILTIN_KINDS))
+# a Gram system's pruned mask is the boolean array its rule gives: at order 1, "none" prunes nothing
+KEEP_ALL = np.zeros((2, 2), dtype=bool)
+NOT_MASKS = [None, [[False, False], [False, False]], [["False", "x"], [0.5, None]], np.zeros((2, 2)),
+             np.eye(2, dtype=bool), np.zeros((1, 2), dtype=bool), np.zeros(4, dtype=bool)], (
+    st.lists(st.booleans(), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)).filter(np.any)
+    | WRONG_TYPES)
 
 # (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
 SLOTS = {
@@ -151,11 +161,12 @@ SLOTS = {
     ("GeneralizedSpectrum", "energy"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, v),), 0.0)),
     ("GeneralizedSpectrum", "c0_sq"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, 0.5),), v)),
     ("GramSystem", "order"): (outside(1),
-                              lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), v, "none")),
+                              lambda v: GramSystem(np.eye(2), np.zeros(2), KEEP_ALL, v, "none")),
     ("GramSystem", "matrix"): (NOT_FINITE,
-                               lambda v: GramSystem([[v, 0.0], [0.0, 1.0]], np.zeros(2), np.eye(2), 1, "none")),
-    ("GramSystem", "rhs"): (NOT_FINITE, lambda v: GramSystem(np.eye(2), [v, 0.0], np.eye(2), 1, "none")),
-    ("GramSystem", "pruning"): (BAD_RULES, lambda v: GramSystem(np.eye(2), np.zeros(2), np.eye(2), 1, v)),
+                               lambda v: GramSystem([[v, 0.0], [0.0, 1.0]], np.zeros(2), KEEP_ALL, 1, "none")),
+    ("GramSystem", "rhs"): (NOT_FINITE, lambda v: GramSystem(np.eye(2), [v, 0.0], KEEP_ALL, 1, "none")),
+    ("GramSystem", "pruning"): (BAD_RULES, lambda v: GramSystem(np.eye(2), np.zeros(2), KEEP_ALL, 1, v)),
+    ("GramSystem", "pruned_mask"): (NOT_MASKS, lambda v: GramSystem(np.eye(2), np.zeros(2), v, 1, "none")),
     ("PeriodicSignal", "samples"): (BAD_SAMPLES, PeriodicSignal),
     ("analyze_direct", "order"): (outside(1, 7), lambda v: analyze_direct(F, PAIR, v)),
     ("analyze_direct", "basis"): (BASES, lambda v: analyze_direct(F, v, 3)),
@@ -173,6 +184,7 @@ SLOTS = {
     ("build_gram_system", "order"): (outside(1, 7), lambda v: build_gram_system(F, PAIR, v)),
     ("build_gram_system", "basis"): (BASES, lambda v: build_gram_system(F, v, 3)),
     ("build_gram_system", "pruning"): (BAD_RULES, lambda v: build_gram_system(F, PAIR, 3, v)),
+    ("builtin_basis", "kind"): (NOT_KINDS, builtin_basis),
     ("builtin_basis", "depth"): (outside(1, MAX_DEPTH), lambda v: builtin_basis("square", depth=v)),
     ("builtin_basis", "phase_s"): (BAD_PHASES, lambda v: builtin_basis("square", phase_s=v)),
     ("builtin_basis", "phase_r"): (BAD_PHASES, lambda v: builtin_basis("square", phase_r=v)),

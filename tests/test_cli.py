@@ -525,6 +525,30 @@ def test_fractional_schedule_depth_is_refused(workdir, capsys):
     assert not (workdir / "x.json").exists()
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product this long across its threads, which can move
+    # the last digit of a sum of squares: norms, energies and Parseval sums
+    write_signal_csv(random_bandlimited(np.random.default_rng(21), 4000, 65536), tmp_path / "signal.csv")
+    io = ["--in", str(tmp_path / "signal.csv"), "--basis", "triangle", "--order", "300"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        commands = [
+            ["analyze", *io, "--out", str(out / "dec.json")],
+            ["compare", *io, "--out", str(out / "compare.csv"), "--json-out", str(out / "compare.json")],
+            ["spectrum", "--in", str(out / "dec.json"), "--samples", "65536",
+             "--out", str(out / "spectrum.csv"), "--json-out", str(out / "spectrum.json")],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent),
+                   OPENBLAS_NUM_THREADS=threads)
+        stdout = [subprocess.run([sys.executable, "-m", "genharm.cli", *argv], capture_output=True,
+                                 text=True, env=env, timeout=120, check=True).stdout for argv in commands]
+        runs.append((stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert len(runs[0][1]) == 5
+    assert runs[0] == runs[1]
+
+
 def test_singular_direct_system_is_an_error_not_a_traceback(workdir):
     # R is S dilated by two plus a fundamental too small to survive rounding in
     # the Gram matrix: the first-harmonic check passes, the system is singular

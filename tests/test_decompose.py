@@ -590,6 +590,26 @@ def test_gram_system_copies_and_freezes_its_inputs():
         GramSystem(built.matrix, built.rhs, built.pruned_mask, 3, "none")
 
 
+def test_gram_system_mask_is_the_boolean_mask_of_its_rule():
+    f, pair = random_bandlimited(np.random.default_rng(14), 8, 32), builtin_basis("square_saw")
+    systems = {rule: build_gram_system(f, pair, 6, rule) for rule in PRUNING_RULES}
+    for rule, built in systems.items():
+        again = GramSystem(built.matrix, built.rhs, built.pruned_mask, 6, rule)
+        assert np.array_equal(again.pruned_mask, built.pruned_mask)
+        # one entry flipped, anywhere in a row, is another mask than the rule's
+        for column in range(12):
+            flipped = built.pruned_mask.copy()
+            flipped[3, column] = not flipped[3, column]
+            with pytest.raises(ConfigurationError, match=f"not the '{rule}' rule's mask at order 6"):
+                GramSystem(built.matrix, built.rhs, flipped, 6, rule)
+    # "paper" prunes at order 6, "none" does not: a mask belongs to its own rule
+    with pytest.raises(ConfigurationError, match="rule's mask"):
+        GramSystem(systems["none"].matrix, systems["none"].rhs, systems["paper"].pruned_mask, 6, "none")
+    # strings, floats and None are not read as booleans
+    with pytest.raises(ConfigurationError, match="pruned_mask must be a boolean array"):
+        GramSystem(np.eye(2), np.zeros(2), [["False", "x"], [0.5, None]], 1, "none")
+
+
 # --- kernels against the sparse operator -----------------------------------------
 
 

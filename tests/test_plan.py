@@ -228,7 +228,7 @@ def test_plan_arrays_cannot_be_made_writeable():
     # so a copied basis cannot change under the parts cached for it
     for clone in (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy):
         p, g, e, s, gs, gram = map(clone, (pair, f, d, spectrum, energies, system))
-        arrays += [p.S.cos_coeffs, p.S.sin_coeffs, p.R.cos_coeffs, p.R.sin_coeffs, g.samples, g._rfft]
+        arrays += [p.S.cos_coeffs, p.S.sin_coeffs, p.R.cos_coeffs, p.R.sin_coeffs, g.samples, g._spectrum]
         arrays += [e.coeffs, gs.entries, s.a, s.b, gram.matrix, gram.rhs, gram.pruned_mask]
     for array in arrays:
         with pytest.raises(ValueError):

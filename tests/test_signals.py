@@ -47,13 +47,34 @@ def test_signal_samples_are_defensive_and_read_only():
 
 def test_cached_transform_is_the_rfft_and_cannot_be_made_writeable():
     f = PeriodicSignal(np.random.default_rng(4).normal(size=16))
-    bins = f._rfft
-    assert bins is f._rfft  # computed once, then kept
-    assert np.array_equal(bins, np.fft.rfft(f.samples))
+    bins = f._spectrum
+    assert bins is f._spectrum  # computed once, then kept
+    want = (2 / f.n) * np.fft.rfft(f.samples).view(float)  # b_h at 2h, -a_h at 2h+1
+    want[0] = np.mean(f.samples)
+    assert bins.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         bins[1] = 0.0
     with pytest.raises(ValueError):
         bins.setflags(write=True)
+
+
+@pytest.mark.parametrize("n", [4, 6, 100, 4096, 4098])
+def test_fourier_analysis_and_synthesis_are_the_rfft_bit_for_bit(n):
+    f = PeriodicSignal(np.random.default_rng(n).normal(size=n))
+    band = n // 2 - 1
+    bins = np.fft.rfft(f.samples)[1 : band + 1]
+    spec = analyze_fourier(f, band)
+    assert spec.c0 == np.mean(f.samples)
+    assert spec.b.tobytes() == ((2 / n) * bins.real).tobytes()
+    assert spec.a.tobytes() == ((-2 / n) * bins.imag).tobytes()
+    # bin 0 is n c0, bin k is (n/2)(b_k - i a_k), and the Nyquist bin is zero
+    for m in (band, band // 2):
+        part = FourierSpectrum(spec.c0, spec.a[:m], spec.b[:m])
+        want = np.zeros(n // 2 + 1, dtype=complex)
+        want[0] = n * part.c0
+        want.real[1 : m + 1] = (n / 2) * part.b
+        want.imag[1 : m + 1] = (-n / 2) * part.a
+        assert synthesize_fourier(part, n).samples.tobytes() == np.fft.irfft(want, n).tobytes()
 
 
 def test_grid_is_j_over_n():

@@ -44,6 +44,9 @@ def hand_pair():
 def test_parseval_power_known_value():
     spec = FourierSpectrum(2.0, [3.0], [4.0])
     assert parseval_power(spec) == pytest.approx(4.0 + 0.5 * 25.0, rel=1e-15)
+    # a power past the float range is infinite, with no OverflowError and no numpy warning
+    for c0, a in ((1e200, 0.0), (0.0, 1e200)):
+        assert parseval_power(FourierSpectrum(c0, [a], [0.0])) == np.inf
 
 
 def test_parseval_power_equals_mean_square():
