@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _tolerance, _typed
 from .files import read_json, write_json
-from .signals import FourierSpectrum, _frozen, _refreeze, _sum_squares, analyze_fourier, sample_closed_form
+from .signals import FourierSpectrum, _band, _frozen, _refreeze, _sum_squares, analyze_fourier, sample_closed_form
 
 __all__ = [
     "BasisFunction",
@@ -297,7 +297,7 @@ def _sin_turns(t: np.ndarray) -> np.ndarray:
 def _project(evaluator: Callable[[float], float], q: np.ndarray) -> tuple:
     """A custom waveform's series, projected from samples on a grid past q's band."""
     n = _PROJECTION_SAMPLES
-    while n // 2 - 1 < q.size:
+    while _band(n) < q.size:
         n *= 2
     spec = analyze_fourier(sample_closed_form(evaluator, n), q.size)
     return spec.b, spec.a

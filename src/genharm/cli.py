@@ -47,6 +47,7 @@ from .errors import ConfigurationError, GenharmError, _integer, _tolerance
 from .files import write_csv, write_json
 from .signals import (
     PeriodicSignal,
+    _band,
     _check_sample_count,
     analyze_fourier,
     norm,
@@ -156,13 +157,13 @@ def _run_analyze(args: argparse.Namespace) -> int:
         d = analyze_indirect(f, basis, args.order, args.eps_ind)
     approx = reconstruct(d, f.n)
     res = PeriodicSignal(f.samples - approx.samples)
-    res_spec = analyze_fourier(res, f.n // 2 - 1)
+    res_spec = analyze_fourier(res, _band(f.n))
     start = _noise_start(res_spec, args.residual_tol)
     print(f"method: {d.method}")
     print(f"c0: {d.c0!r}")
     print(f"residual norm: {norm(res)!r}")
     if start is None:
-        print(f"noise starts at: none within band {f.n // 2 - 1}")
+        print(f"noise starts at: none within band {_band(f.n)}")
     else:
         print(f"noise starts at: {start}")
     for note in d.warnings:
@@ -185,7 +186,7 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     write_spectrum_csv(gs, _require_out(args))
     if args.json_out is not None:
         # the reconstruction's power at --samples, read off its coefficients
-        lhs = parseval_power(combined_spectrum(d, args.samples // 2 - 1))
+        lhs = parseval_power(combined_spectrum(d, _band(args.samples)))
         write_json(
             {"total": gs.total(), "c0_sq": gs.c0_sq, "parseval_lhs": lhs},
             args.json_out,
@@ -238,7 +239,7 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 def _run_fourier(args: argparse.Namespace) -> int:
     f = _load("signal", read_signal_csv, args.input)
-    spec = analyze_fourier(f, min(args.order, f.n // 2 - 1))
+    spec = analyze_fourier(f, min(args.order, _band(f.n)))
     # harmonic 0 carries the mean in the cosine column
     write_csv(_require_out(args), ("k", "a", "b"), [(0, 0.0, spec.c0), *spec.terms()])
     return 0

@@ -107,6 +107,7 @@ from .files import read_json, write_json
 from .signals import (
     FourierSpectrum,
     PeriodicSignal,
+    _band,
     _check_sample_count,
     _fourier,
     _frozen,
@@ -329,11 +330,11 @@ def _require_solvable(basis, eps: float) -> None:
             )
 
 
-def _check_band(f: PeriodicSignal, order: int) -> int:
-    """order as an int, refused unless f is a signal and 1 <= order <= f's band."""
+def _check_band(f: PeriodicSignal, order: int, low: int = 1) -> int:
+    """order as an int, refused unless f is a signal and low <= order <= f's band."""
     _typed(f, PeriodicSignal, InvalidSignalError)
-    order = _integer(order, "order", 1)
-    band = f.n // 2 - 1
+    order = _integer(order, "order", low)
+    band = _band(f.n)
     if order > band:
         raise DimensionError(f"order {order} exceeds the representable band {band} at n={f.n}")
     return order
@@ -411,14 +412,15 @@ def _triangular_inverse(triangular: tuple, order: int, depth: int) -> tuple:
     return x_rows[nonzero], x_cols[nonzero], x[nonzero]
 
 
-def _indirect_coeffs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
+def _indirect_coeffs(f: PeriodicSignal, triangular: tuple, inverse: tuple, order: int) -> np.ndarray:
     """[A_1..A_N, B_1..B_N] = X s with one step of iterative refinement.
 
     T x = s, s f's spectrum up to harmonic N, is solved by the plan's exact
     inverse X = T^-1, then once more for the residual: x += X (s - T x).
-    Each product is one gather and one ``np.bincount`` over the entries.
+    T's and X's entries come from the plan; each product is one gather and
+    one ``np.bincount`` over them.
     """
-    (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals), _ = _indirect_plan(basis, order)
+    (t_rows, t_cols, t_vals), (x_rows, x_cols, x_vals) = triangular, inverse
     size = 2 * order
     rhs = f._spectrum[: size + 2].copy()
     x = np.bincount(x_rows, x_vals * rhs[x_cols], minlength=size)
@@ -465,8 +467,9 @@ def analyze_indirect(
     order = _check_band(f, order)
     _segments(basis)  # refuses a non-basis before the memoized plans hash it
     _require_solvable(basis, _tolerance(eps_independence, "eps_independence"))
-    x = _indirect_coeffs(f, basis, order)
-    return _decomposition(f, basis, x, "indirect", None, _indirect_plan(basis, order)[2])
+    triangular, inverse, cond = _indirect_plan(basis, order)
+    x = _indirect_coeffs(f, triangular, inverse, order)
+    return _decomposition(f, basis, x, "indirect", None, cond)
 
 
 def analyze_multiband(
@@ -497,7 +500,7 @@ def _pruned(order: int, pruning: str) -> np.ndarray:
 
 def _rhs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     """(1/2) Phi^T s, with s f's spectrum up to its band."""
-    rows, cols, vals = _phi(basis, order, f.n // 2 - 1)
+    rows, cols, vals = _phi(basis, order, _band(f.n))
     return 0.5 * np.bincount(cols, vals * f._spectrum[rows], minlength=2 * order)
 
 
@@ -602,7 +605,7 @@ def combined_spectrum(d: Decomposition, band_cap: int) -> FourierSpectrum:
 
 def _synthesis(d: Decomposition, n: int) -> np.ndarray:
     """d's reconstruction sampled on the n-point grid, as one fresh array."""
-    return _inverse(_combined(d, n // 2 - 1), n)
+    return _inverse(_combined(d, _band(n)), n)
 
 
 def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
@@ -614,12 +617,9 @@ def reconstruct(d: Decomposition, n: int) -> PeriodicSignal:
 
 
 def residual(f: PeriodicSignal, d: Decomposition) -> PeriodicSignal:
-    """f minus its reconstruction at f's own sampling."""
-    _typed(f, PeriodicSignal, InvalidSignalError)
-    if _typed(d, Decomposition).order > f.n // 2 - 1:
-        raise DimensionError(
-            f"decomposition of order {d.order} is not representable at n={f.n}"
-        )
+    """f minus its reconstruction at f's own sampling; d's order must lie within f's band."""
+    _typed(f, PeriodicSignal, InvalidSignalError)  # f is checked before d
+    _check_band(f, _typed(d, Decomposition).order, 0)
     return PeriodicSignal(f.samples - _synthesis(d, f.n))
 
 

@@ -5,6 +5,10 @@ All quadrature is the uniform-grid mean (rectangle rule), which is exact for
 trigonometric polynomials below the Nyquist limit; higher modules reduce their
 inner products either to this layer or to coefficient arithmetic on spectra.
 
+An n-point grid represents harmonics 1..n/2 - 1: ``_band(n)`` is the one
+statement of that limit, and ``_grid(n)`` of the abscissae j/n. Every band
+check, band cap and grid in the library calls them.
+
 Signals are stored as ``x,value`` CSV. ``files`` reads and writes that format;
 this module adds what makes the rows a signal: an even count of at least 4,
 abscissae on the grid x = j/n within 1e-12, and finite samples.
@@ -80,6 +84,16 @@ def _check_sample_count(n: int) -> int:
     return n
 
 
+def _band(n: int) -> int:
+    """The highest harmonic an n-point grid represents, n/2 - 1: the Nyquist bin is left out."""
+    return n // 2 - 1
+
+
+def _grid(n: int) -> np.ndarray:
+    """The n abscissae x_j = j/n of the sampling grid."""
+    return np.arange(n) / n
+
+
 def _samples(values, name: str) -> np.ndarray:
     """values as a float array by ``errors._numbers``; a value that is not a number is an InvalidSignalError."""
     try:
@@ -120,7 +134,7 @@ class PeriodicSignal:
     @property
     def grid(self) -> np.ndarray:
         """Sample abscissae x_j = j/n."""
-        return np.arange(self.n) / self.n
+        return _grid(self.n)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -146,7 +160,7 @@ def sample_closed_form(evaluator: Callable[[float], float], n: int) -> PeriodicS
     number by ``errors._number``, or not finite, raises :class:`InvalidSignalError`.
     """
     n = _check_sample_count(n)
-    values = _samples([evaluator(j / n) for j in range(n)], "evaluator values")
+    values = _samples([evaluator(x) for x in _grid(n).tolist()], "evaluator values")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidSignalError(f"evaluator returned a non-finite value at x={bad}/{n}")
@@ -214,10 +228,9 @@ def analyze_fourier(f: PeriodicSignal, max_harmonic: int) -> FourierSpectrum:
     """
     _typed(f, PeriodicSignal, InvalidSignalError)
     max_harmonic = _integer(max_harmonic, "max_harmonic", 0)
-    nyquist_band = f.n // 2 - 1
-    if max_harmonic > nyquist_band:
+    if max_harmonic > _band(f.n):
         raise AliasingError(
-            f"max harmonic {max_harmonic} exceeds representable band {nyquist_band} at n={f.n}"
+            f"max harmonic {max_harmonic} exceeds representable band {_band(f.n)} at n={f.n}"
         )
     return _fourier(f._spectrum, max_harmonic)
 
@@ -231,7 +244,7 @@ def _fourier(spectrum: np.ndarray, max_harmonic: int) -> FourierSpectrum:
 def synthesize_fourier(spec: FourierSpectrum, n: int) -> PeriodicSignal:
     """Evaluate the trigonometric polynomial of ``spec`` on the n-point grid."""
     n = _check_sample_count(n)
-    if _typed(spec, FourierSpectrum).max_harmonic > n // 2 - 1:
+    if _typed(spec, FourierSpectrum).max_harmonic > _band(n):
         raise AliasingError(
             f"spectrum with max harmonic {spec.max_harmonic} needs more than n={n} samples"
         )
@@ -256,16 +269,13 @@ def _inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
 def write_signal_csv(f: PeriodicSignal, path) -> None:
     """Write the signal as ``x,value`` rows with x = j/n ascending."""
     _typed(f, PeriodicSignal, InvalidSignalError)
-    xs = (np.arange(f.n) / f.n).tolist()
-    write_csv(path, ("x", "value"), zip(xs, f.samples.tolist()))
+    write_csv(path, ("x", "value"), zip(f.grid.tolist(), f.samples.tolist()))
 
 
 def read_signal_csv(path) -> PeriodicSignal:
     """Read a ``x,value`` CSV, validating the uniform grid within 1e-12."""
     xs, values = read_csv(path, ("x", "value")).T
-    n = values.size
-    _check_sample_count(n)
     # a NaN abscissa compares false, so it is refused too
-    if not np.max(np.abs(xs - np.arange(n) / n)) <= 1e-12:
+    if not np.max(np.abs(xs - _grid(_check_sample_count(values.size)))) <= 1e-12:
         raise InvalidSignalError(f"{path}: grid is not uniform x=j/n within 1e-12")
     return PeriodicSignal(values)

@@ -299,6 +299,23 @@ def test_a_tolerance_of_any_numeric_type_is_the_float_it_names():
     assert np.array_equal(analyze_direct(F, PAIR, 3, np.str_("paper")).coeffs, analyze_direct(F, PAIR, 3).coeffs)
 
 
+def test_arrays_numpy_cannot_stack_are_refused_where_numpy_refuses_them():
+    # equal leading lengths with unequal trailing shapes: numpy raises even for dtype=object
+    unstackable = [np.zeros((2, 3)), np.zeros((2, 2))]
+    calls = [
+        (ConfigurationError, "coefficients must be", lambda: Decomposition(0.0, unstackable, PAIR, "indirect")),
+        (ConfigurationError, "a must be numbers", lambda: FourierSpectrum(0.0, unstackable, [1.0])),
+        (InvalidSignalError, "samples must be a sequence", lambda: PeriodicSignal(unstackable)),
+    ]
+    for error, message, call in calls:
+        with pytest.raises(error, match=message) as caught:
+            call()
+        cause = caught.value
+        while isinstance(cause, GenharmError):
+            cause = cause.__cause__
+        assert type(cause) is ValueError and "could not broadcast" in str(cause)
+
+
 def test_samples_that_are_not_numbers_are_an_invalid_signal():
     for samples in (["1", "2", "3", "4"], [True, False, True, False], [1.0, None, 2.0, 3.0]):
         with pytest.raises(InvalidSignalError, match="samples must be a sequence of numbers"):

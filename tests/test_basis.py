@@ -244,6 +244,27 @@ def test_custom_kind_projects_supplied_evaluators():
         builtin_basis("custom")
 
 
+def test_custom_basis_deeper_than_the_projection_grid_is_projected_on_a_finer_one():
+    # 4096 samples represent harmonics 1..2047, so depth 2048 needs the grid doubled
+    top = 2048
+
+    def turns(q, x):
+        return 2 * math.pi * (q * x % 1.0)  # q * x is exact on a power-of-two grid
+
+    pair = builtin_basis(
+        "custom",
+        s_eval=lambda x: math.cos(turns(1, x)) + 0.25 * math.cos(turns(top, x)),
+        r_eval=lambda x: math.sin(turns(1, x)) - 0.5 * math.sin(turns(top, x)),
+        depth=top,
+    )
+    want_s, want_r = np.zeros(top), np.zeros(top)
+    want_s[[0, -1]], want_r[[0, -1]] = (1.0, 0.25), (1.0, -0.5)
+    assert np.max(np.abs(pair.S.cos_coeffs - want_s)) <= 1e-12
+    assert np.max(np.abs(pair.R.sin_coeffs - want_r)) <= 1e-12
+    assert np.max(np.abs(pair.S.sin_coeffs)) <= 1e-12
+    assert np.max(np.abs(pair.R.cos_coeffs)) <= 1e-12
+
+
 def test_unknown_kind_and_bad_depth_are_rejected():
     with pytest.raises(ConfigurationError):
         builtin_basis("wavelet")

@@ -512,6 +512,23 @@ def test_residual_requires_enough_bandwidth():
         residual(hand_signal(16), d)
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_each_analysis_and_residual_take_the_whole_band_and_refuse_one_more(n):
+    band = n // 2 - 1
+    pair = builtin_basis("square_saw", depth=4)
+    f = random_bandlimited(np.random.default_rng(n), band, n)
+    for analyze in (analyze_indirect, analyze_direct):
+        assert analyze(f, pair, band).order == band
+        with pytest.raises(DimensionError, match=f"order {band + 1} exceeds the representable band {band} at n={n}"):
+            analyze(f, pair, band + 1)
+    # the indirect method matches every harmonic up to the order, so at the band nothing is left
+    assert norm(residual(f, analyze_indirect(f, pair, band))) <= 1e-13
+    assert residual(f, Decomposition(f.samples.mean(), [], pair, "indirect")).n == n
+    wider = analyze_indirect(random_bandlimited(np.random.default_rng(n), band, 2 * n), pair, band + 1)
+    with pytest.raises(DimensionError, match=f"order {band + 1} exceeds the representable band {band} at n={n}"):
+        residual(f, wider)
+
+
 def test_decomposition_json_round_trip(tmp_path, builtin_pairs):
     rng = np.random.default_rng(3)
     f = random_bandlimited(rng, 6, 128)

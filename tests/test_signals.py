@@ -23,6 +23,7 @@ from genharm import (
     write_signal_csv,
 )
 from genharm.files import write_csv
+from genharm.signals import _band
 
 from conftest import grid_inner
 
@@ -159,13 +160,22 @@ def test_round_trip_recovers_spectrum(k_max, seed, oversample):
 
 
 def test_band_overflow_raises():
+    # n = 16 represents harmonics 1..7; the eighth is the Nyquist bin
     f = PeriodicSignal(np.zeros(16))
     with pytest.raises(AliasingError):
         analyze_fourier(f, 8)
     analyze_fourier(f, 7)
-    spec = FourierSpectrum(0.0, np.zeros(10), np.zeros(10))
-    with pytest.raises(AliasingError):
-        synthesize_fourier(spec, 16)
+    for harmonics in (1, 7):
+        spec = FourierSpectrum(0.5, np.ones(harmonics), np.ones(harmonics))
+        assert analyze_fourier(synthesize_fourier(spec, 16), harmonics).b == pytest.approx(spec.b, abs=1e-14)
+    for harmonics in (8, 9, 10):
+        with pytest.raises(AliasingError, match=f"max harmonic {harmonics} needs more than n=16"):
+            synthesize_fourier(FourierSpectrum(0.0, np.zeros(harmonics), np.zeros(harmonics)), 16)
+
+
+@pytest.mark.parametrize("n", [4, 6, 100, 4096])
+def test_band_is_the_last_rfft_bin_below_nyquist(n):
+    assert _band(n) == len(np.fft.rfftfreq(n)) - 2
 
 
 def test_csv_round_trip_is_exact(tmp_path):
