@@ -19,11 +19,12 @@ these two; no dense copy of G is built. The module runs on numpy alone.
 Two conditions make a pair usable for analysis:
 
 * independence: the first-harmonic 2x2 system is solvable, its determinant
-  |s1*r'1 - s'1*r1| above a tolerance relative to the fundamentals' energy;
-  every analysis refuses a pair or schedule segment that fails it;
+  |s1*r'1 - s'1*r1| above ``EPS_INDEPENDENCE`` times the fundamentals'
+  energy; every analysis refuses a pair or schedule segment that fails it;
 * the convergence requisite: any combination A*S + B*R carries more energy at
   its fundamental than at all higher harmonics combined, decided as positive
-  definiteness of a 2x2 quadratic form.
+  definiteness of a 2x2 quadratic form, its smallest eigenvalue above
+  ``EPS_CONVERGENCE``.
 
 A pair failing the second check can still be used inside a schedule that
 switches to a converging pair at higher frequencies.
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _tolerance, _typed
+from .errors import _INT64_MAX, ConfigurationError, _integer, _number, _numbers, _real, _typed
 from .files import read_json, write_json
 from .signals import FourierSpectrum, _band, _frozen, _refreeze, _sum_squares, analyze_fourier, sample_closed_form
 
@@ -70,6 +71,8 @@ __all__ = [
     "load_basis",
 ]
 
+# the numerical floors of the two checks and the orthogonality classes, fixed
+# so that every check and analysis gives one verdict per basis
 EPS_INDEPENDENCE = 1e-9
 EPS_CONVERGENCE = 1e-12
 ORTHOGONALITY_TOL = 1e-10
@@ -196,8 +199,8 @@ class IndependenceReport:
     """Verdict of the first-coefficient independence check.
 
     ``products`` holds (s1*r'1, s'1*r1), the paper's diagnostic; ``margin`` is
-    how far the absolute determinant |s1*r'1 - s'1*r1| clears eps times the
-    fundamentals' energy (positive passes).
+    how far the absolute determinant |s1*r'1 - s'1*r1| clears
+    ``EPS_INDEPENDENCE`` times the fundamentals' energy (positive passes).
     """
 
     passed: bool
@@ -213,8 +216,8 @@ class ConvergenceReport:
     """Verdict of the fundamental-dominance requisite.
 
     ``eigenvalues`` is (smallest, largest) of the 2x2 form Q; ``form`` is Q
-    itself, row-major. The check passes iff the smallest eigenvalue is
-    positive beyond tolerance.
+    itself, row-major. The check passes iff the smallest eigenvalue exceeds
+    ``EPS_CONVERGENCE``.
     """
 
     passed: bool
@@ -587,18 +590,17 @@ def _gram_blocks(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
     return tuple(groups)
 
 
-def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> IndependenceReport:
+def check_independence(pair: BasisPair) -> IndependenceReport:
     """Decide whether the pair's first-harmonic 2x2 system is safely solvable.
 
-    Passes iff the determinant |s1*r'1 - s'1*r1| exceeds eps times the
-    fundamentals' energy s1^2 + s'1^2 + r1^2 + r'1^2, the test every analysis
-    applies before it runs. The verdict does not change when both members are
-    scaled by one factor; a member much smaller than the other makes the
-    system ill-conditioned and fails. eps must be finite and >= 0, and a
-    schedule is refused: check each of its pairs instead.
+    Passes iff the determinant |s1*r'1 - s'1*r1| exceeds ``EPS_INDEPENDENCE``
+    times the fundamentals' energy s1^2 + s'1^2 + r1^2 + r'1^2, the test every
+    analysis applies before it builds a plan. The verdict does not change when
+    both members are scaled by one factor; a member much smaller than the
+    other makes the system ill-conditioned and fails. A schedule is refused:
+    check each of its pairs instead.
     """
     _pair(pair)
-    eps = _tolerance(eps, "eps")
     s1 = float(pair.S.cos_coeffs[0])
     sp1 = float(pair.S.sin_coeffs[0])
     r1 = float(pair.R.cos_coeffs[0])
@@ -606,11 +608,11 @@ def check_independence(pair: BasisPair, eps: float = EPS_INDEPENDENCE) -> Indepe
     p_main = s1 * rp1
     p_cross = sp1 * r1
     det = abs(p_main - p_cross)
-    threshold = eps * (s1 * s1 + sp1 * sp1 + r1 * r1 + rp1 * rp1)
+    threshold = EPS_INDEPENDENCE * (s1 * s1 + sp1 * sp1 + r1 * r1 + rp1 * rp1)
     return IndependenceReport(det > threshold, (p_main, p_cross), det - threshold)
 
 
-def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> ConvergenceReport:
+def check_convergence(pair: BasisPair) -> ConvergenceReport:
     """Decide the fundamental-dominance requisite for the pair.
 
     For any combination g = A*S + B*R, the energy of g at the fundamental must
@@ -622,11 +624,11 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     with Phi the undilated pair's synthesis operator, M_1 its two fundamental
     rows and G_i = M_i^T M_i the 2x2 block of harmonic i. Summing Phi^T Phi
     block by block keeps a cross term that cancels within every harmonic
-    exactly zero. Passes iff Q's smallest eigenvalue exceeds eps, which must
-    be finite and >= 0. A schedule is refused: check each of its pairs instead.
+    exactly zero. Passes iff Q's smallest eigenvalue exceeds
+    ``EPS_CONVERGENCE``. A schedule is refused: check each of its pairs
+    instead.
     """
     _pair(pair)
-    eps = _tolerance(eps, "eps")
     cos_sin = np.ascontiguousarray(_layout(pair)[1][0].transpose(1, 2, 0))  # (cos/sin, q - 1, S/R)
     blocks = np.einsum("thi,thj->hij", cos_sin, cos_sin)
     form = 2.0 * blocks[0] - blocks.sum(axis=0)
@@ -636,12 +638,10 @@ def check_convergence(pair: BasisPair, eps: float = EPS_CONVERGENCE) -> Converge
     center = 0.5 * (q00 + q11)
     lo = center - radius
     hi = center + radius
-    return ConvergenceReport(lo > eps, (lo, hi), ((q00, q01), (q01, q11)))
+    return ConvergenceReport(lo > EPS_CONVERGENCE, (lo, hi), ((q00, q01), (q01, q11)))
 
 
-def classify_orthogonality(
-    basis: BasisPair | BasisSchedule, k_max: int, tol: float = ORTHOGONALITY_TOL
-) -> OrthogonalityReport:
+def classify_orthogonality(basis: BasisPair | BasisSchedule, k_max: int) -> OrthogonalityReport:
     """Classify the dilated family of a pair or schedule along both orthogonality axes.
 
     Horizontal: <S(kx), R(kx)> = 0 at every common index k <= k_max.
@@ -649,18 +649,17 @@ def classify_orthogonality(
     k != m <= k_max vanishes. Under a schedule member k is the one of the
     pair active at k. Both maxima are read straight off the entries of
     (1/2) Phi^T Phi with no dilation truncated, so the verdicts are exact
-    up to roundoff; a maximum at most tol, finite and >= 0, is orthogonal.
+    up to roundoff; a maximum at most ``ORTHOGONALITY_TOL`` is orthogonal.
     """
     k_max = _integer(k_max, "k_max", 1)
-    tol = _tolerance(tol, "tol")
     rows, cols, vals = _gram_entries(basis, k_max)
     same_k = rows % k_max == cols % k_max
     magnitude = np.abs(vals)
     max_horizontal = float(np.max(magnitude[same_k & (rows != cols)], initial=0.0))
     max_vertical = float(np.max(magnitude[~same_k], initial=0.0))
     return OrthogonalityReport(
-        horizontal=max_horizontal <= tol,
-        vertical=max_vertical <= tol,
+        horizontal=max_horizontal <= ORTHOGONALITY_TOL,
+        vertical=max_vertical <= ORTHOGONALITY_TOL,
         max_horizontal=max_horizontal,
         max_vertical=max_vertical,
         k_max=k_max,

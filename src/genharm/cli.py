@@ -6,10 +6,13 @@ byte-identical files, with floats serialized by ``repr`` (shortest lossless
 form).
 
 Handlers read the parsed arguments directly, once ``_validate`` has checked
-the run shape and tolerances; the library checks the rest. Exit codes: 0
-success; 1 unreadable or unparseable inputs; 2 domain failures (failed basis
-checks, dependent basis, empty band, invalid run shape, depth, phase or
-tolerance, or a run shape too large to allocate).
+the run shape; the library checks the rest. No tolerance is a flag: the basis
+checks use the library's constants, and ``analyze`` reports where residual
+content exceeds ``DEFAULT_RESIDUAL_TOL``. Exit codes: 0 success; 1 unreadable
+or unparseable inputs; 2 domain failures (failed basis checks, dependent
+basis, empty band, invalid run shape, depth or phase, or a run shape too
+large to allocate) and command lines argparse refuses, such as an unknown
+flag.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import numpy as np
 from .basis import (
     BUILTIN_KINDS,
     DEFAULT_DEPTH,
-    EPS_CONVERGENCE,
-    EPS_INDEPENDENCE,
     BasisPair,
     builtin_basis,
     check_convergence,
@@ -43,7 +44,7 @@ from .decompose import (
     residual,
     save_decomposition,
 )
-from .errors import ConfigurationError, GenharmError, _integer, _tolerance
+from .errors import ConfigurationError, GenharmError, _integer
 from .files import write_csv, write_json
 from .signals import (
     PeriodicSignal,
@@ -68,13 +69,11 @@ class _LoadError(Exception):
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Reject run shapes and tolerances no subcommand can use (exit code 2)."""
+    """Reject run shapes no subcommand can use (exit code 2)."""
     if "samples" in args:
         _check_sample_count(args.samples)
     if "order" in args:
         _integer(args.order, "--order", 1)
-    for name in ("eps_ind", "eps_conv", "residual_tol"):
-        _tolerance(getattr(args, name, 0.0), "--" + name.replace("_", "-"))
 
 
 # --- input loading (failures here are exit code 1) ----------------------------
@@ -116,8 +115,8 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     pair = _load_basis(args)
     if not isinstance(pair, BasisPair):
         raise _LoadError(f"check-basis takes a basis pair, and {args.basis!r} holds a schedule")
-    independence = check_independence(pair, args.eps_ind)
-    convergence = check_convergence(pair, args.eps_conv)
+    independence = check_independence(pair)
+    convergence = check_convergence(pair)
     ortho = classify_orthogonality(pair, args.order)
     bounds = frame_bounds(pair, args.order)
     label = pair.label or "unlabeled"
@@ -142,9 +141,9 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     return 0 if (independence and convergence) else 2
 
 
-def _noise_start(res_spec, tol: float) -> int | None:
-    """The first harmonic whose sine or cosine coefficient exceeds tol, if any."""
-    loud = np.flatnonzero(np.maximum(np.abs(res_spec.a), np.abs(res_spec.b)) > tol)
+def _noise_start(res_spec) -> int | None:
+    """The first harmonic whose sine or cosine coefficient exceeds ``DEFAULT_RESIDUAL_TOL``, if any."""
+    loud = np.flatnonzero(np.maximum(np.abs(res_spec.a), np.abs(res_spec.b)) > DEFAULT_RESIDUAL_TOL)
     return int(loud[0]) + 1 if loud.size else None
 
 
@@ -152,13 +151,13 @@ def _run_analyze(args: argparse.Namespace) -> int:
     f = _load("signal", read_signal_csv, args.input)
     basis = _load_basis(args)
     if args.method == "direct":
-        d = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
+        d = analyze_direct(f, basis, args.order, args.pruning)
     else:
-        d = analyze_indirect(f, basis, args.order, args.eps_ind)
+        d = analyze_indirect(f, basis, args.order)
     approx = reconstruct(d, f.n)
     res = PeriodicSignal(f.samples - approx.samples)
     res_spec = analyze_fourier(res, _band(f.n))
-    start = _noise_start(res_spec, args.residual_tol)
+    start = _noise_start(res_spec)
     print(f"method: {d.method}")
     print(f"c0: {d.c0!r}")
     print(f"residual norm: {norm(res)!r}")
@@ -208,8 +207,8 @@ def _run_filter(args: argparse.Namespace) -> int:
 def _run_compare(args: argparse.Namespace) -> int:
     f = _load("signal", read_signal_csv, args.input)
     basis = _load_basis(args)
-    d_ind = analyze_indirect(f, basis, args.order, args.eps_ind)
-    d_dir = analyze_direct(f, basis, args.order, args.pruning, args.eps_ind)
+    d_ind = analyze_indirect(f, basis, args.order)
+    d_dir = analyze_direct(f, basis, args.order, args.pruning)
     rms_ind = norm(residual(f, d_ind))
     rms_dir = norm(residual(f, d_dir))
     write_csv(
@@ -261,28 +260,20 @@ _OPTIONS = {
     "phase-r": ("--phase-r", {"type": float, "help": "R phase shift in turns (builtin bases)"}),
     "depth": ("--depth", {"type": int, "default": DEFAULT_DEPTH,
                           "help": "harmonic depth Q for builtin bases"}),
-    "eps-ind": ("--eps-ind", {"type": float, "default": EPS_INDEPENDENCE,
-                              "help": "independence tolerance"}),
-    "eps-conv": ("--eps-conv", {"type": float, "default": EPS_CONVERGENCE,
-                                "help": "convergence tolerance"}),
     "method": ("--method", {"choices": ("direct", "indirect"), "default": "indirect"}),
     "pruning": ("--pruning", {"choices": PRUNING_RULES, "default": "paper"}),
-    "residual-tol": ("--residual-tol", {"type": float, "default": DEFAULT_RESIDUAL_TOL,
-                                        "help": "threshold for reporting where residual "
-                                                "content starts"}),
     "keep-from": ("--keep-from", {"type": int, "help": "first harmonic kept"}),
     "keep-to": ("--keep-to", {"type": int, "help": "last harmonic kept"}),
 }
 
-_BASIS = "basis phase-s phase-r depth eps-ind"
+_BASIS = "basis phase-s phase-r depth"
 
 # subcommand -> (handler, help, the options it reads)
 _COMMANDS = {
     "check-basis": (_run_check_basis, "run validity checks on a basis pair",
-                    f"{_BASIS} eps-conv order json-out"),
+                    f"{_BASIS} order json-out"),
     "analyze": (_run_analyze, "decompose a signal CSV over a basis or schedule",
-                f"signal {_BASIS} method pruning order samples out recon-out "
-                "residual-tol"),
+                f"signal {_BASIS} method pruning order samples out recon-out"),
     "reconstruct": (_run_reconstruct, "sample a decomposition JSON to a signal CSV",
                     "decomposition samples out"),
     "spectrum": (_run_spectrum, "write the generalized spectrum of a decomposition",

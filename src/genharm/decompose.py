@@ -43,9 +43,10 @@ so it is built once and reused by every later call. Each part has its own
 memoized builder: ``_phi`` (Phi's entries at a band cap), ``_indirect_plan``
 (T's and X's entries with kappa_1(T)) and ``_direct_plan`` (per pruning
 rule the pruned Gram matrix's diagonal blocks with their inverses and
-condition number). ``_require_solvable`` keeps the independence verdict per
-(basis, eps) the same way, and ``basis._layout``, which every part reads, is
-memoized too. A call then does only per-signal work:
+condition number), and ``basis._layout``, which every part reads, is
+memoized too. Both plans first run ``_require_solvable``, the independence
+gate, whose verdict depends on the basis alone, so a plan exists only for a
+basis that passes it. A call then does only per-signal work:
 the signal's spectrum, computed once per signal and kept with it, then three
 gather-and-bincount passes over X's and T's entries, or the right-hand side
 and three batched matmuls per block size, or one bincount for Phi @ [A; B]
@@ -80,7 +81,6 @@ from .basis import (
     _PLAN_CACHE_SIZE,
     BasisPair,
     BasisSchedule,
-    EPS_INDEPENDENCE,
     _active,
     _basis_from_dict,
     _basis_to_dict,
@@ -100,7 +100,6 @@ from .errors import (
     _integer,
     _numbers,
     _real,
-    _tolerance,
     _typed,
 )
 from .files import read_json, write_json
@@ -184,10 +183,11 @@ class Decomposition:
     ran with. ``condition_estimate`` is the exact 1-norm condition number of
     the system the analysis solved: kappa_1(T) = ||T||_1 ||T^-1||_1 of
     Phi's first N harmonic rows T for indirect results, ||G||_1 ||G^-1||_1
-    of the Gram system G for direct ones, which also record the pruning
-    rule, since their coefficients are tied to the order and system they
-    came from. Above ``CONDITION_WARN_LIMIT`` either method attaches a
-    warning.
+    of the Gram system G for direct ones. A direct result names its pruning
+    rule, since its coefficients are tied to the order and system they came
+    from, and an indirect one names none: any other provenance is one no
+    analysis gives, a ``ConfigurationError``. Above ``CONDITION_WARN_LIMIT``
+    either method attaches a warning.
     """
 
     c0: float
@@ -202,8 +202,10 @@ class Decomposition:
         if self.method not in ("direct", "indirect"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         _segments(self.basis)
-        if self.pruning is not None:
+        if self.method == "direct":
             _pruning(self.pruning)
+        elif self.pruning is not None:
+            raise ConfigurationError(f"an indirect result has no pruning rule, got {self.pruning!r}")
         cond = self.condition_estimate
         cond = None if cond is None else _real(cond, "condition estimate")
         coeffs = _rows(self.coeffs, ("k", "A_k", "B_k"), "coefficients", "(k, A_k, B_k) triples")
@@ -273,7 +275,8 @@ class GramSystem:
 
 # The plan: what the analyses of one (basis, order) need before they see a
 # signal, one memoized builder per part. Every array handed out is _frozen. A
-# singular T or G raises, stores nothing, and so raises on every call.
+# basis that fails the independence gate, or a singular T or G, raises, stores
+# nothing, and so raises on every call.
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -290,6 +293,7 @@ def _indirect_plan(basis, order: int) -> tuple:
     kappa_1(T) = ||T||_1 ||X||_1 is exact: the largest column sum of |T|
     times that of |X|, read off the entries.
     """
+    _require_solvable(basis)
     triangular = _synthesis_entries(basis, order, order)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves kappa_1 non-finite
         inverse = _triangular_inverse(triangular, order, _layout(basis)[1].shape[-1])
@@ -308,20 +312,16 @@ def _direct_plan(basis, order: int, pruning: str) -> tuple:
 
     The blocks are cut from G's entry list without building G.
     """
+    _require_solvable(basis)
     rows, cols, vals = _gram_entries(basis, order)
     kept = _kept(rows % order + 1, cols % order + 1, order, pruning)
     return _blockwise_inverse(_gram_blocks(2 * order, rows[kept], cols[kept], vals[kept]))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _require_solvable(basis, eps: float) -> None:
-    """Raise unless every segment passes ``check_independence`` at eps.
-
-    The verdict depends on nothing else, so it is decided once per (basis,
-    eps); a basis that fails stores nothing and raises on every call.
-    """
+def _require_solvable(basis) -> None:
+    """Raise ``IllConditionedBasisError`` unless every segment passes ``check_independence``."""
     for start, pair in _segments(basis):
-        report = check_independence(pair, eps)
+        report = check_independence(pair)
         if not report:
             where = "" if pair is basis else f" (segment at k={start}, {pair.label or 'unlabeled'})"
             raise IllConditionedBasisError(
@@ -447,12 +447,7 @@ def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, pruning
     return Decomposition(f._spectrum[0], table, basis, method, pruning, cond, _condition_notes(cond))
 
 
-def analyze_indirect(
-    f: PeriodicSignal,
-    basis: BasisPair | BasisSchedule,
-    order: int,
-    eps_independence: float = EPS_INDEPENDENCE,
-) -> Decomposition:
+def analyze_indirect(f: PeriodicSignal, basis: BasisPair | BasisSchedule, order: int) -> Decomposition:
     """Frequency-by-frequency analysis of f over a basis pair or schedule.
 
     Solves T x = s on Phi's first N harmonic rows, s f's spectrum: harmonic
@@ -466,20 +461,14 @@ def analyze_indirect(
     """
     order = _check_band(f, order)
     _segments(basis)  # refuses a non-basis before the memoized plans hash it
-    _require_solvable(basis, _tolerance(eps_independence, "eps_independence"))
     triangular, inverse, cond = _indirect_plan(basis, order)
     x = _indirect_coeffs(f, triangular, inverse, order)
     return _decomposition(f, basis, x, "indirect", None, cond)
 
 
-def analyze_multiband(
-    f: PeriodicSignal,
-    schedule: BasisSchedule,
-    order: int,
-    eps_independence: float = EPS_INDEPENDENCE,
-) -> Decomposition:
+def analyze_multiband(f: PeriodicSignal, schedule: BasisSchedule, order: int) -> Decomposition:
     """``analyze_indirect`` over a schedule, the active pair selected per frequency."""
-    return analyze_indirect(f, schedule, order, eps_independence)
+    return analyze_indirect(f, schedule, order)
 
 
 def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
@@ -556,7 +545,6 @@ def analyze_direct(
     basis: BasisPair | BasisSchedule,
     order: int,
     pruning: str = "paper",
-    eps_independence: float = EPS_INDEPENDENCE,
 ) -> Decomposition:
     """One-shot analysis of f by solving the (pruned) Gram system.
 
@@ -570,7 +558,6 @@ def analyze_direct(
     order = _check_band(f, order)
     _segments(basis)  # refuses a non-basis before the memoized plans hash it
     pruning = _pruning(pruning)
-    _require_solvable(basis, _tolerance(eps_independence, "eps_independence"))
     groups, cond = _direct_plan(basis, order, pruning)
     rhs = _rhs(f, basis, order)
     x = np.empty(2 * order)
@@ -649,6 +636,9 @@ def decomposition_from_dict(data) -> Decomposition:
     try:
         basis = _basis_from_dict(data["basis"])
         coeffs = [(item["k"], item["A"], item["B"]) for item in data["coefficients"]]
+        order = _integer(data["order"], "order", 0)
+        if order != len(coeffs):
+            raise ConfigurationError(f"order {order} does not match the {len(coeffs)} coefficients")
         warnings = data.get("warnings", [])
         if not isinstance(warnings, list):
             raise ConfigurationError("warnings must be a list of strings")

@@ -6,7 +6,7 @@ or an integral float (``5.0`` is 5) in range is taken; a bool, a fraction, a
 string or any other type is a :class:`ConfigurationError`, which is also a
 ``ValueError``. Each phase passes ``_real``, which takes a finite int or float,
 numpy's included, and refuses a bool, a string or any other type the same way.
-Each tolerance passes ``_tolerance``: the same rule, and >= 0 besides.
+No tolerance is an argument: each is a constant of the module that applies it.
 Each value a result or a basis member holds passes ``_number``, the same type
 rule with finiteness left to the class, one by one unless it comes in a numeric
 array (``_numbers``).
@@ -89,14 +89,6 @@ def _real(value, name: str) -> float:
     number = _number(value, name)
     if not math.isfinite(number):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return number
-
-
-def _tolerance(value, name: str) -> float:
-    """value as a float by ``_number``, refused unless finite and >= 0: the rule of every eps and tol."""
-    number = _number(value, name)
-    if not (math.isfinite(number) and number >= 0):
-        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
     return number
 
 

@@ -1,5 +1,5 @@
-"""The argument contract: a bad order, count, index, depth, phase, tolerance, pruning rule, label,
-value, basis, signal or result is a GenharmError.
+"""The argument contract: a bad order, count, index, depth, phase, pruning rule, label, value,
+basis, signal or result is a GenharmError.
 
 Every public function that takes one of these refuses a bad value with a
 ``GenharmError`` subclass, never with a bare ``ValueError``, ``TypeError`` or
@@ -7,9 +7,9 @@ Every public function that takes one of these refuses a bad value with a
 signal where one is taken is an ``InvalidSignalError``, and anything but the
 result a function takes is a ``ConfigurationError``. A value a result, a basis
 member or a file holds is a number: a string, a bool or a complex is refused,
-never parsed, and so is each sample of a signal. A tolerance is a finite
-number >= 0, a pruning rule one of the strings in ``PRUNING_RULES``, and a
-basis label a string.
+never parsed, and so is each sample of a signal. A pruning rule is one of
+the strings in ``PRUNING_RULES``, and a basis label a string. No tolerance is
+an argument.
 """
 
 import math
@@ -115,8 +115,6 @@ NOT_SEGMENTS = [None, 3, "ab", [(1, PAIR, 3)], [(1,)], [PAIR], [1]], WRONG_TYPES
 ROW = (1, 1.0, 1.0)
 # a value that must be finite besides
 NOT_FINITE = [*NOT_REALS[0], math.nan, math.inf, -math.inf, 10**400], NOT_REALS[1]
-# a tolerance is finite and >= 0: a list, unhashable, is refused before any cache sees it
-BAD_TOLERANCES = [*NOT_FINITE[0], -1e-9, -1, np.float64(-0.5)], NOT_REALS[1] | st.floats(max_value=-1e-300)
 # a pruning rule is a string in PRUNING_RULES; a result may hold None, for none
 NOT_RULES = ["bogus", "Paper", "", b"paper", np.str_("lcm "), ["paper"], ("paper",), np.array("paper"), 1, True], (
     (st.text(max_size=5) | WRONG_TYPES).filter(lambda v: v is not None and v not in PRUNING_RULES))
@@ -171,14 +169,11 @@ SLOTS = {
     ("analyze_direct", "order"): (outside(1, 7), lambda v: analyze_direct(F, PAIR, v)),
     ("analyze_direct", "basis"): (BASES, lambda v: analyze_direct(F, v, 3)),
     ("analyze_direct", "pruning"): (BAD_RULES, lambda v: analyze_direct(F, PAIR, 3, v)),
-    ("analyze_direct", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_direct(F, PAIR, 3, "paper", v)),
     ("analyze_fourier", "max_harmonic"): (outside(0, 7), lambda v: analyze_fourier(F, v)),
     ("analyze_indirect", "order"): (outside(1, 7), lambda v: analyze_indirect(F, PAIR, v)),
     ("analyze_indirect", "basis"): (BASES, lambda v: analyze_indirect(F, v, 3)),
-    ("analyze_indirect", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_indirect(F, PAIR, 3, v)),
     ("analyze_multiband", "order"): (outside(1, 7), lambda v: analyze_multiband(F, SCHEDULE, v)),
     ("analyze_multiband", "schedule"): (BASES, lambda v: analyze_multiband(F, v, 3)),
-    ("analyze_multiband", "eps_independence"): (BAD_TOLERANCES, lambda v: analyze_multiband(F, SCHEDULE, 3, v)),
     ("band_filter", "keep_from"): (outside(1, 3), lambda v: band_filter(D, v, 3)),
     ("band_filter", "keep_to"): (outside(2, 3), lambda v: band_filter(D, 2, v)),
     ("build_gram_system", "order"): (outside(1, 7), lambda v: build_gram_system(F, PAIR, v)),
@@ -190,12 +185,9 @@ SLOTS = {
     ("builtin_basis", "phase_r"): (BAD_PHASES, lambda v: builtin_basis("square", phase_r=v)),
     ("builtin_basis", "label"): (NOT_LABELS, lambda v: builtin_basis("square", label=v)),
     ("check_convergence", "pair"): (PAIRS, check_convergence),
-    ("check_convergence", "eps"): (BAD_TOLERANCES, lambda v: check_convergence(PAIR, v)),
     ("check_independence", "pair"): (PAIRS, check_independence),
-    ("check_independence", "eps"): (BAD_TOLERANCES, lambda v: check_independence(PAIR, v)),
     ("classify_orthogonality", "basis"): (BASES, lambda v: classify_orthogonality(v, 3)),
     ("classify_orthogonality", "k_max"): (outside(1), lambda v: classify_orthogonality(PAIR, v)),
-    ("classify_orthogonality", "tol"): (BAD_TOLERANCES, lambda v: classify_orthogonality(PAIR, 3, v)),
     ("combined_spectrum", "band_cap"): (outside(0), lambda v: combined_spectrum(D, v)),
     ("decomposition_from_dict", "c0"): (NOT_REALS, lambda v: decomposition_from_dict({**D_DICT, "c0": v})),
     ("decomposition_from_dict", "A"): (NOT_REALS, lambda v: decomposition_from_dict(
@@ -241,8 +233,8 @@ TYPED = {
 SLOTS.update({slot: (((NOT_A_SIGNAL if error is InvalidSignalError else NOT_A_RESULT), WRONG_TYPES), call)
               for slot, (error, call) in TYPED.items()})
 
-# public callables that take no order, count, index, depth, phase, tolerance,
-# pruning rule, label, value, basis, signal or result: they take files, or a
+# public callables that take no order, count, index, depth, phase, pruning
+# rule, label, value, basis, signal or result: they take files, or a
 # dict whose values reach a checked constructor; or they are the verdict
 # records only the checks build, which validate nothing
 UNCHECKED = {
@@ -289,13 +281,7 @@ def test_a_whole_float_or_a_numpy_integer_is_the_integer_it_names():
     assert np.array_equal(reconstruct(D, 16.0).samples, reconstruct(D, np.uint8(16)).samples)
     assert frame_bounds(PAIR, 3.0) == frame_bounds(PAIR, 3)
     assert SCHEDULE.pair_for(np.int64(3)) is SCHEDULE.segments[1][1]
-
-
-def test_a_tolerance_of_any_numeric_type_is_the_float_it_names():
-    assert check_independence(PAIR, 0) == check_independence(PAIR, np.float32(0.0))
-    assert classify_orthogonality(PAIR, 3, np.int64(0)) == classify_orthogonality(PAIR, 3, 0.0)
-    want = analyze_indirect(F, PAIR, 3).coeffs
-    assert np.array_equal(analyze_indirect(F, PAIR, 3, np.float64(1e-9)).coeffs, want)
+    # a numpy string is the pruning rule it names
     assert np.array_equal(analyze_direct(F, PAIR, 3, np.str_("paper")).coeffs, analyze_direct(F, PAIR, 3).coeffs)
 
 

@@ -15,6 +15,7 @@ from genharm import (
     BasisSchedule,
     ConfigurationError,
     Decomposition,
+    FrameBounds,
     IllConditionedBasisError,
     MAX_DEPTH,
     PeriodicSignal,
@@ -70,6 +71,14 @@ def test_member_validation():
     member = BasisFunction([1.0, 0.5], [0.0, 0.0])
     assert member.depth == 2
     assert member.energy() == pytest.approx(1.25)
+
+
+def test_a_pair_member_must_be_a_basis_function():
+    member = BasisFunction([1.0], [0.0])
+    for other in (None, [1.0], (np.ones(1), np.zeros(1)), builtin_basis("square")):
+        for members in ((member, other), (other, member)):
+            with pytest.raises(ConfigurationError, match="both members of a pair must be BasisFunction values"):
+                BasisPair(*members)
 
 
 def test_member_arrays_cannot_be_made_writeable():
@@ -571,6 +580,13 @@ def test_frame_bounds_hand_checked_two_by_two():
     assert bounds.order == 2
     assert bounds.lower == pytest.approx(0.395, abs=1e-12)
     assert bounds.upper == pytest.approx(0.695, abs=1e-12)
+
+
+def test_frame_bounds_must_be_ordered_and_not_negative():
+    for lower, upper in ((0.6, 0.5), (-1e-300, 0.5), (-1.0, -0.5)):
+        with pytest.raises(ConfigurationError, match="need 0 <= lower <= upper"):
+            FrameBounds(lower, upper, 2)
+    assert (FrameBounds(0, 0, 1).lower, FrameBounds(0.5, 0.5, 1).upper) == (0.0, 0.5)
 
 
 def test_sine_cosine_frame_bounds_are_half(builtin_pairs):

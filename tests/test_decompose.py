@@ -28,7 +28,10 @@ from genharm import (
     analyze_multiband,
     build_gram_system,
     builtin_basis,
+    check_independence,
     combined_spectrum,
+    decomposition_from_dict,
+    decomposition_to_dict,
     load_decomposition,
     norm,
     reconstruct,
@@ -156,8 +159,6 @@ def _random_pair_case(seed):
     S = BasisFunction(rng.normal(size=depth), rng.normal(size=depth))
     R = BasisFunction(rng.normal(size=depth), rng.normal(size=depth))
     pair = BasisPair(S, R, "random")
-    from genharm import check_independence
-
     report = check_independence(pair)
     if not (report.passed and report.margin > 1e-3):
         return None
@@ -475,12 +476,12 @@ def test_order_is_an_integer_never_a_bool(analyze):
 def test_a_row_k_is_a_number_never_a_string_or_a_bool(k):
     # "1" and True used to build row k = 1
     with pytest.raises(ConfigurationError, match="k must be a number"):
-        Decomposition(0.0, ((k, 1.0, 2.0),), hand_pair(), "direct")
+        Decomposition(0.0, ((k, 1.0, 2.0),), hand_pair(), "direct", "paper")
     with pytest.raises(ConfigurationError):
-        Decomposition(0.0, np.array([[k, 1.0, 2.0]], dtype=object), hand_pair(), "direct")
+        Decomposition(0.0, np.array([[k, 1.0, 2.0]], dtype=object), hand_pair(), "direct", "paper")
     # numeric rows still take k as any number equal to it
     for rows in (((1.0, 1.0, 2.0),), ((np.int64(1), 1.0, 2.0),), np.array([[1, 1, 2]])):
-        assert np.array_equal(Decomposition(0.0, rows, hand_pair(), "direct").coeffs, [[1, 1, 2]])
+        assert np.array_equal(Decomposition(0.0, rows, hand_pair(), "direct", "paper").coeffs, [[1, 1, 2]])
 
 
 def test_pair_at_takes_the_harmonics_of_the_result_only(builtin_pairs):
@@ -590,6 +591,23 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
         assert d.coeffs.dtype == float and not d.coeffs.flags.writeable
         assert np.array_equal(d.coeffs, [[1, 2, 3], [2, 4, 5]])
     assert Decomposition(0.0, (), pair, "indirect").coeffs.shape == (0, 3)
+
+
+def test_a_provenance_no_analysis_gives_is_refused(builtin_pairs):
+    pair = builtin_pairs["sine_cosine"]
+    with pytest.raises(ConfigurationError, match="an indirect result has no pruning rule, got 'paper'"):
+        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", "paper")
+    with pytest.raises(ConfigurationError, match="unknown pruning rule None"):
+        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "direct")
+    data = decomposition_to_dict(Decomposition(0.0, [(1, 1.0, 2.0)], pair, "direct", "lcm"))
+    assert decomposition_from_dict(data).order == 1
+    with pytest.raises(ConfigurationError, match="order 7 does not match the 1 coefficients"):
+        decomposition_from_dict({**data, "order": 7})
+    for order in (True, "1", 1.5):
+        with pytest.raises(ConfigurationError, match="order must be an integer"):
+            decomposition_from_dict({**data, "order": order})
+    with pytest.raises(ConfigurationError, match="malformed decomposition data"):
+        decomposition_from_dict({key: value for key, value in data.items() if key != "order"})
 
 
 def test_gram_system_copies_and_freezes_its_inputs():
@@ -711,7 +729,7 @@ def test_a_spectrum_that_overflows_raises_an_invalid_signal_error():
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_reconstruct_refuses_a_grid_no_signal_has(n):
-    d = Decomposition(0.5, ((1, 1.0, 2.0),), builtin_basis("square"), "direct")
+    d = Decomposition(0.5, ((1, 1.0, 2.0),), builtin_basis("square"), "direct", "paper")
     with pytest.raises(InvalidSignalError, match=f"sample count must be even and >= 4, got {n}"):
         reconstruct(d, n)
 
@@ -834,15 +852,18 @@ def test_one_singular_block_among_regular_ones_is_refused():
 
 
 def test_a_singular_indirect_system_raises_without_a_numpy_warning():
-    # det C_1 = 1e-300 passes the independence check at eps 0, but its inverse
-    # overflows while X is built and leaves kappa_1(T) non-finite
-    S = BasisFunction([1.0, 0.5], [0.0, 0.0])
-    pair = BasisPair(S, BasisFunction([0.0, 0.0], [1e-300, 1.0]))
+    # det C_1 = 1 passes the independence check, but S's second harmonic, 1e100,
+    # puts its powers in X's blocks along the divisor chain 1 | 2 | 4 | ..., so
+    # kappa_1(T) = ||T||_1 ||X||_1 is 1e300 at N = 4 and overflows from N = 8 on
+    pair = BasisPair(BasisFunction([1.0, 1e100], [0.0, 0.0]), BasisFunction([0.0, 0.0], [1.0, 0.0]))
+    assert check_independence(pair)
     f = random_bandlimited(np.random.default_rng(7), 8, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(AnalysisError, match="indirect system is numerically singular"):
-            analyze_indirect(f, pair, 8, eps_independence=0.0)
+        assert analyze_indirect(f, pair, 4).condition_estimate == 1e300
+        for order in (8, 16):
+            with pytest.raises(AnalysisError, match="indirect system is numerically singular"):
+                analyze_indirect(f, pair, order)
 
 
 def test_the_direct_method_never_factors_the_whole_system(monkeypatch):

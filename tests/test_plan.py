@@ -42,13 +42,12 @@ from genharm.decompose import (
     _direct_plan,
     _indirect_plan,
     _phi,
-    _require_solvable,
 )
 
 from conftest import random_bandlimited, two_segment_schedule
 
 KINDS = ("sine_cosine", "square", "sawtooth", "triangle", "trapezoid", "square_saw")
-BUILDERS = (_phi, _indirect_plan, _direct_plan, _layout, _require_solvable)
+BUILDERS = (_phi, _indirect_plan, _direct_plan, _layout)
 
 
 def _results(f, basis, order):
@@ -100,9 +99,9 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
         grams.append(order)
         return original_gram(basis, order)
 
-    def counted_check(pair, eps):
-        verdicts.append(eps)
-        return original_check(pair, eps)
+    def counted_check(pair):
+        verdicts.append(pair)
+        return original_check(pair)
 
     monkeypatch.setattr(decompose, "_synthesis_entries", counted_entries)
     monkeypatch.setattr(decompose, "_gram_entries", counted_gram)
@@ -116,7 +115,7 @@ def test_ten_signals_build_phi_once_per_order_and_cap(monkeypatch):
     # the indirect levels read Phi at cap = order, the direct rhs and residual at the band
     assert builds == {(16, 16): 1, (16, 63): 1}
     assert grams == [16]
-    assert verdicts == [decompose.EPS_INDEPENDENCE]  # one independence check for the pair
+    assert verdicts == [pair, pair]  # one independence check per plan built
 
 
 def test_one_rfft_per_signal_across_the_analyses(monkeypatch):
@@ -195,17 +194,14 @@ def test_a_singular_system_raises_on_every_call_and_stores_nothing():
 def test_an_ill_conditioned_basis_raises_on_every_call_and_stores_nothing():
     pair = BasisPair(BasisFunction([0.0], [1.0]), BasisFunction([0.0], [2.0]), "proportional")
     f = random_bandlimited(np.random.default_rng(5), 2, 64)
-    _require_solvable.cache_clear()
+    _indirect_plan.cache_clear()
+    _direct_plan.cache_clear()
     for calls in (1, 2):
-        with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
-            analyze_indirect(f, pair, 2)
-        info = _require_solvable.cache_info()
-        assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
-    square = builtin_basis("square")
-    for _ in range(2):
-        analyze_indirect(f, square, 2)
-    info = _require_solvable.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)  # a passing verdict is kept
+        for analyze, plan in ((analyze_indirect, _indirect_plan), (analyze_direct, _direct_plan)):
+            with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
+                analyze(f, pair, 2)
+            info = plan.cache_info()
+            assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
 
 
 def test_plan_arrays_cannot_be_made_writeable():
