@@ -33,7 +33,7 @@ switches to a converging pair at higher frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -200,12 +200,17 @@ class IndependenceReport:
 
     ``products`` holds (s1*r'1, s'1*r1), the paper's diagnostic; ``margin`` is
     how far the absolute determinant |s1*r'1 - s'1*r1| clears
-    ``EPS_INDEPENDENCE`` times the fundamentals' energy (positive passes).
+    ``EPS_INDEPENDENCE`` times the fundamentals' energy. The verdict is read
+    off the margin, never given: ``passed`` is ``margin > 0``, so a NaN
+    margin fails.
     """
 
-    passed: bool
+    passed: bool = field(init=False)
     products: tuple
     margin: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.margin > 0))
 
     def __bool__(self) -> bool:
         return self.passed
@@ -216,13 +221,16 @@ class ConvergenceReport:
     """Verdict of the fundamental-dominance requisite.
 
     ``eigenvalues`` is (smallest, largest) of the 2x2 form Q; ``form`` is Q
-    itself, row-major. The check passes iff the smallest eigenvalue exceeds
-    ``EPS_CONVERGENCE``.
+    itself, row-major. The verdict is read off the eigenvalues, never given:
+    ``passed`` is whether the smallest exceeds ``EPS_CONVERGENCE``.
     """
 
-    passed: bool
+    passed: bool = field(init=False)
     eigenvalues: tuple
     form: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.eigenvalues[0] > EPS_CONVERGENCE))
 
     def __bool__(self) -> bool:
         return self.passed
@@ -230,13 +238,22 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Orthogonality of a pair along the two axes of the dilated family."""
+    """Orthogonality of a pair along the two axes of the dilated family.
 
-    horizontal: bool
-    vertical: bool
+    The verdicts are read off the maxima, never given: an axis is
+    orthogonal (``horizontal``, ``vertical``) iff its maximum is at most
+    ``ORTHOGONALITY_TOL``.
+    """
+
+    horizontal: bool = field(init=False)
+    vertical: bool = field(init=False)
     max_horizontal: float
     max_vertical: float
     k_max: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizontal", bool(self.max_horizontal <= ORTHOGONALITY_TOL))
+        object.__setattr__(self, "vertical", bool(self.max_vertical <= ORTHOGONALITY_TOL))
 
     @property
     def horizontal_label(self) -> str:
@@ -609,7 +626,7 @@ def check_independence(pair: BasisPair) -> IndependenceReport:
     p_cross = sp1 * r1
     det = abs(p_main - p_cross)
     threshold = EPS_INDEPENDENCE * (s1 * s1 + sp1 * sp1 + r1 * r1 + rp1 * rp1)
-    return IndependenceReport(det > threshold, (p_main, p_cross), det - threshold)
+    return IndependenceReport((p_main, p_cross), det - threshold)
 
 
 def check_convergence(pair: BasisPair) -> ConvergenceReport:
@@ -638,7 +655,7 @@ def check_convergence(pair: BasisPair) -> ConvergenceReport:
     center = 0.5 * (q00 + q11)
     lo = center - radius
     hi = center + radius
-    return ConvergenceReport(lo > EPS_CONVERGENCE, (lo, hi), ((q00, q01), (q01, q11)))
+    return ConvergenceReport((lo, hi), ((q00, q01), (q01, q11)))
 
 
 def classify_orthogonality(basis: BasisPair | BasisSchedule, k_max: int) -> OrthogonalityReport:
@@ -657,13 +674,7 @@ def classify_orthogonality(basis: BasisPair | BasisSchedule, k_max: int) -> Orth
     magnitude = np.abs(vals)
     max_horizontal = float(np.max(magnitude[same_k & (rows != cols)], initial=0.0))
     max_vertical = float(np.max(magnitude[~same_k], initial=0.0))
-    return OrthogonalityReport(
-        horizontal=max_horizontal <= ORTHOGONALITY_TOL,
-        vertical=max_vertical <= ORTHOGONALITY_TOL,
-        max_horizontal=max_horizontal,
-        max_vertical=max_vertical,
-        k_max=k_max,
-    )
+    return OrthogonalityReport(max_horizontal, max_vertical, k_max)
 
 
 def frame_bounds(basis: BasisPair | BasisSchedule, order: int) -> FrameBounds:

@@ -7,12 +7,13 @@ form).
 
 Handlers read the parsed arguments directly, once ``_validate`` has checked
 the run shape; the library checks the rest. No tolerance is a flag: the basis
-checks use the library's constants, and ``analyze`` reports where residual
-content exceeds ``DEFAULT_RESIDUAL_TOL``. Exit codes: 0 success; 1 unreadable
-or unparseable inputs; 2 domain failures (failed basis checks, dependent
-basis, empty band, invalid run shape, depth or phase, or a run shape too
-large to allocate) and command lines argparse refuses, such as an unknown
-flag.
+checks use the library's constants, and ``analyze`` reports the first harmonic
+where residual content exceeds ``DEFAULT_RESIDUAL_TOL`` times the input
+signal's RMS, a threshold relative to the signal's own size, so the report
+does not depend on the signal's units. Exit codes: 0 success; 1 unreadable or
+unparseable inputs; 2 domain failures (failed basis checks, dependent basis,
+empty band, invalid run shape, depth or phase, or a run shape too large to
+allocate) and command lines argparse refuses, such as an unknown flag.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ def _run_check_basis(args: argparse.Namespace) -> int:
     return 0 if (independence and convergence) else 2
 
 
-def _noise_start(res_spec) -> int | None:
-    """The first harmonic whose sine or cosine coefficient exceeds ``DEFAULT_RESIDUAL_TOL``, if any."""
-    loud = np.flatnonzero(np.maximum(np.abs(res_spec.a), np.abs(res_spec.b)) > DEFAULT_RESIDUAL_TOL)
+def _noise_start(res_spec, scale: float) -> int | None:
+    """The first harmonic whose sine or cosine coefficient exceeds ``DEFAULT_RESIDUAL_TOL * scale``, if any."""
+    loud = np.flatnonzero(np.maximum(np.abs(res_spec.a), np.abs(res_spec.b)) > DEFAULT_RESIDUAL_TOL * scale)
     return int(loud[0]) + 1 if loud.size else None
 
 
@@ -157,7 +158,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     approx = reconstruct(d, f.n)
     res = PeriodicSignal(f.samples - approx.samples)
     res_spec = analyze_fourier(res, _band(f.n))
-    start = _noise_start(res_spec)
+    start = _noise_start(res_spec, norm(f))
     print(f"method: {d.method}")
     print(f"c0: {d.c0!r}")
     print(f"residual norm: {norm(res)!r}")

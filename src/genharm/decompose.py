@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,8 +186,9 @@ class Decomposition:
     of the Gram system G for direct ones. A direct result names its pruning
     rule, since its coefficients are tied to the order and system they came
     from, and an indirect one names none: any other provenance is one no
-    analysis gives, a ``ConfigurationError``. Above ``CONDITION_WARN_LIMIT``
-    either method attaches a warning.
+    analysis gives, a ``ConfigurationError``. ``warnings`` is read off the
+    condition estimate, never given: one note when it exceeds
+    ``CONDITION_WARN_LIMIT``, none otherwise or without an estimate.
     """
 
     c0: float
@@ -196,7 +197,7 @@ class Decomposition:
     method: str
     pruning: str | None = None
     condition_estimate: float | None = None
-    warnings: tuple = ()
+    warnings: tuple = field(init=False)
 
     def __post_init__(self):
         if self.method not in ("direct", "indirect"):
@@ -211,13 +212,10 @@ class Decomposition:
         coeffs = _rows(self.coeffs, ("k", "A_k", "B_k"), "coefficients", "(k, A_k, B_k) triples")
         if not np.isfinite(coeffs).all():
             raise ConfigurationError("decomposition values must all be finite")
-        warnings = tuple(self.warnings)
-        if isinstance(self.warnings, str) or not all(isinstance(note, str) for note in warnings):
-            raise ConfigurationError("warnings must be strings")
         object.__setattr__(self, "c0", _real(self.c0, "c0"))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "condition_estimate", cond)
-        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "warnings", () if cond is None else _condition_notes(cond))
 
     __setstate__ = _refreeze
 
@@ -238,33 +236,30 @@ class GramSystem:
     Rows and columns are ordered (S,1)..(S,N), (R,1)..(R,N); entry (i, j) is
     the inner product of the two dilated members, zeroed where ``pruned_mask``
     is True. ``rhs`` holds the projections of the signal on each row's member.
-    Matrix and rhs values are finite numbers by ``errors._numbers``, and
-    ``pruned_mask`` is a boolean array, the one the pruning rule gives at the
-    order. The arrays are copied and frozen on construction, whoever builds
-    the system.
+    Matrix and rhs values are finite numbers by ``errors._numbers``; the
+    arrays are copied and frozen on construction, whoever builds the system.
+    ``pruned_mask`` is read off the rule and the order, never given: the
+    boolean mask of the entries the rule zeroes, frozen too.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    pruned_mask: np.ndarray
+    pruned_mask: np.ndarray = field(init=False)
     order: int
     pruning: str
 
     def __post_init__(self):
         matrix = _numbers(self.matrix, "gram matrix")
         rhs = _numbers(self.rhs, "gram rhs")
-        mask = self.pruned_mask
         order = _integer(self.order, "order", 1)
         _pruning(self.pruning)
-        if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-            raise ConfigurationError("pruned_mask must be a boolean array")
         two_n = 2 * order
-        if matrix.shape != (two_n, two_n) or mask.shape != matrix.shape or rhs.shape != (two_n,):
+        if matrix.shape != (two_n, two_n) or rhs.shape != (two_n,):
             raise DimensionError("gram system shapes do not match the order")
-        if not np.array_equal(mask, _pruned(order, self.pruning)):
-            raise ConfigurationError(f"pruned_mask is not the {self.pruning!r} rule's mask at order {order}")
         if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
             raise ConfigurationError("gram system values must all be finite")
+        k = np.arange(1, order + 1)
+        mask = ~np.tile(_kept(k[:, None], k, order, self.pruning), (2, 2))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "matrix", _frozen(matrix))
         object.__setattr__(self, "rhs", _frozen(rhs))
@@ -444,7 +439,7 @@ def _decomposition(f: PeriodicSignal, basis, x: np.ndarray, method: str, pruning
     table = np.empty((order, 3))
     table[:, 0] = np.arange(1, order + 1)
     table[:, 1:] = x.reshape(2, order).T
-    return Decomposition(f._spectrum[0], table, basis, method, pruning, cond, _condition_notes(cond))
+    return Decomposition(f._spectrum[0], table, basis, method, pruning, cond)
 
 
 def analyze_indirect(f: PeriodicSignal, basis: BasisPair | BasisSchedule, order: int) -> Decomposition:
@@ -481,12 +476,6 @@ def _kept(k: np.ndarray, m: np.ndarray, order: int, pruning: str) -> np.ndarray:
     return k // np.gcd(k, m) * m <= order
 
 
-def _pruned(order: int, pruning: str) -> np.ndarray:
-    """The (2N, 2N) mask of the Gram entries the pruning rule zeroes, in ``GramSystem``'s order."""
-    k = np.arange(1, order + 1)
-    return ~np.tile(_kept(k[:, None], k, order, pruning), (2, 2))
-
-
 def _rhs(f: PeriodicSignal, basis, order: int) -> np.ndarray:
     """(1/2) Phi^T s, with s f's spectrum up to its band."""
     rows, cols, vals = _phi(basis, order, _band(f.n))
@@ -507,12 +496,12 @@ def build_gram_system(
     lcm(k, m) <= order; ``none`` keeps all.
     """
     order = _check_band(f, order)
-    pruned = _pruned(order, pruning)
+    pruning = _pruning(pruning)
     rows, cols, vals = _gram_entries(basis, order)
+    kept = _kept(rows % order + 1, cols % order + 1, order, pruning)
     gram = np.zeros((2 * order, 2 * order))
-    gram[rows, cols] = vals
-    gram[pruned] = 0.0
-    return GramSystem(gram, _rhs(f, basis, order), pruned, order, pruning)
+    gram[rows[kept], cols[kept]] = vals[kept]
+    return GramSystem(gram, _rhs(f, basis, order), order, pruning)
 
 
 def _blockwise_inverse(groups) -> tuple:
@@ -633,15 +622,17 @@ def decomposition_to_dict(d: Decomposition) -> dict:
 
 
 def decomposition_from_dict(data) -> Decomposition:
+    """The ``Decomposition`` that ``decomposition_to_dict`` wrote as ``data``.
+
+    Malformed data is a ``ConfigurationError``. The ``"warnings"`` key is not
+    read: the result derives its warnings from ``"condition_estimate"``.
+    """
     try:
         basis = _basis_from_dict(data["basis"])
         coeffs = [(item["k"], item["A"], item["B"]) for item in data["coefficients"]]
         order = _integer(data["order"], "order", 0)
         if order != len(coeffs):
             raise ConfigurationError(f"order {order} does not match the {len(coeffs)} coefficients")
-        warnings = data.get("warnings", [])
-        if not isinstance(warnings, list):
-            raise ConfigurationError("warnings must be a list of strings")
         return Decomposition(
             data["c0"],
             coeffs,
@@ -649,7 +640,6 @@ def decomposition_from_dict(data) -> Decomposition:
             str(data["method"]),
             data.get("pruning"),
             data.get("condition_estimate"),
-            tuple(warnings),
         )
     except ConfigurationError:
         raise

@@ -108,7 +108,7 @@ def band_filter(d: Decomposition, keep_from: int, keep_to: int) -> Decomposition
     table = d.coeffs.copy()
     table[: keep_from - 1, 1:] = 0.0
     table[keep_to:, 1:] = 0.0
-    return Decomposition(0.0, table, d.basis, d.method, d.pruning, d.condition_estimate, d.warnings)
+    return Decomposition(0.0, table, d.basis, d.method, d.pruning, d.condition_estimate)
 
 
 def write_spectrum_csv(spec: GeneralizedSpectrum, path) -> None:

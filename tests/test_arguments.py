@@ -126,12 +126,6 @@ BAD_LABELS = [None, *NOT_LABELS[0]], NOT_LABELS[1] | st.none()
 # a basis kind is one of the builtin names, as a string: a list or a dict is refused before any lookup
 NOT_KINDS = [None, 3, b"square", ["square"], ("square",), {"a": 1}, np.array("square"), "bogus", "Square"], (
     (st.text(max_size=5) | WRONG_TYPES).filter(lambda v: v not in BUILTIN_KINDS))
-# a Gram system's pruned mask is the boolean array its rule gives: at order 1, "none" prunes nothing
-KEEP_ALL = np.zeros((2, 2), dtype=bool)
-NOT_MASKS = [None, [[False, False], [False, False]], [["False", "x"], [0.5, None]], np.zeros((2, 2)),
-             np.eye(2, dtype=bool), np.zeros((1, 2), dtype=bool), np.zeros(4, dtype=bool)], (
-    st.lists(st.booleans(), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)).filter(np.any)
-    | WRONG_TYPES)
 
 # (callable, argument): ((values to refuse, a strategy of more values to refuse), the call)
 SLOTS = {
@@ -158,13 +152,10 @@ SLOTS = {
     ("FrameBounds", "order"): (outside(1), lambda v: FrameBounds(0.0, 1.0, v)),
     ("GeneralizedSpectrum", "energy"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, v),), 0.0)),
     ("GeneralizedSpectrum", "c0_sq"): (NOT_REALS, lambda v: GeneralizedSpectrum(((1, 0.5),), v)),
-    ("GramSystem", "order"): (outside(1),
-                              lambda v: GramSystem(np.eye(2), np.zeros(2), KEEP_ALL, v, "none")),
-    ("GramSystem", "matrix"): (NOT_FINITE,
-                               lambda v: GramSystem([[v, 0.0], [0.0, 1.0]], np.zeros(2), KEEP_ALL, 1, "none")),
-    ("GramSystem", "rhs"): (NOT_FINITE, lambda v: GramSystem(np.eye(2), [v, 0.0], KEEP_ALL, 1, "none")),
-    ("GramSystem", "pruning"): (BAD_RULES, lambda v: GramSystem(np.eye(2), np.zeros(2), KEEP_ALL, 1, v)),
-    ("GramSystem", "pruned_mask"): (NOT_MASKS, lambda v: GramSystem(np.eye(2), np.zeros(2), v, 1, "none")),
+    ("GramSystem", "order"): (outside(1), lambda v: GramSystem(np.eye(2), np.zeros(2), v, "none")),
+    ("GramSystem", "matrix"): (NOT_FINITE, lambda v: GramSystem([[v, 0.0], [0.0, 1.0]], np.zeros(2), 1, "none")),
+    ("GramSystem", "rhs"): (NOT_FINITE, lambda v: GramSystem(np.eye(2), [v, 0.0], 1, "none")),
+    ("GramSystem", "pruning"): (BAD_RULES, lambda v: GramSystem(np.eye(2), np.zeros(2), 1, v)),
     ("PeriodicSignal", "samples"): (BAD_SAMPLES, PeriodicSignal),
     ("analyze_direct", "order"): (outside(1, 7), lambda v: analyze_direct(F, PAIR, v)),
     ("analyze_direct", "basis"): (BASES, lambda v: analyze_direct(F, v, 3)),

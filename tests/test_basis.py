@@ -1,5 +1,6 @@
 """Basis construction, validity checks, orthogonality, and serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,13 @@ from genharm import (
     BasisPair,
     BasisSchedule,
     ConfigurationError,
+    ConvergenceReport,
     Decomposition,
     FrameBounds,
     IllConditionedBasisError,
+    IndependenceReport,
     MAX_DEPTH,
+    OrthogonalityReport,
     PeriodicSignal,
     analyze_indirect,
     builtin_basis,
@@ -545,6 +549,48 @@ def test_pair_checks_refuse_a_schedule(check):
     assert not check_convergence(diverging)
     with pytest.raises(ConfigurationError, match="a basis pair is required, not a schedule"):
         check(schedule)
+
+
+def test_each_verdict_is_read_off_its_numbers():
+    form = ((1.0, 0.0), (0.0, 1.0))
+    up = math.inf
+    # independence passes iff the margin is positive: zero, -0.0 and NaN fail
+    for margin, passed in ((0.0, False), (5e-324, True), (-0.0, False), (-1.0, False), (math.nan, False),
+                           (math.inf, True), (np.float64(1.0), True)):
+        report = IndependenceReport((0.0, 0.0), margin)
+        assert report.passed is passed and bool(report) is passed, margin
+    # convergence passes iff the smallest eigenvalue exceeds EPS_CONVERGENCE
+    eps = basis_module.EPS_CONVERGENCE
+    for smallest, passed in ((eps, False), (np.nextafter(eps, up), True), (-5.0, False), (math.nan, False)):
+        report = ConvergenceReport((smallest, 2.0), form)
+        assert report.passed is passed and bool(report) is passed, smallest
+    # an axis is orthogonal iff its maximum is at most ORTHOGONALITY_TOL
+    tol = basis_module.ORTHOGONALITY_TOL
+    above = np.nextafter(tol, up)
+    for (horizontal, vertical), want in (((tol, above), (True, False)), ((above, tol), (False, True)),
+                                         ((0.0, math.nan), (True, False))):
+        report = OrthogonalityReport(horizontal, vertical, 3)
+        assert (report.horizontal, report.vertical) == want
+        assert report.horizontal_label == ("orthogonal" if want[0] else "non_orthogonal")
+    # a verdict is no argument, so a report cannot contradict its numbers
+    with pytest.raises(TypeError):
+        IndependenceReport(True, (0.0, 0.0), -1.0)
+    with pytest.raises(TypeError):
+        IndependenceReport((0.0, 0.0), -1.0, passed=True)
+    with pytest.raises(TypeError):
+        ConvergenceReport(True, (-5.0, 1.0), form)
+    with pytest.raises(TypeError):
+        OrthogonalityReport(True, True, 1.0, 1.0, 3)
+    with pytest.raises(TypeError):
+        OrthogonalityReport(1.0, 1.0, 3, horizontal=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(IndependenceReport((0.0, 0.0), -1.0), passed=True)
+    # replace recomputes the verdict from the new numbers; the fields keep their order
+    report = dataclasses.replace(IndependenceReport((0.0, 0.0), -1.0), margin=1.0)
+    assert report.passed and list(dataclasses.asdict(report)) == ["passed", "products", "margin"]
+    assert list(dataclasses.asdict(ConvergenceReport((1.0, 2.0), form))) == ["passed", "eigenvalues", "form"]
+    assert list(dataclasses.asdict(OrthogonalityReport(0.0, 0.0, 3))) == [
+        "horizontal", "vertical", "max_horizontal", "max_vertical", "k_max"]
 
 
 # --- orthogonality and frame bounds ---------------------------------------------

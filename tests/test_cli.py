@@ -18,10 +18,9 @@ from genharm import (
     BasisFunction,
     BasisPair,
     BasisSchedule,
-    ConfigurationError,
     Decomposition,
+    PeriodicSignal,
     builtin_basis,
-    decomposition_from_dict,
     load_decomposition,
     pair_to_dict,
     read_signal_csv,
@@ -103,6 +102,21 @@ def test_analyze_reports_residual_and_writes_files(workdir, capsys):
     recon = read_signal_csv(workdir / "recon.csv")
     original = read_signal_csv(workdir / "signal.csv")
     assert np.max(np.abs(recon.samples - original.samples)) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e12])
+def test_the_noise_start_does_not_depend_on_the_signal_s_units(workdir, capsys, scale):
+    # the signal lies in the span of square_saw's first 8 dilations; a tone at
+    # harmonic 200, 1e-3 of its peak, is all that an order-8 analysis leaves
+    clean = read_signal_csv(workdir / "signal.csv")
+    tone = 1e-3 * np.max(np.abs(clean.samples)) * np.sin(2 * np.pi * 200 * clean.grid)
+    for name, samples, start in (("clean", clean.samples, "none within band 255"),
+                                 ("noisy", clean.samples + tone, "200")):
+        write_signal_csv(PeriodicSignal(scale * samples), workdir / f"{name}.csv")
+        code = main(["analyze", "--in", str(workdir / f"{name}.csv"), "--basis", "square_saw",
+                     "--order", "8", "--out", str(workdir / f"{name}.json")])
+        assert code == 0
+        assert f"noise starts at: {start}\n" in capsys.readouterr().out, name
 
 
 def test_analyze_direct_method_flag(workdir, capsys):
@@ -215,7 +229,6 @@ def test_filter_band_and_errors(workdir, capsys):
 @pytest.mark.parametrize(
     "field, raw",
     [("basis", '"square_saw"'), ("pruning", '"bogus"'), ("condition_estimate", "NaN"),
-     ("warnings", "[NaN]"),
      # a provenance no analysis gives: a direct result with no rule, an
      # indirect one with a rule, an order other than the coefficients'
      ("pruning", "null"), ("method", '"indirect"'), ("order", "7")],
@@ -238,25 +251,30 @@ def test_malformed_decomposition_exits_one_without_traceback(workdir, field, raw
     assert not (workdir / "out.json").exists()
 
 
-@pytest.mark.parametrize("warnings", ["abc", {"x": 1}, [1]])
-def test_warnings_other_than_a_list_of_strings_exit_one_without_traceback(workdir, warnings):
+@pytest.mark.parametrize(
+    "raw, condition_estimate",
+    [('"abc"', None), ('{"x": 1}', None), ("[1]", None), ("[NaN]", None), ('["a made-up note"]', None),
+     ("[]", 1e20), (None, 1e20)],
+)
+def test_a_file_s_warnings_are_not_read_but_derived_from_its_condition_estimate(
+        workdir, raw, condition_estimate):
     main(["analyze", "--in", str(workdir / "signal.csv"), "--basis", "square_saw",
-          "--order", "4", "--out", str(workdir / "dec.json")])
+          "--order", "4", "--method", "direct", "--out", str(workdir / "dec.json")])
     data = json.loads((workdir / "dec.json").read_text())
-    data["warnings"] = warnings
-    with pytest.raises(ConfigurationError, match="warnings must be"):
-        decomposition_from_dict(data)
-    bad = workdir / "bad.json"
-    bad.write_text(json.dumps(data))
-    env = dict(os.environ, PYTHONPATH=str(Path(genharm.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "genharm.cli", "spectrum", "--in", str(bad),
-         "--out", str(workdir / "spec.csv")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert not (workdir / "spec.csv").exists()
+    assert "warnings" not in data and data["condition_estimate"] < 1e12
+    data["condition_estimate"] = condition_estimate or data["condition_estimate"]
+    if raw is not None:
+        data["warnings"] = "placeholder"
+    edited = workdir / "edited.json"
+    edited.write_text(json.dumps(data).replace('"placeholder"', str(raw)))
+    want = ()
+    if condition_estimate is not None:
+        want = ("condition estimate 1.000e+20 exceeds 1e+12; coefficients may be unreliable",)
+    assert load_decomposition(edited).warnings == want
+    assert main(["spectrum", "--in", str(edited), "--out", str(workdir / "spec.csv")]) == 0
+    assert main(["filter", "--in", str(edited), "--keep-from", "1", "--keep-to", "2",
+                 "--out", str(workdir / "band.json")]) == 0
+    assert json.loads((workdir / "band.json").read_text()).get("warnings", []) == list(want)
 
 
 _NO_SCIPY_SCRIPT = """

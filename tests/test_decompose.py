@@ -1,5 +1,7 @@
 """Direct and indirect analysis, pruning, reconstruction, serialization."""
 
+import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -26,6 +28,7 @@ from genharm import (
     analyze_fourier,
     analyze_indirect,
     analyze_multiband,
+    band_filter,
     build_gram_system,
     builtin_basis,
     check_independence,
@@ -581,16 +584,37 @@ def test_decomposition_validates_coefficient_indices(builtin_pairs):
     for row, column in (((1, "a", 2), "A_k"), ((1, "1.5", 2.0), "A_k"), ((1, 1.0, True), "B_k")):
         with pytest.raises(ConfigurationError, match=f"{column} must be a number"):
             Decomposition(0.0, [row], pair, "indirect")
-    # a bare string is not a sequence of warnings
-    with pytest.raises(ConfigurationError, match="warnings must be strings"):
-        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", warnings="abc")
-    assert Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", warnings=["abc"]).warnings == ("abc",)
     # any (N, 3) rows are kept as a read-only (N, 3) float array
     for rows in (np.array([[1, 2, 3], [2, 4, 5]]), [(1, 2.0, 3.0), (np.int64(2), 4, np.float32(5))]):
         d = Decomposition(0.0, rows, pair, "indirect")
         assert d.coeffs.dtype == float and not d.coeffs.flags.writeable
         assert np.array_equal(d.coeffs, [[1, 2, 3], [2, 4, 5]])
     assert Decomposition(0.0, (), pair, "indirect").coeffs.shape == (0, 3)
+
+
+def test_a_result_s_warning_is_read_off_its_condition_estimate(builtin_pairs):
+    pair = builtin_pairs["sine_cosine"]
+    limit = CONDITION_WARN_LIMIT
+    for cond, warned in ((None, False), (1.0, False), (limit, False), (np.nextafter(limit, math.inf), True),
+                         (1e20, True)):
+        d = Decomposition(0.0, [(1, 1.0, 2.0)], pair, "direct", "paper", cond)
+        assert d.warnings == ((f"condition estimate {cond:.3e} exceeds 1e+12; coefficients may be unreliable",)
+                              if warned else ()), cond
+        # band_filter and a file round trip keep the warning, derived again from the estimate
+        assert band_filter(d, 1, 1).warnings == d.warnings
+        assert decomposition_from_dict(decomposition_to_dict(d)).warnings == d.warnings
+    # a warning is no argument, so a result cannot carry one its estimate does not give
+    with pytest.raises(TypeError):
+        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", None, 1e20, ())
+    with pytest.raises(TypeError):
+        Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect", warnings=("made up",))
+    with pytest.raises(TypeError):
+        GramSystem(np.eye(2), np.zeros(2), np.zeros((2, 2), dtype=bool), 1, "none")
+    with pytest.raises(ValueError):
+        dataclasses.replace(Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect"), warnings=())
+    # replace derives the warning of the new estimate
+    d = dataclasses.replace(Decomposition(0.0, [(1, 1.0, 2.0)], pair, "indirect"), condition_estimate=1e20)
+    assert len(d.warnings) == 1
 
 
 def test_a_provenance_no_analysis_gives_is_refused(builtin_pairs):
@@ -615,34 +639,30 @@ def test_gram_system_copies_and_freezes_its_inputs():
     assert not any(a.flags.writeable for a in (built.matrix, built.rhs, built.pruned_mask))
     # a caller's array is copied, frozen or not, and stays writeable
     matrix = np.array(built.matrix)
-    system = GramSystem(matrix, built.rhs, built.pruned_mask, 2, "none")
+    system = GramSystem(matrix, built.rhs, 2, "none")
     assert system.matrix is not matrix and system.rhs is not built.rhs
     assert system.pruned_mask is not built.pruned_mask and system.pruned_mask.dtype == bool
     assert matrix.flags.writeable and not system.matrix.flags.writeable
     matrix[0, 0] = 7.0
     assert system.matrix[0, 0] == built.matrix[0, 0]
     with pytest.raises(DimensionError):
-        GramSystem(built.matrix, built.rhs, built.pruned_mask, 3, "none")
+        GramSystem(built.matrix, built.rhs, 3, "none")
 
 
 def test_gram_system_mask_is_the_boolean_mask_of_its_rule():
     f, pair = random_bandlimited(np.random.default_rng(14), 8, 32), builtin_basis("square_saw")
     systems = {rule: build_gram_system(f, pair, 6, rule) for rule in PRUNING_RULES}
+    pruned = {
+        "paper": lambda k, m: k * m > 6 and max(k, m) % min(k, m) != 0,
+        "lcm": lambda k, m: math.lcm(k, m) > 6,
+        "none": lambda k, m: False,
+    }
     for rule, built in systems.items():
-        again = GramSystem(built.matrix, built.rhs, built.pruned_mask, 6, rule)
-        assert np.array_equal(again.pruned_mask, built.pruned_mask)
-        # one entry flipped, anywhere in a row, is another mask than the rule's
-        for column in range(12):
-            flipped = built.pruned_mask.copy()
-            flipped[3, column] = not flipped[3, column]
-            with pytest.raises(ConfigurationError, match=f"not the '{rule}' rule's mask at order 6"):
-                GramSystem(built.matrix, built.rhs, flipped, 6, rule)
-    # "paper" prunes at order 6, "none" does not: a mask belongs to its own rule
-    with pytest.raises(ConfigurationError, match="rule's mask"):
-        GramSystem(systems["none"].matrix, systems["none"].rhs, systems["paper"].pruned_mask, 6, "none")
-    # strings, floats and None are not read as booleans
-    with pytest.raises(ConfigurationError, match="pruned_mask must be a boolean array"):
-        GramSystem(np.eye(2), np.zeros(2), [["False", "x"], [0.5, None]], 1, "none")
+        # entry (i, j) couples dilations k = i % 6 + 1 and m = j % 6 + 1, in all four member blocks
+        want = [[pruned[rule](i % 6 + 1, j % 6 + 1) for j in range(12)] for i in range(12)]
+        for system in (built, GramSystem(built.matrix, built.rhs, 6, rule)):
+            assert system.pruned_mask.dtype == bool and system.pruned_mask.tolist() == want, rule
+        assert not built.matrix[built.pruned_mask].any(), rule
 
 
 # --- kernels against the sparse operator -----------------------------------------

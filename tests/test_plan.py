@@ -279,7 +279,7 @@ def test_adopted_results_equal_their_rebuild_through_the_public_constructors(kin
     results = [analyze_indirect(f, basis, order)]
     results += [analyze_direct(f, basis, order, pruning) for pruning in PRUNING_RULES]
     for d in results:
-        fields = (d.basis, d.method, d.pruning, d.condition_estimate, d.warnings)
+        fields = (d.basis, d.method, d.pruning, d.condition_estimate)
         _same_decomposition(d, Decomposition(d.c0, d.coeffs, *fields))
         # band_filter's table is the per-harmonic rule it replaced
         kept = tuple((k, a, b) if 2 <= k <= order - 1 else (k, 0.0, 0.0) for k, a, b in d.coeffs)
@@ -315,7 +315,7 @@ def _library_and_caller_results():
     f = random_bandlimited(np.random.default_rng(31), 12, 64)
     d = analyze_direct(f, basis, 12, "lcm")
     spectrum = generalized_spectrum(d)
-    constructed = Decomposition(d.c0, d.coeffs.tolist(), basis, "direct", "lcm", d.condition_estimate, d.warnings)
+    constructed = Decomposition(d.c0, d.coeffs.tolist(), basis, "direct", "lcm", d.condition_estimate)
     return [
         (analyze_indirect(f, basis, 12), "coeffs"),
         (band_filter(d, 3, 9), "coeffs"),
